@@ -214,6 +214,8 @@ class CellHistory:
     cycles: tuple[CycleRecord, ...]
     eol_cycle: int | None
     soh_eol: float = DEFAULT_SOH_EOL
+    # cycle_index -> record, built once so that lookups are O(1).
+    _by_index: dict[int, CycleRecord] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.nominal_capacity_ah <= 0:
@@ -225,19 +227,20 @@ class CellHistory:
         cum = [c.cumulative_ah for c in self.cycles]
         if any(b < a for a, b in zip(cum, cum[1:])):
             raise ValidationError("cumulative throughput must be non-decreasing")
+        object.__setattr__(self, "_by_index", dict(zip(indices, self.cycles)))
 
     @property
     def n_cycles(self) -> int:
         return len(self.cycles)
 
     def record(self, cycle_index: int) -> CycleRecord:
-        for rec in self.cycles:
-            if rec.cycle_index == cycle_index:
-                return rec
-        raise UnknownCycleError(f"cell {self.cell_id} has no cycle {cycle_index}")
+        try:
+            return self._by_index[cycle_index]
+        except KeyError:
+            raise UnknownCycleError(f"cell {self.cell_id} has no cycle {cycle_index}") from None
 
     def has_cycle(self, cycle_index: int) -> bool:
-        return any(rec.cycle_index == cycle_index for rec in self.cycles)
+        return cycle_index in self._by_index
 
     def soh(self, cycle_index: int) -> float:
         return self.record(cycle_index).capacity_ah / self.nominal_capacity_ah

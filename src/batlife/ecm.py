@@ -18,6 +18,17 @@ the t = 0 sample:
 Two-exponential fits are multimodal, so the solver runs a small
 deterministic multi-start and keeps the lowest-residual solution. Branch
 labels are canonical: the 'e' branch carries the smaller time constant.
+
+A second multi-start over a wide box runs only when the tight fit does not
+interpolate the data, and its result is adopted only when it does. On noisy
+data no model can, and a Hankel-rank certificate proves it before the wide
+pass runs: on a uniform grid a constant plus two decaying exponentials
+makes the (n-3) x 4 Hankel matrix of the t > 0 samples rank 3 or less, so
+a smallest singular value well above twice the exact-fit residual norm
+rules out every model (``_cannot_interpolate``). With fewer than 7 t > 0
+samples, on a non-uniform grid, or when the certificate does not hold, the
+wide pass runs as before. Skipping it never changes a result: every
+``FitReport`` is bitwise the one the unconditional wide pass gives.
 """
 
 from __future__ import annotations
@@ -115,29 +126,20 @@ def predict_relaxation(params: EcmParams, cutoff_current_a: float, times_s) -> n
     return np.where(t == 0.0, u - current * params.r_o, u)
 
 
+def _evaluate(theta: np.ndarray, t: np.ndarray, v, current: float):
+    """Residual ``ocv - term_e - term_c - v`` of the t > 0 model at ``theta``
+    (log-parameterized), plus the pieces its Jacobian reuses: each branch's
+    term ``current*r*exp(-t/tau)`` and ``t/tau``."""
+    r_e, tau_e, r_c, tau_c = np.exp(theta[1:])
+    scaled_e = t / tau_e
+    scaled_c = t / tau_c
+    term_e = current * r_e * np.exp(-scaled_e)
+    term_c = current * r_c * np.exp(-scaled_c)
+    return theta[0] - term_e - term_c - v, (term_e, scaled_e, term_c, scaled_c)
+
+
 def _model_positive_times(theta: np.ndarray, t: np.ndarray, current: float) -> np.ndarray:
-    ocv, log_re, log_taue, log_rc, log_tauc = theta
-    r_e, tau_e, r_c, tau_c = np.exp([log_re, log_taue, log_rc, log_tauc])
-    return (
-        ocv
-        - current * r_e * np.exp(-t / tau_e)
-        - current * r_c * np.exp(-t / tau_c)
-    )
-
-
-def _jacobian_positive_times(theta: np.ndarray, t: np.ndarray, current: float) -> np.ndarray:
-    """Analytic Jacobian of the t > 0 model wrt (ocv, log r_e, log tau_e, log r_c, log tau_c)."""
-    _, log_re, log_taue, log_rc, log_tauc = theta
-    r_e, tau_e, r_c, tau_c = np.exp([log_re, log_taue, log_rc, log_tauc])
-    decay_e = np.exp(-t / tau_e)
-    decay_c = np.exp(-t / tau_c)
-    jac = np.empty((t.size, 5))
-    jac[:, 0] = 1.0
-    jac[:, 1] = -current * r_e * decay_e
-    jac[:, 2] = -current * r_e * decay_e * (t / tau_e)
-    jac[:, 3] = -current * r_c * decay_c
-    jac[:, 4] = -current * r_c * decay_c * (t / tau_c)
-    return jac
+    return _evaluate(np.asarray(theta, dtype=float), t, 0.0, current)[0]
 
 
 def _fit_bounds(curve: RelaxationCurve, tight: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -179,47 +181,59 @@ def _damped_gauss_newton(theta0, t, v, current, max_iters, lower, upper):
 
     Returns (theta, cost, iters, converged). Candidate steps are clipped
     onto the feasible box; non-finite trial costs simply reject the step,
-    so floating-point overflow in a wild trial is silenced.
+    so floating-point overflow in a wild trial is silenced. The Jacobian
+    (analytic, wrt ocv, log r_e, log tau_e, log r_c, log tau_c) reuses the
+    accepted candidate's exponentials: ``-current*r*decay`` rounds exactly
+    as ``-(current*r*decay)``.
     """
-    theta = np.clip(np.asarray(theta0, dtype=float), lower, upper)
-    residual = _model_positive_times(theta, t, current) - v
+    theta = np.minimum(np.maximum(np.asarray(theta0, dtype=float), lower), upper)
+    residual, terms = _evaluate(theta, t, v, current)
     cost = float(residual @ residual)
     damping = 1e-3
     iterations = 0
     converged = False
     stagnant = 0
+    jac = np.empty((t.size, 5))
+    jac[:, 0] = 1.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while iterations < max_iters:
             iterations += 1
-            jac = _jacobian_positive_times(theta, t, current)
+            term_e, scaled_e, term_c, scaled_c = terms
+            np.negative(term_e, out=jac[:, 1])
+            np.multiply(jac[:, 1], scaled_e, out=jac[:, 2])
+            np.negative(term_c, out=jac[:, 3])
+            np.multiply(jac[:, 3], scaled_c, out=jac[:, 4])
             grad = jac.T @ residual
             hess = jac.T @ jac
-            diag = np.diag(hess).copy()
+            neg_grad = -grad
+            diag = hess.diagonal().copy()
             diag[diag <= 0.0] = 1.0
             for _ in range(25):
+                system = hess.copy()
+                system.reshape(-1)[::6] += damping * diag  # the 5x5 diagonal
                 try:
-                    step = np.linalg.solve(hess + damping * np.diag(diag), -grad)
+                    step = np.linalg.solve(system, neg_grad)
                 except np.linalg.LinAlgError:
                     damping *= 4.0
                     continue
-                candidate = np.clip(theta + step, lower, upper)
-                cand_residual = _model_positive_times(candidate, t, current) - v
+                candidate = np.minimum(np.maximum(theta + step, lower), upper)
+                cand_residual, cand_terms = _evaluate(candidate, t, v, current)
                 cand_cost = float(cand_residual @ cand_residual)
-                if np.isfinite(cand_cost) and cand_cost <= cost:
+                if math.isfinite(cand_cost) and cand_cost <= cost:
                     break
                 damping *= 4.0
             else:
                 converged = True  # damping exhausted: no descent left in the box
                 break
             moved = candidate - theta
-            theta, residual = candidate, cand_residual
+            theta, residual, terms = candidate, cand_residual, cand_terms
             improvement = cost - cand_cost
             cost = cand_cost
             damping = max(damping / 3.0, 1e-12)
             if improvement <= RESIDUAL_REL_TOL * max(cost, 1e-300):
                 converged = True
                 break
-            if float(np.linalg.norm(moved)) <= STEP_NORM_TOL:
+            if math.sqrt(moved @ moved) <= STEP_NORM_TOL:
                 converged = True
                 break
             # Noise-floor crawling: many consecutive marginal relative
@@ -280,6 +294,35 @@ def _multistart(curve: RelaxationCurve, max_iters: int, tight: bool):
 # left to exploit), so the wide-box solution is trustworthy.
 EXACT_RESIDUAL_V = 1e-9
 
+# Margin of the Hankel certificate over its proven bound. Rounding in the
+# model evaluation, the centring and the SVD is below 1e-13 V, far inside it.
+_CERTIFICATE_SAFETY = 10.0
+
+
+def _cannot_interpolate(t_pos: np.ndarray, v_pos: np.ndarray, exact_cost: float) -> bool:
+    """True when no constant plus two decaying exponentials, whatever their
+    parameters, comes within ``exact_cost`` of the t > 0 samples.
+
+    On a uniform grid such a model obeys a three-term linear recurrence
+    (characteristic roots 1, exp(-dt/tau_e), exp(-dt/tau_c)), so the
+    (n-3) x 4 Hankel matrix of its samples has rank at most 3. For samples
+    v = model + e, Weyl's inequality gives
+    sigma_min(H(v)) <= ||H(e)||_2 <= ||H(e)||_F <= 2 ||e||, and a model
+    within the exact cost has ||e|| <= sqrt(exact_cost). A smallest singular
+    value above that bound therefore rules out every model. Fewer than 7
+    samples (no fourth singular value) or a non-uniform grid prove nothing.
+    """
+    if t_pos.size < 7:
+        return False
+    steps = np.diff(t_pos)
+    if np.any(steps != steps[0]):
+        return False
+    # Subtracting a constant keeps the model family and shrinks ||H||, and
+    # with it the SVD's rounding error.
+    hankel = np.lib.stride_tricks.sliding_window_view(v_pos - v_pos[-1], 4)
+    sigma_min = np.linalg.svd(hankel, compute_uv=False)[-1]
+    return bool(sigma_min > _CERTIFICATE_SAFETY * 2.0 * math.sqrt(exact_cost))
+
 
 def fit(curve: RelaxationCurve, max_iters: int = MAX_ITERATIONS) -> FitReport:
     """Identify the six circuit parameters from one relaxation transient.
@@ -288,8 +331,12 @@ def fit(curve: RelaxationCurve, max_iters: int = MAX_ITERATIONS) -> FitReport:
     five-parameter nonlinear fit). The tight-box solution is preferred;
     when it cannot interpolate the data exactly, a wide-box pass runs and
     replaces it only by interpolating exactly itself (noiseless data whose
-    time constants fall outside the tight box). Never raises on slow
-    convergence: best-effort parameters come back with ``converged=False``.
+    time constants fall outside the tight box). The wide pass is skipped
+    when the Hankel-rank certificate proves no model can interpolate the
+    data (noisy curves with at least 7 t > 0 samples on a uniform grid);
+    since it could not have been adopted, the report is bitwise the same.
+    Never raises on slow convergence: best-effort parameters come back with
+    ``converged=False``.
     """
     if curve.n_samples < MIN_FIT_SAMPLES:
         raise InsufficientDataError(
@@ -304,7 +351,7 @@ def fit(curve: RelaxationCurve, max_iters: int = MAX_ITERATIONS) -> FitReport:
 
     exact_cost = t_pos.size * EXACT_RESIDUAL_V**2
     best = _multistart(curve, max_iters, tight=True)
-    if best[1] > exact_cost:
+    if best[1] > exact_cost and not _cannot_interpolate(t_pos, v[positive], exact_cost):
         wide = _multistart(curve, max_iters, tight=False)
         if wide[1] <= exact_cost:
             best = wide

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -577,27 +577,26 @@ def run_truncation_sweep(
 
     ``sample_counts`` entries are retained sample counts (None = the full
     transient). The reported relaxation time follows the sampling-budget
-    convention count * interval.
+    convention count * interval, so every cell must share one relaxation
+    grid (sampling interval and full sample count); mixed grids raise
+    ``ValidationError``.
     """
     for count in sample_counts:
         if count is not None and count < 6:
             raise ValidationError("truncation below 6 samples cannot support the circuit fit")
+    grids = {(rec.relaxation.sampling_interval_s, rec.relaxation.n_samples)
+             for cell in cells for rec in cell.cycles}
+    if len(grids) > 1:
+        raise ValidationError(
+            "truncation sweep needs one relaxation grid across cells, got "
+            + ", ".join(f"{n} samples every {dt:g} s" for dt, n in sorted(grids))
+        )
+    interval, full_count = grids.pop() if grids else (0.0, 0)
     caches: dict[str, dict] = {}
     predictions: list[dict] = []
     importance_rows: list[dict] = []
-    interval = cells[0].cycles[0].relaxation.sampling_interval_s if cells else 0.0
-    full_count = cells[0].cycles[0].relaxation.n_samples if cells else 0
     for count in sample_counts:
-        sub_config = RulExperimentConfig(
-            feature_sets=config.feature_sets,
-            window_start=config.window_start,
-            truncate=count,
-            stride=config.stride,
-            soh_floor=config.soh_floor,
-            seed=config.seed,
-            restarts=config.restarts,
-            max_iters=config.max_iters,
-        )
+        sub_config = replace(config, truncate=count)
         sub_report = run_rul_experiment(cells, split, sub_config, caches=caches)
         retained = full_count if count is None else count
         for row in sub_report.tables["predictions"]:

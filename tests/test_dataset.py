@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from batlife import simgen
 from batlife.dataset import (
+    CellHistory,
     CellSchema,
     Chemistry,
+    CycleRecord,
     DatasetSplit,
     compute_eol,
     ingest_cell,
@@ -26,6 +28,7 @@ from batlife.errors import (
     InsufficientCellsError,
     NeverReachedError,
     SchemaError,
+    UnknownCycleError,
     ValidationError,
 )
 
@@ -299,3 +302,27 @@ class TestBookkeeping:
         assert cell.cycles[0].calendar_days == 0.0
         days = [r.calendar_days for r in cell.cycles]
         assert all(b > a for a, b in zip(days, days[1:]))
+
+
+class TestCycleLookup:
+    @settings(max_examples=50, deadline=None)
+    @given(st.sets(st.integers(min_value=1, max_value=400), min_size=1, max_size=40),
+           st.lists(st.integers(min_value=-5, max_value=410), max_size=60))
+    def test_lookup_agrees_with_linear_scan(self, index_set, queries):
+        # Strictly increasing indices with gaps; queries hit present,
+        # missing and out-of-range cycles.
+        curve = RelaxationCurve(np.arange(6) * 120.0, np.full(6, 4.1), 120.0, 0.175)
+        records = tuple(
+            CycleRecord(cycle_index=m, relaxation=curve, capacity_ah=3.0,
+                        cumulative_ah=float(k), calendar_days=float(k))
+            for k, m in enumerate(sorted(index_set))
+        )
+        cell = CellHistory("lk-00", Chemistry.NCA, "CY25-0.5/1", 3.5, records, None)
+        for m in list(index_set) + queries:
+            scanned = [rec for rec in records if rec.cycle_index == m]
+            assert cell.has_cycle(m) == bool(scanned)
+            if scanned:
+                assert cell.record(m) is scanned[0]
+            else:
+                with pytest.raises(UnknownCycleError):
+                    cell.record(m)

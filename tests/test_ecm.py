@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,3 +155,130 @@ class TestFit:
         report = ecm.fit(relaxation_curve(truth))
         rel = np.abs(report.params.as_array() - truth.as_array()) / np.abs(truth.as_array())
         assert rel.max() < 0.01
+
+
+def _golden_curves() -> dict[str, RelaxationCurve]:
+    """Seeded curves covering each path through ``fit``: the certified skip
+    of the wide pass (noisy, uniform, >= 7 positive samples), the wide pass
+    that still runs (6 positive samples, non-uniform grid), wide-box
+    adoption (sub-interval time constant) and exact tight fits."""
+    # simgen's fresh 3.5 Ah cell, and the sub-interval case of
+    # test_roundtrip_sub_interval_time_constant.
+    fresh = ecm.EcmParams(ocv=4.19, r_o=0.135, r_e=0.15, c_e=800.0, r_c=0.3, c_c=5000.0 / 3.0)
+    sub_interval = ecm.EcmParams(ocv=4.19, r_o=0.1357, r_e=0.01, c_e=2000.0,
+                                 r_c=0.02, c_c=50000.0)
+    full = relaxation_curve(fresh)
+    noisy_7 = relaxation_curve(fresh, n_samples=7, noise=2e-4, rng=np.random.default_rng(14))
+    times = np.array([0.0, 60.0, 120.0, 240.0, 360.0, 600.0, 900.0, 1200.0, 1500.0, 1800.0])
+    rng = np.random.default_rng(15)
+    volts = ecm.predict_relaxation(fresh, CUTOFF_A, times) + rng.normal(0.0, 2e-4, times.size)
+    return {
+        "nca_noisy_120s_a": relaxation_curve(fresh, noise=2e-4, rng=np.random.default_rng(11)),
+        "nca_noisy_120s_b": relaxation_curve(fresh, noise=2e-4, rng=np.random.default_rng(12)),
+        "ncm_nca_noisy_30s": relaxation_curve(fresh, n_samples=121, noise=2e-4,
+                                              rng=np.random.default_rng(13), interval=30.0,
+                                              current=0.125),
+        "noiseless_full": full,
+        "noiseless_6": full.truncated(6),
+        "noiseless_7": full.truncated(7),
+        "noisy_7": noisy_7,
+        "sub_interval_tau": relaxation_curve(sub_interval),
+        "flat": RelaxationCurve(np.arange(16) * 120.0, np.full(16, 4.20), 120.0, CUTOFF_A),
+        "non_uniform_noisy": RelaxationCurve(times, volts, 60.0, CUTOFF_A),
+    }
+
+
+# float.hex of (ocv, r_o, r_e, c_e, r_c, c_c, residual_rms_v), then iterations,
+# converged, ro_clamped, as fitted by the implementation before the Hankel
+# certificate and the Gauss-Newton rewrite (which must not change a bit).
+_GOLDEN = {
+    'nca_noisy_120s_a': ('0x1.0c27679e139eep+2', '0x1.f4c49144f5178p-4', '0x1.3127bfe314123p-3', '0x1.4d5e87eb73b59p+9', '0x1.40acc922813ecp-2', '0x1.832e6dde14098p+10', '0x1.3336cf183470dp-13',
+        22, True, False),
+    'nca_noisy_120s_b': ('0x1.0c2d7e64f4378p+2', '0x1.190895bfa7b58p-3', '0x1.4baae755ac753p-3', '0x1.883211e2c6011p+9', '0x1.26510d9febf18p-2', '0x1.c8501ca394b7dp+10', '0x1.8c95bb651cde8p-13',
+        9, True, False),
+    'ncm_nca_noisy_30s': ('0x1.0c285ece485cap+2', '0x1.ffba6b9ef0f3cp-4', '0x1.3113b8236163dp-3', '0x1.692f441c1762bp+9', '0x1.3b4819d5bed93p-2', '0x1.8d6c721f046fdp+10', '0x1.8becd2cededbfp-13',
+        21, True, False),
+    'noiseless_full': ('0x1.0c28f5c28f5c3p+2', '0x1.147ae147add42p-3', '0x1.3333333333728p-3', '0x1.8fffffffff63bp+9', '0x1.333333333335dp-2', '0x1.a0aaaaaaaaa3cp+10', '0x1.08654a2d4f6dap-52',
+        12, True, False),
+    'noiseless_6': ('0x1.0c28f5c28f5d2p+2', '0x1.147ae147aefdep-3', '0x1.3333333335002p-3', '0x1.90000000012a9p+9', '0x1.33333333322fep-2', '0x1.a0aaaaaaae465p+10', '0x0.0p+0',
+        73, True, False),
+    'noiseless_7': ('0x1.0c28f5c28f5d7p+2', '0x1.147ae147aec38p-3', '0x1.3333333335134p-3', '0x1.90000000006e6p+9', '0x1.3333333332602p-2', '0x1.a0aaaaaaae355p+10', '0x0.0p+0',
+        13, True, False),
+    'noisy_7': ('0x1.0c01767405807p+2', '0x1.5043693678760p-4', '0x1.1662cfe47796dp-3', '0x1.b966cac55e9b5p+8', '0x1.68dc6d6114918p-2', '0x1.18380579957dcp+10', '0x1.019ba52c4374ap-13',
+        1000, False, False),
+    'sub_interval_tau': ('0x1.0c28f5c28f5c1p+2', '0x1.15e9e186576c5p-3', '0x1.47ae171e032b3p-7', '0x1.f3fffb4d8be64p+10', '0x1.47ae147ae13efp-6', '0x1.869ffffffd83cp+15', '0x0.0p+0',
+        996, True, False),
+    'flat': ('0x1.0cccccccf32b5p+2', '0x0.0p+0', '0x1.12e0be826d698p-30', '0x1.bf08eaffffff9p+35', '0x1.12e0be826d698p-30', '0x1.a3185c4fffff7p+41', '0x1.9891a1b405c00p-36',
+        83, True, True),
+    'non_uniform_noisy': ('0x1.0c33517eb1eacp+2', '0x1.18e45f0718d38p-3', '0x1.5f0c780c790a3p-3', '0x1.83e2da8aa9d30p+9', '0x1.20718c402b900p-2', '0x1.e179eea2ed2c0p+10', '0x1.66d06c05f6c86p-13',
+        17, True, False),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name", sorted(_GOLDEN))
+    def test_fit_report_bitwise(self, name):
+        report = ecm.fit(_golden_curves()[name])
+        p = report.params
+        floats = tuple(float(x).hex() for x in (p.ocv, p.r_o, p.r_e, p.c_e, p.r_c, p.c_c,
+                                                 report.residual_rms_v))
+        got = floats + (report.iterations, bool(report.converged), bool(report.ro_clamped))
+        assert got == _GOLDEN[name]
+
+
+def _exact_cost(t_pos: np.ndarray) -> float:
+    return t_pos.size * ecm.EXACT_RESIDUAL_V**2
+
+
+class TestWidePassCertificate:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_samples=st.integers(min_value=8, max_value=60),
+        interval=st.sampled_from([0.5, 10.0, 30.0, 120.0, 600.0]),
+        current=st.floats(min_value=0.01, max_value=2.0),
+        ocv=st.floats(min_value=3.0, max_value=4.4),
+        log_r=st.tuples(st.floats(-20.0, 0.0), st.floats(-20.0, 0.0)),
+        tau_frac=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    def test_never_skips_noiseless_two_exponentials(self, n_samples, interval, current, ocv,
+                                                    log_r, tau_frac):
+        # Time constants anywhere in the wide box, [t_1 / 50, 20 t_last],
+        # including far below the sampling interval.
+        times = np.arange(n_samples) * interval
+        t_pos = times[1:]
+        lo, hi = math.log(t_pos[0] / 50.0), math.log(20.0 * t_pos[-1])
+        tau_e, tau_c = (math.exp(lo + f * (hi - lo)) for f in tau_frac)
+        r_e, r_c = math.exp(log_r[0]), math.exp(log_r[1])
+        v_pos = (ocv - current * r_e * np.exp(-t_pos / tau_e)
+                 - current * r_c * np.exp(-t_pos / tau_c))
+        assert not ecm._cannot_interpolate(t_pos, v_pos, _exact_cost(t_pos))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_samples=st.integers(min_value=8, max_value=20),
+        log_noise=st.floats(min_value=math.log(1e-9), max_value=math.log(1e-3)),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_skipped_wide_pass_could_not_be_adopted(self, n_samples, log_noise, seed):
+        rng = np.random.default_rng(seed)
+        tau_e = rng.uniform(20.0, 300.0)
+        tau_c = rng.uniform(tau_e, 3000.0)
+        r_e, r_c = rng.uniform(0.01, 0.3, size=2)
+        truth = ecm.EcmParams(ocv=4.19, r_o=0.135, r_e=r_e, c_e=tau_e / r_e,
+                              r_c=r_c, c_c=tau_c / r_c)
+        curve = relaxation_curve(truth, n_samples=n_samples, noise=math.exp(log_noise), rng=rng)
+        positive = curve.times_s > 0
+        t_pos = curve.times_s[positive]
+        if ecm._cannot_interpolate(t_pos, curve.voltages_v[positive], _exact_cost(t_pos)):
+            wide = ecm._multistart(curve, ecm.MAX_ITERATIONS, tight=False)
+            assert wide[1] > _exact_cost(t_pos)
+
+    def test_short_or_non_uniform_grids_prove_nothing(self):
+        rng = np.random.default_rng(3)
+        v_pos = 4.1 + rng.normal(0.0, 1e-2, 9)
+        uniform = np.arange(1, 10) * 120.0
+        non_uniform = uniform.copy()
+        non_uniform[-1] += 1.0
+        assert ecm._cannot_interpolate(uniform, v_pos, _exact_cost(uniform))
+        assert not ecm._cannot_interpolate(non_uniform, v_pos, _exact_cost(non_uniform))
+        assert not ecm._cannot_interpolate(uniform[:6], v_pos[:6], _exact_cost(uniform[:6]))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batlife import simgen
-from batlife.dataset import Chemistry, split_dataset
+from batlife.dataset import Chemistry, DatasetSplit, split_dataset
 from batlife.errors import (
     EmptyInputError,
     EmptyWindowError,
@@ -191,6 +191,20 @@ class TestTruncationSweep:
         assert rows[6]["relaxation_time_s"] == pytest.approx(720.0)
         assert rows[8]["relaxation_time_s"] == pytest.approx(960.0)
         assert verify_report(sweep)
+
+    def test_mixed_relaxation_grids_rejected(self):
+        # 120 s NCA next to 30 s NCM+NCA: one interval and one full count
+        # cannot describe both, so the sweep refuses rather than mislabel.
+        profile = simgen.condition_profile(300.0, seed=2)
+        cells = [simgen.simulate_cell(profile, simgen.NCA_PROTOCOL, 5, "mix-nca",
+                                      discharge_knots=50),
+                 simgen.simulate_cell(profile, simgen.NCM_NCA_PROTOCOL, 5, "mix-ncmnca",
+                                      discharge_knots=50)]
+        split = DatasetSplit(train=frozenset({"mix-nca"}), test=frozenset({"mix-ncmnca"}),
+                             seed=0)
+        config = RulExperimentConfig(feature_sets=(FeatureSet.NOVEL_PRED,))
+        with pytest.raises(ValidationError, match="one relaxation grid"):
+            run_truncation_sweep(cells, split, config, [6, None])
 
 
 @pytest.fixture(scope="module")
