@@ -330,14 +330,6 @@ def compute_eol(
     return int(np.asarray(cycle_indices)[crossed[0]])
 
 
-def compute_eol_for(history_capacities, nominal, soh_eol=DEFAULT_SOH_EOL):
-    """compute_eol variant returning None instead of raising (unlabeled cells)."""
-    try:
-        return compute_eol(history_capacities, nominal, soh_eol=soh_eol)
-    except NeverReachedError:
-        return None
-
-
 # ---------------------------------------------------------------------------
 # History assembly (shared by simulation and ingestion)
 # ---------------------------------------------------------------------------
@@ -388,11 +380,13 @@ def build_history(
             )
         )
         calendar_s += cycle_duration_s(capacity, nominal_capacity_ah, condition, rest_duration_s)
-    caps = [r.capacity_ah for r in records]
-    eol = compute_eol_for(caps, nominal_capacity_ah, soh_eol)
-    if eol is not None:
-        # compute_eol indexes positionally; map back onto actual cycle numbers.
-        eol = records[eol - 1].cycle_index
+    try:
+        eol = compute_eol(
+            [r.capacity_ah for r in records], nominal_capacity_ah,
+            cycle_indices=[r.cycle_index for r in records], soh_eol=soh_eol,
+        )
+    except NeverReachedError:
+        eol = None  # unlabeled: kept for feature extraction only
     return CellHistory(
         cell_id=cell_id,
         chemistry=chemistry,

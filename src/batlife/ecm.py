@@ -365,7 +365,7 @@ def fit(curve: RelaxationCurve, max_iters: int = MAX_ITERATIONS) -> FitReport:
 
     v0 = float(v[t == 0.0][0])
     r_o = abs(v0 - ocv) / current - r_e - r_c
-    ro_clamped = r_o < 0.0
+    ro_clamped = bool(r_o < 0.0)
     r_o = max(r_o, 0.0)
 
     params = EcmParams(ocv=ocv, r_o=r_o, r_e=r_e, c_e=c_e, r_c=r_c, c_c=c_c)

@@ -86,7 +86,8 @@ class DimensionMismatchError(DataError):
 
 
 class SingularKernelError(NumericalError):
-    """Kernel matrix failed to factorize even at the maximum jitter."""
+    """Kernel matrix failed to factorize even at the maximum jitter, or
+    every optimizer restart of a trainer failed to evaluate its objective."""
 
 
 class DegenerateTargetsError(DataError):

@@ -1,7 +1,7 @@
 """Binary Gaussian-process classification and the three-way life DAG.
 
-Each binary classifier places a GP prior (same ARD exponential kernel as
-the regressor, no separate noise term) on a latent function f and maps it
+Each binary classifier places a GP prior (the regressor's ARD exponential
+kernel from ``gpr``, no separate noise term) on a latent function f and maps it
 through the logistic sigmoid. The non-Gaussian posterior over f is handled
 with the Laplace approximation: Newton iterations find the posterior mode,
 and the local Gaussian there supplies both the approximate marginal
@@ -23,6 +23,7 @@ for the NCM policy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -39,9 +40,17 @@ from .errors import (
     NoConvergenceError,
     OneClassOnlyError,
     OutOfDomainError,
+    SingularKernelError,
     ValidationError,
 )
-from .gpr import KernelParams, Standardizer, _scaled_distance
+from .gpr import (
+    FAILED_OBJECTIVE,
+    KernelParams,
+    Standardizer,
+    kernel_matrix,
+    length_scale_derivatives,
+    scaled_distance,
+)
 
 QUAD_NODES = 32
 _GH_X, _GH_W = hermgauss(QUAD_NODES)
@@ -136,15 +145,12 @@ def _log_sigmoid(z: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -z)
 
 
-def _kernel_matrix(X: np.ndarray, kernel: KernelParams) -> np.ndarray:
-    return kernel.sigma_f**2 * np.exp(-_scaled_distance(X, X, kernel.length_scales))
-
-
 def _find_mode(K: np.ndarray, y: np.ndarray, f0: np.ndarray | None = None):
     """Newton iterations to the posterior mode (numerically stable form).
 
-    Returns (f_hat, grad_at_mode, sqrt_w, chol_b, objective). The objective
-    is psi(f) = log p(y|f) - 0.5 f^T K^-1 f, evaluated without forming
+    Returns (f_hat, grad_at_mode, sqrt_w, chol_b, evidence). The evidence
+    is the Laplace approximation psi(f_hat) - 0.5 log|B|, where
+    psi(f) = log p(y|f) - 0.5 f^T K^-1 f is evaluated without forming
     K^-1 explicitly.
     """
     n = y.size
@@ -185,7 +191,7 @@ def _find_mode(K: np.ndarray, y: np.ndarray, f0: np.ndarray | None = None):
     sqrt_w = np.sqrt(pi * (1.0 - pi))
     B = eye + sqrt_w[:, None] * K * sqrt_w[None, :]
     L = cholesky(B, lower=True)
-    return f, (t - pi), sqrt_w, L, psi
+    return f, (t - pi), sqrt_w, L, psi - float(np.log(np.diag(L)).sum())
 
 
 def laplace_evidence(
@@ -198,13 +204,14 @@ def laplace_evidence(
     accounts for the implicit dependence of the mode on the kernel through
     the standard explicit-plus-implicit decomposition.
     """
-    K = _kernel_matrix(X, kernel)
-    f_hat, grad_mode, sqrt_w, L, psi = _find_mode(K, y, f0)
-    evidence = psi - float(np.log(np.diag(L)).sum())
+    r = scaled_distance(X, X, kernel.length_scales)
+    E = np.exp(-r)
+    K = kernel.sigma_f**2 * E
+    f_hat, grad_mode, sqrt_w, L, evidence = _find_mode(K, y, f0)
     if not with_grad:
         return evidence, f_hat
 
-    n, d = X.shape
+    d = X.shape[1]
     pi = expit(f_hat)
     # R = sqrtW B^-1 sqrtW = (K + W^-1)^-1
     half = solve_triangular(L, np.diag(sqrt_w), lower=True)
@@ -214,21 +221,9 @@ def laplace_evidence(
     dw_df = pi * (1.0 - pi) * (1.0 - 2.0 * pi)
     s2 = -0.5 * (np.diag(K) - np.einsum("ij,ij->j", C, C)) * dw_df
 
-    ls = kernel.length_scales
-    r = _scaled_distance(X, X, ls)
-    E = np.exp(-r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
-    base = kernel.sigma_f**2 * E * inv_r
-
     grad = np.empty(1 + d)
-    for j in range(1 + d):
-        if j == 0:
-            dK = 2.0 * K
-        else:
-            m = j - 1
-            diff_sq = (X[:, None, m] - X[None, :, m]) ** 2 / ls[m] ** 2
-            dK = base * diff_sq
+    derivatives = itertools.chain([2.0 * K], length_scale_derivatives(X, r, E, kernel))
+    for j, dK in enumerate(derivatives):
         s1 = 0.5 * float(grad_mode @ (dK @ grad_mode)) - 0.5 * float(np.sum(R * dK))
         b = dK @ grad_mode
         s3 = b - K @ (R @ b)
@@ -269,7 +264,7 @@ def train_binary(
                 kernel, X, y, f0=warm["f"], with_grad=True
             )
         except (np.linalg.LinAlgError, NoConvergenceError):
-            return 1e25, np.zeros_like(theta)
+            return FAILED_OBJECTIVE, np.zeros_like(theta)
         warm["f"] = f_hat
         return -evidence, -grad
 
@@ -282,7 +277,7 @@ def train_binary(
         )))
 
     bounds = [(math.log(1e-3), math.log(1e3))] * (1 + d)
-    best_theta, best_value = None, np.inf
+    best_theta, best_value = None, FAILED_OBJECTIVE
     for theta0 in starts:
         warm["f"] = None
         result = minimize(
@@ -292,11 +287,25 @@ def train_binary(
         if result.fun < best_value:
             best_value = float(result.fun)
             best_theta = result.x
+    if best_theta is None:
+        raise SingularKernelError("no restart produced a usable kernel")
 
     kernel = KernelParams(sigma_f=math.exp(best_theta[0]), length_scales=np.exp(best_theta[1:]))
-    K = _kernel_matrix(X, kernel)
-    f_hat, grad_mode, sqrt_w, L, psi = _find_mode(K, y)
-    evidence = psi - float(np.log(np.diag(L)).sum())
+    return posterior_binary(kernel, X, y, positive_label, negative_label)
+
+
+def posterior_binary(
+    kernel: KernelParams,
+    X: np.ndarray,
+    y: np.ndarray,
+    positive_label: str = "+1",
+    negative_label: str = "-1",
+) -> BinaryGpc:
+    """The Laplace classifier at fixed hyperparameters on inputs ``X``.
+
+    Training and model loading both build their models here.
+    """
+    f_hat, grad_mode, sqrt_w, L, evidence = _find_mode(kernel_matrix(X, X, kernel), y)
     return BinaryGpc(
         kernel=kernel,
         X_train=X,
@@ -346,9 +355,7 @@ def predict_binary(model: BinaryGpc, x_star) -> float | np.ndarray:
         raise DimensionMismatchError(
             f"expected {model.n_features} features, got {x.shape[1]}"
         )
-    K_star = model.kernel.sigma_f**2 * np.exp(
-        -_scaled_distance(model.X_train, x, model.kernel.length_scales)
-    )
+    K_star = kernel_matrix(model.X_train, x, model.kernel)
     mean = K_star.T @ model.grad_at_mode
     v = solve_triangular(model.chol_b, model.sqrt_w[:, None] * K_star, lower=True)
     variance = np.maximum(model.kernel.sigma_f**2 - np.einsum("ij,ij->j", v, v), 0.0)

@@ -41,6 +41,9 @@ from .errors import (
 JITTER_FACTOR = 1e-9
 MAX_JITTER_FACTOR = 1e-6
 LOG_BOUND = 18.0  # |log parameter| bound during optimization
+# Objective both trainers return where the model cannot be evaluated (zero
+# gradient); a restart that ends at it never got past the failure.
+FAILED_OBJECTIVE = 1e25
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,6 @@ class GprTrainConfig:
     max_iters: int = 500
     tol: float = 1e-8
     seed: int = 0
-    jitter_factor: float = JITTER_FACTOR
 
 
 # ---------------------------------------------------------------------------
@@ -127,14 +129,29 @@ def kernel_eval(x_i, x_j, kernel: KernelParams) -> float:
     return float(kernel.sigma_f**2 * math.exp(-math.sqrt(float(scaled @ scaled))))
 
 
-def _scaled_distance(Xa: np.ndarray, Xb: np.ndarray, length_scales: np.ndarray) -> np.ndarray:
+def scaled_distance(Xa: np.ndarray, Xb: np.ndarray, length_scales: np.ndarray) -> np.ndarray:
+    """Pairwise r_ij = sqrt(sum_m (x_im - x_jm)^2 / l_m^2); k = sigma_f^2 exp(-r)."""
     if Xa.shape[0] == 0 or Xb.shape[0] == 0:
         return np.zeros((Xa.shape[0], Xb.shape[0]))
     return cdist(Xa / length_scales, Xb / length_scales)
 
 
 def kernel_matrix(Xa: np.ndarray, Xb: np.ndarray, kernel: KernelParams) -> np.ndarray:
-    return kernel.sigma_f**2 * np.exp(-_scaled_distance(Xa, Xb, kernel.length_scales))
+    return kernel.sigma_f**2 * np.exp(-scaled_distance(Xa, Xb, kernel.length_scales))
+
+
+def length_scale_derivatives(X: np.ndarray, r: np.ndarray, E: np.ndarray, kernel: KernelParams):
+    """Yield dK/d log l_m for m = 1..d, one n x n matrix at a time.
+
+    ``r`` and ``E = exp(-r)`` are the scaled distances of ``X`` to itself.
+    dK/d log l_m = K * (x_im - x_jm)^2 / (l_m^2 * r), zero on the diagonal.
+    """
+    ls = kernel.length_scales
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
+    base = kernel.sigma_f**2 * E * inv_r
+    for m in range(X.shape[1]):
+        yield base * ((X[:, None, m] - X[None, :, m]) ** 2 / ls[m] ** 2)
 
 
 def _factorize(K_reg: np.ndarray) -> np.ndarray:
@@ -143,7 +160,7 @@ def _factorize(K_reg: np.ndarray) -> np.ndarray:
 
 
 def factorize_with_jitter(
-    K: np.ndarray, sigma_f: float, sigma_n: float, jitter_factor: float = JITTER_FACTOR
+    K: np.ndarray, sigma_f: float, sigma_n: float
 ) -> tuple[np.ndarray, float]:
     """Factorize K + sigma_n^2 I + jitter I, escalating jitter up to the cap.
 
@@ -152,7 +169,7 @@ def factorize_with_jitter(
     """
     n = K.shape[0]
     eye = np.eye(n)
-    factor = jitter_factor
+    factor = JITTER_FACTOR
     while factor <= MAX_JITTER_FACTOR * (1.0 + 1e-12):
         jitter = factor * sigma_f**2
         try:
@@ -173,7 +190,6 @@ def log_marginal_likelihood(
     kernel: KernelParams,
     X: np.ndarray,
     y_centered: np.ndarray,
-    jitter_factor: float = JITTER_FACTOR,
     with_grad: bool = False,
 ):
     """Log marginal likelihood of centered targets; optional gradient.
@@ -187,11 +203,10 @@ def log_marginal_likelihood(
     n, d = X.shape
     sigma_f = kernel.sigma_f
     sigma_n = kernel.sigma_n
-    ls = kernel.length_scales
 
-    r = _scaled_distance(X, X, ls)
+    r = scaled_distance(X, X, kernel.length_scales)
     E = np.exp(-r)
-    jitter = jitter_factor * sigma_f**2
+    jitter = JITTER_FACTOR * sigma_f**2
     K_reg = sigma_f**2 * E + (sigma_n**2 + jitter) * np.eye(n)
     L = _factorize(K_reg)
     alpha = cho_solve((L, True), y_centered)
@@ -211,13 +226,8 @@ def log_marginal_likelihood(
     grad[0] = 0.5 * float(np.sum(M * (2.0 * sigma_f**2 * E))) + float(
         np.trace(M) * jitter
     )
-    # d K_reg / d log l_m = K * (x_im - x_jm)^2 / (l_m^2 * r), zero on the diagonal
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
-    base = sigma_f**2 * E * inv_r
-    for m in range(d):
-        diff_sq = (X[:, None, m] - X[None, :, m]) ** 2 / ls[m] ** 2
-        grad[1 + m] = 0.5 * float(np.sum(M * (base * diff_sq)))
+    for m, dK in enumerate(length_scale_derivatives(X, r, E, kernel)):
+        grad[1 + m] = 0.5 * float(np.sum(M * dK))
     # d K_reg / d log sigma_n = 2 sigma_n^2 I
     grad[1 + d] = float(np.trace(M) * sigma_n**2)
     return lml, grad
@@ -269,11 +279,10 @@ def train(
     def objective(theta):
         try:
             lml, grad = log_marginal_likelihood(
-                _theta_to_kernel(theta), Xs, y_centered,
-                jitter_factor=config.jitter_factor, with_grad=True,
+                _theta_to_kernel(theta), Xs, y_centered, with_grad=True
             )
         except np.linalg.LinAlgError:
-            return 1e25, np.zeros_like(theta)
+            return FAILED_OBJECTIVE, np.zeros_like(theta)
         return -lml, -grad
 
     rng = np.random.default_rng(np.random.SeedSequence([config.seed & 0xFFFFFFFF, n, d]))
@@ -289,7 +298,7 @@ def train(
 
     bounds = [(-LOG_BOUND, LOG_BOUND)] * (d + 2)
     best_theta = None
-    best_value = np.inf
+    best_value = FAILED_OBJECTIVE
     for theta0 in starts:
         result = minimize(
             objective, theta0, jac=True, method="L-BFGS-B", bounds=bounds,
@@ -300,11 +309,24 @@ def train(
             best_theta = result.x
     if best_theta is None:
         raise SingularKernelError("no restart produced a usable kernel")
+    return posterior(_theta_to_kernel(best_theta), Xs, y, y_mean, standardizer, feature_names)
 
-    kernel = _theta_to_kernel(best_theta)
+
+def posterior(
+    kernel: KernelParams,
+    Xs: np.ndarray,
+    y: np.ndarray,
+    y_mean: float,
+    standardizer: Standardizer,
+    feature_names: tuple[str, ...] | None = None,
+) -> GprModel:
+    """The regressor at fixed hyperparameters on standardized inputs ``Xs``.
+
+    Training and model loading both build their models here.
+    """
     K = kernel_matrix(Xs, Xs, kernel)
-    L, jitter = factorize_with_jitter(K, kernel.sigma_f, kernel.sigma_n, config.jitter_factor)
-    alpha = cho_solve((L, True), y_centered)
+    L, jitter = factorize_with_jitter(K, kernel.sigma_f, kernel.sigma_n)
+    alpha = cho_solve((L, True), y - y_mean)
     return GprModel(
         kernel=kernel,
         X_train=Xs,

@@ -10,11 +10,10 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import SchemaError
-from .gpc import BinaryGpc, LifeDag, _find_mode, _kernel_matrix
-from .gpr import GprModel, KernelParams, Standardizer, factorize_with_jitter, kernel_matrix
+from .gpc import BinaryGpc, LifeDag, posterior_binary
+from .gpr import GprModel, KernelParams, Standardizer, posterior
 
 FORMAT_HEADER = "batlife-model v1"
 
@@ -162,15 +161,8 @@ def _load_gpr(body: list[str], path) -> GprModel:
     if len(rows) != n or y.size != n:
         raise SchemaError(f"{path}: expected {n} training rows, found {len(rows)}")
     X = np.vstack(rows) if rows else np.empty((0, kernel.n_features))
-    K = kernel_matrix(X, X, kernel)
-    L, jitter = factorize_with_jitter(K, kernel.sigma_f, kernel.sigma_n)
-    alpha = cho_solve((L, True), y - y_mean)
     names = tuple(fields["feature_names"].split(",")) if "feature_names" in fields else None
-    return GprModel(
-        kernel=kernel, X_train=X, y_train=y, y_mean=y_mean,
-        chol_lower=L, alpha=alpha, standardizer=standardizer,
-        jitter=jitter, feature_names=names,
-    )
+    return posterior(kernel, X, y, y_mean, standardizer, names)
 
 
 def _load_binary(block: list[str], path) -> BinaryGpc:
@@ -183,15 +175,9 @@ def _load_binary(block: list[str], path) -> BinaryGpc:
     n = int(fields["n"])
     if len(rows) != n or y.size != n:
         raise SchemaError(f"{path}: binary block expected {n} rows, found {len(rows)}")
-    X = np.vstack(rows)
-    K = _kernel_matrix(X, kernel)
-    f_hat, grad_mode, sqrt_w, L, psi = _find_mode(K, y)
-    evidence = psi - float(np.log(np.diag(L)).sum())
-    return BinaryGpc(
-        kernel=kernel, X_train=X, y_train=y, f_hat=f_hat,
-        grad_at_mode=grad_mode, sqrt_w=sqrt_w, chol_b=L, evidence=evidence,
-        positive_label=fields.get("positive_label", "+1"),
-        negative_label=fields.get("negative_label", "-1"),
+    return posterior_binary(
+        kernel, np.vstack(rows), y,
+        fields.get("positive_label", "+1"), fields.get("negative_label", "-1"),
     )
 
 

@@ -162,6 +162,19 @@ class TestEvaluateReport:
         assert code == 0
         assert (outdir / "confusion.csv").exists()
 
+    def test_truncation_evaluate(self, dataset_dir, tmp_path, capsys):
+        outdir = tmp_path / "truncrep"
+        code = main(["evaluate", "--manifest", _manifest(dataset_dir),
+                     "--experiment", "truncation", "--sample-counts", "6,full",
+                     "--feature-sets", "NOVEL_PRED", "--stride", "8",
+                     "--restarts", "2", "--max-iters", "100",
+                     "--split", "1/1", "--seed", "3", "--out", str(outdir)])
+        assert code == 0
+        rows = (outdir / "sweep.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[1:3] for row in rows] == [["6", "720.0"], ["16", "1920.0"]]
+        assert main(["report", "--in", str(outdir)]) == 0
+        assert "metrics verified" in capsys.readouterr().out
+
 
 class TestUsage:
     def test_unknown_flag_exits_2(self):

@@ -10,6 +10,7 @@ from batlife.dataset import (
     Chemistry,
     CycleRecord,
     DatasetSplit,
+    build_history,
     compute_eol,
     ingest_cell,
     ingest_manifest,
@@ -110,6 +111,16 @@ class TestEol:
         long = simgen.simulate_cell(profile, simgen.NCA_PROTOCOL, 140, discharge_knots=50)
         assert short.eol_cycle is not None
         assert short.eol_cycle == long.eol_cycle
+
+    def test_gap_before_crossing_reports_real_cycle_index(self):
+        # Cycles 6-19 are missing; smoothed capacity first reaches 80% at the
+        # eighth recorded cycle, whose index is 22.
+        curve = _simulated_cell(horizon=1).cycles[0].relaxation
+        indices = [1, 2, 3, 4, 5, 20, 21, 22, 23, 24, 25]
+        caps = [1.0] * 5 + [0.9, 0.85, 0.79, 0.78, 0.77, 0.76]
+        cell = build_history("gap", Chemistry.NCA, "CY25-0.5/1", 1.0,
+                             [(i, curve, None, q) for i, q in zip(indices, caps)], 1800.0)
+        assert cell.eol_cycle == 22
 
     def test_moving_median_of_monotone_is_identity_inside(self):
         caps = np.linspace(1.0, 0.5, 20)

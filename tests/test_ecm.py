@@ -140,7 +140,7 @@ class TestFit:
         v[0] += 0.05
         report = ecm.fit(RelaxationCurve(curve.times_s, v, 120.0, CUTOFF_A))
         assert report.params.r_o == 0.0
-        assert report.ro_clamped
+        assert report.ro_clamped is True
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))

@@ -10,8 +10,10 @@ from scipy.special import expit
 from batlife import gpc
 from batlife.errors import (
     DimensionMismatchError,
+    NoConvergenceError,
     OneClassOnlyError,
     OutOfDomainError,
+    SingularKernelError,
     ValidationError,
 )
 from batlife.gpc import (
@@ -141,6 +143,16 @@ class TestTrainBinary:
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(grad), 1e-12)
             assert rel < 1e-5
 
+    @pytest.mark.parametrize("failure", [np.linalg.LinAlgError, NoConvergenceError])
+    def test_every_restart_failing_raises(self, monkeypatch, failure):
+        def failing(*args, **kwargs):
+            raise failure("evidence unavailable")
+
+        monkeypatch.setattr(gpc, "laplace_evidence", failing)
+        X, y = _mirror_data(seed=3)
+        with pytest.raises(SingularKernelError):
+            train_binary(X, y, GpcTrainConfig(restarts=2, seed=0))
+
 
 class TestPredictBinary:
     def test_mirror_symmetry_gives_half(self):
@@ -155,11 +167,7 @@ class TestPredictBinary:
         # well-known conservatism).
         X, y = _mirror_data(n_side=25, spread=0.25, seed=17)
         kernel = KernelParams(sigma_f=4.0, length_scales=np.array([1.5]))
-        K = gpc._kernel_matrix(X, kernel)
-        f_hat, grad, sqrt_w, chol_b, psi = gpc._find_mode(K, y)
-        model = gpc.BinaryGpc(kernel=kernel, X_train=X, y_train=y, f_hat=f_hat,
-                              grad_at_mode=grad, sqrt_w=sqrt_w, chol_b=chol_b,
-                              evidence=psi - float(np.log(np.diag(chol_b)).sum()))
+        model = gpc.posterior_binary(kernel, X, y)
         assert predict_binary(model, np.array([1.5])) > 0.9
 
     def test_trained_model_confident_side(self):

@@ -9,6 +9,7 @@ from batlife import gpr
 from batlife.errors import (
     DegenerateTargetsError,
     DimensionMismatchError,
+    SingularKernelError,
     ValidationError,
 )
 
@@ -125,6 +126,15 @@ class TestTrain:
         y = np.sin(2.0 * x_informative) + 0.01 * rng.normal(size=n)
         model = gpr.train(X, y, gpr.GprTrainConfig(seed=2))
         assert model.kernel.length_scales[1] > model.kernel.length_scales[0]
+
+    def test_every_restart_failing_raises(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(gpr, "log_marginal_likelihood", singular)
+        X, y = _toy_problem()
+        with pytest.raises(SingularKernelError):
+            gpr.train(X, y, gpr.GprTrainConfig(restarts=3, seed=0))
 
 
 class TestPredict:
