@@ -1,9 +1,10 @@
 """Command-line frontend: ingest/simulate -> features -> train -> report.
 
-Every flag that takes a quantity states its unit in ``--help``. Flags may
-also be supplied through ``--config FILE`` (plain ``key = value`` lines,
-keys matching flag names with dashes replaced by underscores); explicit
-flags override the file. All output files begin with a comment line
+Every flag that takes a quantity states its unit and default in ``--help``.
+Flags may also be supplied through ``--config FILE`` (plain ``key = value``
+lines, keys matching flag names with dashes replaced by underscores): the
+file's values become the subcommand's defaults, checked like flags, and
+explicit flags override them. All output files begin with a comment line
 carrying the tool version and the fingerprint of the fully resolved
 configuration, and identical configurations produce identical files.
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import os
 import sys
@@ -35,6 +37,7 @@ from .errors import DataError, NumericalError, ValidationError
 from .experiments import (
     ClassificationConfig,
     RulExperimentConfig,
+    build_classification_samples,
     build_rul_samples,
     header_comment,
     read_report,
@@ -44,16 +47,27 @@ from .experiments import (
     run_truncation_sweep,
     verify_report,
 )
-from .features import FEATURE_NAMES, FeatureSet, WindowMode, WindowSpec, assemble
+from .features import (
+    DISCHARGE_SETS,
+    FEATURE_NAMES,
+    FeatureSet,
+    WindowMode,
+    WindowSpec,
+    assemble,
+    feature_cycles,
+)
 from .gpc import NCA_POLICY, NCM_POLICY, classify as dag_classify, train_dag
 from .gpr import predict as gpr_predict, train as gpr_train
 
 OUTPUT_DIR_ENV = "BATLIFE_OUT"
+POLICIES = {"nca": NCA_POLICY, "ncm": NCM_POLICY}
+# simulate's defaults are benchmark_fleet's; presets for a fourth to sixth condition extend it.
+FLEET = {k: p.default for k, p in inspect.signature(simgen.benchmark_fleet).parameters.items()}
+FADE_REFS = FLEET["fade_refs"] + (400.0, 650.0, 950.0)
+TEMPERATURES = FLEET["temperatures"] + (30, 40, 50)
 
 
-def _read_config_file(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
+def _read_config_file(path: str) -> dict[str, str]:
     file = Path(path)
     if not file.exists():
         raise ValidationError(f"no such config file: {path}")
@@ -69,37 +83,30 @@ def _read_config_file(path: str | None) -> dict[str, str]:
     return values
 
 
-class _Resolver:
-    """Merge CLI flags over config-file values over defaults."""
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse ``argv``; ``--config`` values become the subcommand's defaults.
 
-    def __init__(self, args: argparse.Namespace):
-        self.file_values = _read_config_file(getattr(args, "config", None))
-        self.args = args
-        self.resolved: dict[str, str] = {}
+    argparse then converts them through each flag's ``type`` (a bad value
+    exits 2), and explicit flags still win. Keys that name no flag of the
+    subcommand are ignored; boolean flags are on for 1, true or yes.
+    """
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    values = _read_config_file(args.config)
+    command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    command.set_defaults(**{
+        a.dest: values[a.dest].lower() in ("1", "true", "yes") if a.nargs == 0 else values[a.dest]
+        for a in command._actions if a.dest in values and a.dest not in ("help", "config")
+    })
+    return parser.parse_args(argv)
 
-    def get(self, name: str, default, parser=str):
-        flag = getattr(self.args, name, None)
-        if flag is not None:
-            value = flag
-        elif name in self.file_values:
-            value = parser(self.file_values[name])
-        else:
-            value = default
-        if value is not None:
-            self.resolved[name] = str(value)
-        return value
 
-    def flag(self, name: str) -> bool:
-        if getattr(self.args, name, False):
-            self.resolved[name] = "true"
-            return True
-        value = self.file_values.get(name, "false").lower() in ("1", "true", "yes")
-        if value:
-            self.resolved[name] = "true"
-        return value
-
-    def fingerprint(self, command: str) -> str:
-        return fingerprint({"command": command, **self.resolved})
+def _fingerprint(args: argparse.Namespace) -> str:
+    """Fingerprint of the resolved settings: every flag's value, unset ones left out."""
+    values = {k: str(v) for k, v in vars(args).items()
+              if v is not None and k not in ("command", "config", "handler")}
+    return fingerprint({"command": args.command, **values})
 
 
 def _out_path(value: str | None, default_name: str) -> Path:
@@ -110,36 +117,87 @@ def _out_path(value: str | None, default_name: str) -> Path:
     return path if path.is_absolute() or value.startswith(".") else base / path
 
 
-def _feature_sets(text: str) -> tuple[FeatureSet, ...]:
+def _int(token: str, flag: str, spec: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValidationError(f"{flag} {spec!r}: {token.strip()!r} is not an integer") from None
+
+
+def _feature_sets(text: str | None) -> tuple[FeatureSet, ...] | None:
+    if text is None:
+        return None
     return tuple(FeatureSet.parse(tok) for tok in text.split(",") if tok.strip())
+
+
+def _policy(name: str | None):
+    if name is None:
+        return None
+    try:
+        return POLICIES[name.strip().lower()]
+    except KeyError:
+        raise ValidationError(
+            f"unknown threshold policy {name!r} (expected {' or '.join(POLICIES)})"
+        ) from None
+
+
+def _given(**values) -> dict:
+    """The keyword arguments that were set; a config dataclass fills in the rest."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
+def _rul_config(args) -> RulExperimentConfig:
+    return RulExperimentConfig(**_given(
+        feature_sets=_feature_sets(args.feature_sets), window_start=args.window_start,
+        truncate=args.truncate, stride=args.stride, seed=args.seed,
+        restarts=args.restarts, max_iters=args.max_iters,
+    ))
+
+
+def _class_config(args, feature_sets, **trainer) -> ClassificationConfig:
+    return ClassificationConfig(**_given(
+        chemistry=Chemistry.parse(args.chemistry), feature_sets=feature_sets,
+        test_cycle=args.test_cycle, window_cycles=args.window_cycles,
+        policy=_policy(args.policy), stride=args.stride, seed=args.seed, **trainer,
+    ))
 
 
 def _parse_split(text: str, cells) -> dict[str, tuple[int, int]]:
     """Split spec: 'auto' (half/half per condition), 'T/E' for every
     condition, or 'COND=T/E,COND=T/E' per condition."""
+    def counts(fraction: str) -> tuple[int, int]:
+        n_train, _, n_test = fraction.partition("/")
+        return _int(n_train, "--split", text), _int(n_test, "--split", text)
+
     conditions = sorted({c.condition for c in cells})
-    counts = {cond: sum(1 for c in cells if c.condition == cond) for cond in conditions}
     if text == "auto":
-        return {cond: ((n + 1) // 2, n // 2) for cond, n in counts.items()}
+        sizes = {cond: sum(1 for c in cells if c.condition == cond) for cond in conditions}
+        return {cond: ((n + 1) // 2, n // 2) for cond, n in sizes.items()}
     if "=" not in text:
-        n_train, _, n_test = text.partition("/")
-        return {cond: (int(n_train), int(n_test)) for cond in conditions}
+        return dict.fromkeys(conditions, counts(text))
     spec = {}
     for part in text.split(","):
-        cond, _, frac = part.partition("=")
-        n_train, _, n_test = frac.partition("/")
-        spec[cond.strip()] = (int(n_train), int(n_test))
+        cond, _, fraction = part.partition("=")
+        spec[cond.strip()] = counts(fraction)
     return spec
 
 
-def _write_csv(path: Path, comment: str, columns: list[str], rows: list[list]) -> None:
+def _write_csv(args, path: Path, kind: str, columns: list[str], rows: list[list], what: str):
     buf = io.StringIO()
-    buf.write(f"# {comment}\n")
+    buf.write(f"# {header_comment(_fingerprint(args), kind=kind)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     writer.writerows(rows)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(buf.getvalue())
+    print(f"wrote {path} ({len(rows)} {what})")
+
+
+def _save_model(args, path: Path, model, meta: dict[str, str], n_samples: int) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    comment = header_comment(_fingerprint(args), kind="model")
+    modelio.save_model(model, path, header_comment=comment, meta=meta)
+    print(f"wrote {path} ({n_samples} training samples)")
 
 
 def _fmt(value) -> str:
@@ -151,27 +209,19 @@ def _fmt(value) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    res = _Resolver(args)
-    cells_per_condition = res.get("cells", 5, int)
-    conditions = res.get("conditions", 3, int)
-    seed = res.get("seed", 7, int)
-    noise_mv = res.get("noise_mv", 0.2, float)
-    spread = res.get("spread", 0.02, float)
-    fade_refs_text = res.get("fade_refs", None)
-    discharge_knots = res.get("discharge_knots", 1000, int)
-    outdir = Path(res.get("out", str(_out_path(None, "synthetic"))))
-    fp = res.fingerprint("simulate")
+    if args.out is None:
+        args.out = str(_out_path(None, "synthetic"))
+    outdir = Path(args.out)
+    fp = _fingerprint(args)
 
-    if fade_refs_text:
-        refs = tuple(float(tok) for tok in fade_refs_text.split(","))[:conditions]
-    else:
-        refs = (300.0, 500.0, 800.0, 400.0, 650.0, 950.0)[:conditions]
-    temps = (25, 35, 45, 30, 40, 50)[:conditions]
+    refs = FADE_REFS
+    if args.fade_refs:
+        refs = tuple(float(tok) for tok in args.fade_refs.split(","))
     cells = simgen.benchmark_fleet(
-        seed=seed, cells_per_condition=cells_per_condition,
-        fade_refs=refs, temperatures=temps,
-        noise_sigma_v=noise_mv * 1e-3, cell_spread=spread,
-        discharge_knots=discharge_knots,
+        seed=args.seed, cells_per_condition=args.cells,
+        fade_refs=refs[:args.conditions], temperatures=TEMPERATURES[:args.conditions],
+        noise_sigma_v=args.noise_mv * 1e-3, cell_spread=args.spread,
+        discharge_knots=args.discharge_knots,
     )
     comment = header_comment(fp, kind="cell")
     cell_dir = outdir / "cells"
@@ -196,11 +246,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    res = _Resolver(args)
-    manifest = res.get("manifest", None)
-    if manifest is None:
+    if args.manifest is None:
         raise ValidationError("--manifest is required")
-    cells = ingest_manifest(manifest)
+    cells = ingest_manifest(args.manifest)
     for cell in cells:
         eol = cell.eol_cycle if cell.eol_cycle is not None else "never"
         print(f"{cell.cell_id}: {cell.chemistry.value} {cell.condition} "
@@ -210,282 +258,181 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_fit_ecm(args) -> int:
-    res = _Resolver(args)
-    manifest = res.get("manifest", None)
-    cell_filter = res.get("cell", None)
-    truncate = res.get("truncate", None, int)
-    out = _out_path(res.get("out", None), "ecm_params.csv")
-    if manifest is None:
+    out = _out_path(args.out, "ecm_params.csv")
+    if args.manifest is None:
         raise ValidationError("--manifest is required")
-    fp = res.fingerprint("fit-ecm")
-
-    cells = ingest_manifest(manifest)
-    if cell_filter is not None:
-        cells = [c for c in cells if c.cell_id == cell_filter]
+    cells = ingest_manifest(args.manifest)
+    if args.cell is not None:
+        cells = [c for c in cells if c.cell_id == args.cell]
         if not cells:
-            raise ValidationError(f"manifest has no cell {cell_filter!r}")
+            raise ValidationError(f"manifest has no cell {args.cell!r}")
     rows = []
     for cell in cells:
         for record in cell.cycles:
             curve = record.relaxation
-            if truncate is not None:
-                curve = curve.truncated(truncate)
+            if args.truncate is not None:
+                curve = curve.truncated(args.truncate)
             report = ecm.fit(curve)
-            p = report.params
-            rows.append([
-                cell.cell_id, record.cycle_index,
-                _fmt(p.ocv), _fmt(p.r_o), _fmt(p.r_e), _fmt(p.c_e),
-                _fmt(p.r_c), _fmt(p.c_c),
-                _fmt(report.residual_rms_v), int(report.converged),
-            ])
-    _write_csv(out, header_comment(fp, kind="ecm-params"),
+            rows.append([cell.cell_id, record.cycle_index, *map(_fmt, report.params.as_array()),
+                         _fmt(report.residual_rms_v), int(report.converged)])
+    _write_csv(args, out, "ecm-params",
                ["cell_id", "cycle", "ocv_v", "r_o_ohm", "r_e_ohm", "c_e_farad",
-                "r_c_ohm", "c_c_farad", "residual_rms_v", "converged"], rows)
-    print(f"wrote {out} ({len(rows)} fits)")
+                "r_c_ohm", "c_c_farad", "residual_rms_v", "converged"], rows, "fits")
     return 0
 
 
 def cmd_features(args) -> int:
-    res = _Resolver(args)
-    manifest = res.get("manifest", None)
-    feature_set = FeatureSet.parse(res.get("feature_set", "NOVEL_PRED"))
-    window_start = res.get("window_start", 1, int)
-    truncate = res.get("truncate", None, int)
-    stride = res.get("stride", 1, int)
-    out = _out_path(res.get("out", None), "features.csv")
-    if manifest is None:
+    feature_set = FeatureSet.parse(args.feature_set)
+    out = _out_path(args.out, "features.csv")
+    if args.manifest is None:
         raise ValidationError("--manifest is required")
-    fp = res.fingerprint("features")
-
-    if feature_set in (FeatureSet.NOVEL_CLASS, FeatureSet.RATE_CLASS):
+    if feature_set in DISCHARGE_SETS:
         window = WindowSpec(mode=WindowMode.ADJACENT)
-        first = 2
     else:
-        window = WindowSpec(mode=WindowMode.FIXED_REFERENCE, reference_cycle=window_start)
-        first = window_start + 1
+        window = WindowSpec(mode=WindowMode.FIXED_REFERENCE, reference_cycle=args.window_start)
     rows = []
-    for cell in ingest_manifest(manifest):
+    for cell in ingest_manifest(args.manifest):
         cache: dict = {}
-        last = cell.cycles[-1].cycle_index
-        for m in range(first, last + 1, stride):
-            if not cell.has_cycle(m):
-                continue
-            fv = assemble(cell, m, window, feature_set, truncate=truncate, fit_cache=cache)
+        for m in feature_cycles(cell, window, args.stride):
+            fv = assemble(cell, m, window, feature_set, truncate=args.truncate, fit_cache=cache)
             for name, value in fv.values.items():
                 rows.append([cell.cell_id, m, name, _fmt(value)])
-    _write_csv(out, header_comment(fp, kind="features"),
-               ["cell_id", "cycle", "feature", "value"], rows)
-    print(f"wrote {out} ({len(rows)} values)")
+    _write_csv(args, out, "features", ["cell_id", "cycle", "feature", "value"], rows, "values")
     return 0
 
 
-def _experiment_config(res: _Resolver) -> RulExperimentConfig:
-    return RulExperimentConfig(
-        feature_sets=_feature_sets(res.get("feature_sets", "NOVEL_PRED")),
-        window_start=res.get("window_start", 1, int),
-        truncate=res.get("truncate", None, int),
-        stride=res.get("stride", 1, int),
-        seed=res.get("seed", 0, int),
-        restarts=res.get("restarts", 5, int),
-        max_iters=res.get("max_iters", 500, int),
-    )
-
-
 def cmd_train_rul(args) -> int:
-    res = _Resolver(args)
-    manifest = res.get("manifest", None)
-    out = _out_path(res.get("out", None), "rul_model.txt")
-    config = _experiment_config(res)
+    out = _out_path(args.out, "rul_model.txt")
+    config = _rul_config(args)
     feature_set = config.feature_sets[0]
-    if manifest is None:
+    if args.manifest is None:
         raise ValidationError("--manifest is required")
-    fp = res.fingerprint("train-rul")
 
-    cells = ingest_manifest(manifest)
-    chemistries = {c.chemistry for c in cells}
-    if len(chemistries) > 1:
+    cells = ingest_manifest(args.manifest)
+    if len({c.chemistry for c in cells}) > 1:
         raise ValidationError(
             "train-rul expects a single-chemistry manifest; filter the manifest first"
         )
-    caches: dict = {}
     samples = build_rul_samples(
-        {c.cell_id: c for c in cells}, [c.cell_id for c in cells],
-        feature_set, config.window(), config.truncate, config.stride, 0.8, caches,
+        {c.cell_id: c for c in cells}, [c.cell_id for c in cells], feature_set,
+        config.window(), config.truncate, config.stride, config.soh_floor, {},
     )
     if not samples:
         raise ValidationError("no labeled training samples (no cell reaches end of life?)")
     X = np.vstack([s.features.as_array() for s in samples])
     y = np.array([s.rul for s in samples])
     model = gpr_train(X, y, config.gpr_config(), feature_names=FEATURE_NAMES[feature_set])
+    settings = config.to_dict()
     meta = {"feature_set": feature_set.value,
-            "window_start": str(config.window_start),
-            "truncate": "full" if config.truncate is None else str(config.truncate)}
-    out.parent.mkdir(parents=True, exist_ok=True)
-    modelio.save_model(model, out, header_comment=header_comment(fp, kind="model"), meta=meta)
-    print(f"wrote {out} ({len(samples)} training samples)")
+            "window_start": settings["window_start"], "truncate": settings["truncate"]}
+    _save_model(args, out, model, meta, len(samples))
     return 0
 
 
 def cmd_predict_rul(args) -> int:
-    res = _Resolver(args)
-    manifest = res.get("manifest", None)
-    model_path = res.get("model", None)
-    out = _out_path(res.get("out", None), "rul_predictions.csv")
-    stride = res.get("stride", 1, int)
-    if manifest is None or model_path is None:
+    out = _out_path(args.out, "rul_predictions.csv")
+    if args.manifest is None or args.model is None:
         raise ValidationError("--manifest and --model are required")
-    fp = res.fingerprint("predict-rul")
 
-    model = modelio.load_model(model_path)
-    meta = modelio.read_model_meta(model_path)
-    feature_set = FeatureSet.parse(meta.get("feature_set", "NOVEL_PRED"))
-    window_start = int(meta.get("window_start", "1"))
-    truncate = None if meta.get("truncate", "full") == "full" else int(meta["truncate"])
-    window = WindowSpec(mode=WindowMode.FIXED_REFERENCE, reference_cycle=window_start)
-
+    model = modelio.load_model(args.model)
+    meta = modelio.read_model_meta(args.model)
+    config = RulExperimentConfig(
+        window_start=int(meta.get("window_start", RulExperimentConfig.window_start)),
+        truncate=None if meta.get("truncate", "full") == "full" else int(meta["truncate"]),
+    )
+    feature_set = FeatureSet.parse(meta.get("feature_set", config.feature_sets[0].value))
+    window = config.window()
     rows = []
-    for cell in ingest_manifest(manifest):
+    for cell in ingest_manifest(args.manifest):
         cache: dict = {}
-        last = cell.cycles[-1].cycle_index
-        for m in range(window_start + 1, last + 1, stride):
-            if not cell.has_cycle(m):
-                continue
-            fv = assemble(cell, m, window, feature_set, truncate=truncate, fit_cache=cache)
+        for m in feature_cycles(cell, window, args.stride):
+            fv = assemble(cell, m, window, feature_set, truncate=config.truncate, fit_cache=cache)
             mean, variance = gpr_predict(model, fv.as_array())
             rows.append([cell.cell_id, m, _fmt(cell.soh(m)),
                          _fmt(mean[0]), _fmt(variance[0])])
-    _write_csv(out, header_comment(fp, kind="rul-predictions"),
+    _write_csv(args, out, "rul-predictions",
                ["cell_id", "cycle", "soh", "rul_predicted_cycles", "predictive_variance"],
-               rows)
-    print(f"wrote {out} ({len(rows)} predictions)")
+               rows, "predictions")
     return 0
 
 
-def _policy_for(name: str | None, chemistry: Chemistry):
-    if name is None:
-        return NCM_POLICY if chemistry is Chemistry.NCM else NCA_POLICY
-    key = name.strip().lower()
-    if key == "nca":
-        return NCA_POLICY
-    if key == "ncm":
-        return NCM_POLICY
-    raise ValidationError(f"unknown threshold policy {name!r} (expected nca or ncm)")
-
-
 def cmd_train_class(args) -> int:
-    res = _Resolver(args)
-    manifest = res.get("manifest", None)
-    out = _out_path(res.get("out", None), "class_model.txt")
-    chemistry = Chemistry.parse(res.get("chemistry", "NCA"))
-    policy = _policy_for(res.get("policy", None), chemistry)
-    feature_set = FeatureSet.parse(res.get("feature_set", "NOVEL_CLASS"))
-    test_cycle = res.get("test_cycle", 100, int)
-    window_cycles = res.get("window_cycles", 100, int)
-    stride = res.get("stride", 1, int)
-    seed = res.get("seed", 0, int)
-    if manifest is None:
+    out = _out_path(args.out, "class_model.txt")
+    feature_set = FeatureSet.parse(args.feature_set)
+    config = _class_config(args, (feature_set,))
+    if args.manifest is None:
         raise ValidationError("--manifest is required")
-    fp = res.fingerprint("train-class")
 
-    from .experiments import build_classification_samples
-    from .gpc import GpcTrainConfig
-
-    cells = [c for c in ingest_manifest(manifest) if c.chemistry is chemistry]
+    cells = [c for c in ingest_manifest(args.manifest) if c.chemistry is config.chemistry]
     if not cells:
-        raise ValidationError(f"manifest has no {chemistry.value} cells")
+        raise ValidationError(f"manifest has no {config.chemistry.value} cells")
     pairs = build_classification_samples(
-        {c.cell_id: c for c in cells}, [c.cell_id for c in cells],
-        feature_set, test_cycle, window_cycles, policy, stride, 0.8, {},
+        {c.cell_id: c for c in cells}, [c.cell_id for c in cells], feature_set,
+        config.test_cycle, config.window_cycles, config.resolved_policy(), config.stride,
+        config.soh_floor, {},
     )
     if not pairs:
         raise ValidationError("no labeled samples inside the training window")
     X = np.vstack([s.features.as_array() for s, _ in pairs])
     labels = [label for _, label in pairs]
-    dag = train_dag(X, labels, GpcTrainConfig(seed=seed),
-                    feature_names=FEATURE_NAMES[feature_set])
-    meta = {"feature_set": feature_set.value, "chemistry": chemistry.value,
-            "policy_upper": repr(policy.upper_at_soh1),
-            "policy_lower": repr(policy.lower_at_soh1)}
-    out.parent.mkdir(parents=True, exist_ok=True)
-    modelio.save_model(dag, out, header_comment=header_comment(fp, kind="model"), meta=meta)
-    print(f"wrote {out} ({len(pairs)} training samples)")
+    dag = train_dag(X, labels, config.gpc_config(), feature_names=FEATURE_NAMES[feature_set])
+    settings = config.to_dict()
+    meta = {"feature_set": feature_set.value,
+            **{key: settings[key] for key in ("chemistry", "policy_upper", "policy_lower")}}
+    _save_model(args, out, dag, meta, len(pairs))
     return 0
 
 
 def cmd_classify(args) -> int:
-    res = _Resolver(args)
-    manifest = res.get("manifest", None)
-    model_path = res.get("model", None)
-    cycle = res.get("cycle", None, int)
-    out = _out_path(res.get("out", None), "classification.csv")
-    if manifest is None or model_path is None or cycle is None:
+    out = _out_path(args.out, "classification.csv")
+    if args.manifest is None or args.model is None or args.cycle is None:
         raise ValidationError("--manifest, --model, and --cycle are required")
-    fp = res.fingerprint("classify")
 
-    dag = modelio.load_model(model_path)
-    meta = modelio.read_model_meta(model_path)
-    feature_set = FeatureSet.parse(meta.get("feature_set", "NOVEL_CLASS"))
+    dag = modelio.load_model(args.model)
+    meta = modelio.read_model_meta(args.model)
+    feature_set = FeatureSet.parse(
+        meta.get("feature_set", ClassificationConfig.feature_sets[0].value))
     window = WindowSpec(mode=WindowMode.ADJACENT)
     rows = []
-    for cell in ingest_manifest(manifest):
-        if not (cell.has_cycle(cycle) and cell.has_cycle(cycle - 1)):
-            continue
-        fv = assemble(cell, cycle, window, feature_set, fit_cache={})
-        label, probability = dag_classify(dag, fv.as_array())
-        rows.append([cell.cell_id, cycle, _fmt(cell.soh(cycle)),
-                     label.value, _fmt(probability)])
-    _write_csv(out, header_comment(fp, kind="classification"),
-               ["cell_id", "cycle", "soh", "label", "probability"], rows)
-    print(f"wrote {out} ({len(rows)} cells)")
+    for cell in ingest_manifest(args.manifest):
+        for m in feature_cycles(cell, window, first=args.cycle, last=args.cycle):
+            fv = assemble(cell, m, window, feature_set, fit_cache={})
+            label, probability = dag_classify(dag, fv.as_array())
+            rows.append([cell.cell_id, m, _fmt(cell.soh(m)), label.value, _fmt(probability)])
+    _write_csv(args, out, "classification",
+               ["cell_id", "cycle", "soh", "label", "probability"], rows, "cells")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    res = _Resolver(args)
-    manifest = res.get("manifest", None)
-    experiment = res.get("experiment", "rul")
-    outdir = Path(res.get("out", str(_out_path(None, "report"))))
-    split_spec = res.get("split", "auto")
-    seed = res.get("seed", 0, int)
-    if manifest is None:
+    outdir = Path(args.out if args.out is not None else _out_path(None, "report"))
+    if args.manifest is None:
         raise ValidationError("--manifest is required")
 
-    cells = ingest_manifest(manifest)
-    split = split_dataset(cells, _parse_split(split_spec, cells), seed=seed)
+    cells = ingest_manifest(args.manifest)
+    split = split_dataset(cells, _parse_split(args.split, cells), seed=args.seed)
 
-    if experiment == "rul":
-        config = _experiment_config(res)
-        report = run_rul_experiment(cells, split, config)
-    elif experiment == "truncation":
-        config = _experiment_config(res)
-        counts_text = res.get("sample_counts", "6,8,12,full")
-        counts = [None if tok.strip() == "full" else int(tok)
-                  for tok in counts_text.split(",")]
+    if args.experiment == "rul":
+        report = run_rul_experiment(cells, split, _rul_config(args))
+    elif args.experiment == "truncation":
+        config = _rul_config(args)
+        spec = args.sample_counts
+        counts = [None if tok.strip() == "full" else _int(tok, "--sample-counts", spec)
+                  for tok in spec.split(",")]
         report = run_truncation_sweep(cells, split, config, counts)
-    elif experiment == "classification":
-        chemistry = Chemistry.parse(res.get("chemistry", "NCA"))
-        config = ClassificationConfig(
-            feature_sets=_feature_sets(res.get("feature_sets", "NOVEL_CLASS")),
-            chemistry=chemistry,
-            test_cycle=res.get("test_cycle", 100, int),
-            window_cycles=res.get("window_cycles", 100, int),
-            policy=_policy_for(res.get("policy", None), chemistry),
-            stride=res.get("stride", 1, int),
-            seed=seed,
-            restarts=res.get("restarts", 3, int),
-            max_iters=res.get("max_iters", 200, int),
-            allow_ncm_nca=res.flag("include_ncm_nca"),
-        )
+    elif args.experiment == "classification":
+        config = _class_config(args, _feature_sets(args.feature_sets), restarts=args.restarts,
+                               max_iters=args.max_iters, allow_ncm_nca=args.include_ncm_nca)
         report = run_classification_experiment(cells, split, config)
     else:
         raise ValidationError(
-            f"unknown experiment {experiment!r} (rul, truncation, classification)"
+            f"unknown experiment {args.experiment!r} (rul, truncation, classification)"
         )
 
-    report.config["split"] = split_spec
-    report.config["split_seed"] = str(seed)
+    report.config["split"] = args.split
+    report.config["split_seed"] = str(args.seed)
     report.write(outdir)
-    if res.flag("plots"):
+    if args.plots:
         from .plots import emit_plots
         emit_plots(report, outdir)
     for row in report.tables["metrics"]:
@@ -495,21 +442,19 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    res = _Resolver(args)
-    indir = res.get("in_dir", None)
-    if indir is None:
+    if args.in_dir is None:
         raise ValidationError("--in is required")
-    report = read_report(indir)
+    report = read_report(args.in_dir)
     if not verify_report(report):
         raise ValidationError(
-            f"{indir}: stored metrics do not match a recomputation from predictions"
+            f"{args.in_dir}: stored metrics do not match a recomputation from predictions"
         )
     print(f"report kind={report.kind} fingerprint={report.fingerprint}: metrics verified")
     for row in recompute_metrics(report):
         print(row)
-    if res.flag("plots"):
+    if args.plots:
         from .plots import emit_plots
-        emit_plots(report, Path(indir))
+        emit_plots(report, Path(args.in_dir))
     return 0
 
 
@@ -524,146 +469,141 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"batlife {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    rul, cls = RulExperimentConfig, ClassificationConfig
 
-    def common(p):
+    def command(name, handler, help, manifest="manifest file (path)"):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="plain key=value config file; flags override it")
+        if manifest:
+            p.add_argument("--manifest", help=manifest)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("simulate", help="generate a synthetic multi-condition fleet")
-    common(p)
-    p.add_argument("--cells", type=int, help="cells per condition (count, default 5)")
-    p.add_argument("--conditions", type=int, help="number of cycling conditions (count, default 3)")
-    p.add_argument("--seed", type=int, help="generator seed (integer, default 7)")
+    p = command("simulate", cmd_simulate, "generate a synthetic multi-condition fleet",
+                manifest=None)
+    p.add_argument("--cells", type=int, default=FLEET["cells_per_condition"],
+                   help="cells per condition (count, default %(default)s)")
+    p.add_argument("--conditions", type=int, default=len(FLEET["fade_refs"]),
+                   help="number of cycling conditions (count, default %(default)s)")
+    p.add_argument("--seed", type=int, default=FLEET["seed"],
+                   help="generator seed (integer, default %(default)s)")
     p.add_argument("--noise-mv", dest="noise_mv", type=float,
-                   help="relaxation voltage noise sigma (millivolts, default 0.2)")
-    p.add_argument("--spread", type=float,
-                   help="per-cell fractional parameter spread (dimensionless, default 0.02)")
+                   default=FLEET["noise_sigma_v"] * 1e3,
+                   help="relaxation voltage noise sigma (millivolts, default %(default)s)")
+    p.add_argument("--spread", type=float, default=FLEET["cell_spread"],
+                   help="per-cell fractional parameter spread "
+                        "(dimensionless, default %(default)s)")
     p.add_argument("--fade-refs", dest="fade_refs",
                    help="comma list of per-condition fade reference spans (cycles)")
     p.add_argument("--discharge-knots", dest="discharge_knots", type=int,
-                   help="stored points per discharge curve (count, default 1000)")
+                   default=FLEET["discharge_knots"],
+                   help="stored points per discharge curve (count, default %(default)s)")
     p.add_argument("--out", help="output dataset directory (path)")
-    p.set_defaults(handler=cmd_simulate)
 
-    p = sub.add_parser("ingest", help="validate a dataset manifest and its cells")
-    common(p)
-    p.add_argument("--manifest", help="manifest file (path)")
-    p.set_defaults(handler=cmd_ingest)
+    command("ingest", cmd_ingest, "validate a dataset manifest and its cells")
 
-    p = sub.add_parser("fit-ecm", help="fit circuit parameters for every cycle")
-    common(p)
-    p.add_argument("--manifest", help="manifest file (path)")
+    p = command("fit-ecm", cmd_fit_ecm, "fit circuit parameters for every cycle")
     p.add_argument("--cell", help="restrict to one cell id")
     p.add_argument("--truncate", type=int,
                    help="relaxation samples kept per curve (count, >= 6; default full)")
     p.add_argument("--out", help="output CSV (path, default ecm_params.csv)")
-    p.set_defaults(handler=cmd_fit_ecm)
 
-    p = sub.add_parser("features", help="emit long-format feature CSV")
-    common(p)
-    p.add_argument("--manifest", help="manifest file (path)")
-    p.add_argument("--feature-set", dest="feature_set",
-                   help="ECM | STATS | BENCHMARK | NOVEL_PRED | NOVEL_CLASS | RATE_CLASS")
-    p.add_argument("--window-start", dest="window_start", type=int,
-                   help="reference cycle for voltage-difference features (cycle, default 1)")
-    p.add_argument("--truncate", type=int,
-                   help="relaxation samples kept per curve (count, >= 6; default full)")
-    p.add_argument("--stride", type=int, help="cycle stride (cycles, default 1)")
-    p.add_argument("--out", help="output CSV (path, default features.csv)")
-    p.set_defaults(handler=cmd_features)
-
-    def rul_flags(p):
-        p.add_argument("--feature-sets", dest="feature_sets",
-                       help="comma list of feature sets (default NOVEL_PRED)")
-        p.add_argument("--window-start", dest="window_start", type=int,
-                       help="reference cycle (cycle, default 1)")
+    def window_flags(p):
+        p.add_argument("--window-start", dest="window_start", type=int, default=rul.window_start,
+                       help="reference cycle (cycle, default %(default)s)")
         p.add_argument("--truncate", type=int,
-                       help="relaxation samples kept (count, >= 6; default full)")
-        p.add_argument("--stride", type=int, help="cycle stride (cycles, default 1)")
-        p.add_argument("--seed", type=int, help="training seed (integer, default 0)")
-        p.add_argument("--restarts", type=int, help="optimizer restarts (count, default 5)")
-        p.add_argument("--max-iters", dest="max_iters", type=int,
-                       help="optimizer iteration cap (count, default 500)")
+                       help="relaxation samples kept per curve (count, >= 6; default full)")
+        p.add_argument("--stride", type=int, default=rul.stride,
+                       help="cycle stride (cycles, default %(default)s)")
 
-    p = sub.add_parser("train-rul", help="train a remaining-life regressor")
-    common(p)
-    p.add_argument("--manifest", help="single-chemistry manifest file (path)")
+    p = command("features", cmd_features, "emit long-format feature CSV")
+    p.add_argument("--feature-set", dest="feature_set", default=rul.feature_sets[0].value,
+                   help=" | ".join(fs.value for fs in FeatureSet) + " (default %(default)s)")
+    window_flags(p)
+    p.add_argument("--out", help="output CSV (path, default features.csv)")
+
+    def rul_flags(p, config=rul):
+        # evaluate passes config=None: the chosen experiment's config fills in what is unset
+        note = "default %(default)s" if config else "default set by the experiment"
+        p.add_argument("--feature-sets", dest="feature_sets",
+                       default=config and ",".join(fs.value for fs in config.feature_sets),
+                       help=f"comma list of feature sets ({note})")
+        window_flags(p)
+        p.add_argument("--seed", type=int, default=rul.seed,
+                       help="training seed (integer, default %(default)s)")
+        p.add_argument("--restarts", type=int, default=config and config.restarts,
+                       help=f"optimizer restarts (count, {note})")
+        p.add_argument("--max-iters", dest="max_iters", type=int,
+                       default=config and config.max_iters,
+                       help=f"optimizer iteration cap (count, {note})")
+
+    p = command("train-rul", cmd_train_rul, "train a remaining-life regressor",
+                manifest="single-chemistry manifest file (path)")
     rul_flags(p)
     p.add_argument("--out", help="model file (path, default rul_model.txt)")
-    p.set_defaults(handler=cmd_train_rul)
 
-    p = sub.add_parser("predict-rul", help="predict remaining life with a trained model")
-    common(p)
-    p.add_argument("--manifest", help="manifest file (path)")
+    p = command("predict-rul", cmd_predict_rul, "predict remaining life with a trained model")
     p.add_argument("--model", help="trained model file (path)")
-    p.add_argument("--stride", type=int, help="cycle stride (cycles, default 1)")
+    p.add_argument("--stride", type=int, default=rul.stride,
+                   help="cycle stride (cycles, default %(default)s)")
     p.add_argument("--out", help="output CSV (path, default rul_predictions.csv)")
-    p.set_defaults(handler=cmd_predict_rul)
 
-    p = sub.add_parser("train-class", help="train the three-way life classifier")
-    common(p)
-    p.add_argument("--manifest", help="manifest file (path)")
-    p.add_argument("--chemistry", help="NCA | NCM (default NCA)")
-    p.add_argument("--policy", help="threshold policy: nca (450/180) or ncm (800/200) cycles")
-    p.add_argument("--feature-set", dest="feature_set",
-                   help="feature set (default NOVEL_CLASS)")
-    p.add_argument("--test-cycle", dest="test_cycle", type=int,
-                   help="center of the aging-stage window (cycle, default 100)")
-    p.add_argument("--window-cycles", dest="window_cycles", type=int,
-                   help="aging-stage window width (cycles, default 100)")
-    p.add_argument("--stride", type=int, help="cycle stride (cycles, default 1)")
-    p.add_argument("--seed", type=int, help="training seed (integer, default 0)")
+    def class_flags(p):
+        p.add_argument("--chemistry", default=cls.chemistry.value,
+                       help=" | ".join(c.value for c in Chemistry) + " (default %(default)s)")
+        p.add_argument("--policy", help="threshold policy: " + " or ".join(
+            f"{name} ({policy.upper_at_soh1:g}/{policy.lower_at_soh1:g})"
+            for name, policy in POLICIES.items()) + " cycles (default: the chemistry's)")
+        p.add_argument("--test-cycle", dest="test_cycle", type=int, default=cls.test_cycle,
+                       help="center of the aging-stage window (cycle, default %(default)s)")
+        p.add_argument("--window-cycles", dest="window_cycles", type=int,
+                       default=cls.window_cycles,
+                       help="aging-stage window width (cycles, default %(default)s)")
+
+    p = command("train-class", cmd_train_class, "train the three-way life classifier")
+    class_flags(p)
+    p.add_argument("--feature-set", dest="feature_set", default=cls.feature_sets[0].value,
+                   help="feature set (default %(default)s)")
+    p.add_argument("--stride", type=int, default=cls.stride,
+                   help="cycle stride (cycles, default %(default)s)")
+    p.add_argument("--seed", type=int, default=cls.seed,
+                   help="training seed (integer, default %(default)s)")
     p.add_argument("--out", help="model file (path, default class_model.txt)")
-    p.set_defaults(handler=cmd_train_class)
 
-    p = sub.add_parser("classify", help="classify cells at a cycle with a trained DAG")
-    common(p)
-    p.add_argument("--manifest", help="manifest file (path)")
+    p = command("classify", cmd_classify, "classify cells at a cycle with a trained DAG")
     p.add_argument("--model", help="trained DAG model file (path)")
     p.add_argument("--cycle", type=int, help="cycle to classify at (cycle)")
     p.add_argument("--out", help="output CSV (path, default classification.csv)")
-    p.set_defaults(handler=cmd_classify)
 
-    p = sub.add_parser("evaluate", help="run a full experiment and write a report")
-    common(p)
-    p.add_argument("--manifest", help="manifest file (path)")
-    p.add_argument("--experiment", help="rul | truncation | classification (default rul)")
-    p.add_argument("--split",
-                   help="per-condition train/test cells: 'auto', 'T/E', or 'COND=T/E,...'")
-    rul_flags(p)
-    p.add_argument("--sample-counts", dest="sample_counts",
-                   help="truncation sweep counts, e.g. '6,8,12,full' (samples)")
-    p.add_argument("--chemistry", help="classification chemistry: NCA | NCM")
-    p.add_argument("--policy", help="classification threshold policy: nca | ncm")
-    p.add_argument("--test-cycle", dest="test_cycle", type=int,
-                   help="classification window center (cycle, default 100)")
-    p.add_argument("--window-cycles", dest="window_cycles", type=int,
-                   help="classification window width (cycles, default 100)")
+    p = command("evaluate", cmd_evaluate, "run a full experiment and write a report")
+    p.add_argument("--experiment", default="rul",
+                   help="rul | truncation | classification (default %(default)s)")
+    p.add_argument("--split", default="auto",
+                   help="per-condition train/test cells: 'auto', 'T/E', or 'COND=T/E,...' "
+                        "(default %(default)s)")
+    rul_flags(p, config=None)
+    p.add_argument("--sample-counts", dest="sample_counts", default="6,8,12,full",
+                   help="truncation sweep counts (samples, default %(default)s)")
+    class_flags(p)
     p.add_argument("--include-ncm-nca", dest="include_ncm_nca", action="store_true",
                    help="allow NCM+NCA cells in classification (excluded by default)")
     p.add_argument("--plots", action="store_true", help="also emit SVG plots")
     p.add_argument("--out", help="report directory (path, default report/)")
-    p.set_defaults(handler=cmd_evaluate)
 
-    p = sub.add_parser("report", help="verify and summarize a written report")
-    common(p)
+    p = command("report", cmd_report, "verify and summarize a written report", manifest=None)
     p.add_argument("--in", dest="in_dir", help="report directory (path)")
     p.add_argument("--plots", action="store_true", help="also emit SVG plots")
-    p.set_defaults(handler=cmd_report)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parse_args(build_parser(), argv)
         return args.handler(args)
-    except NumericalError as exc:
+    except (NumericalError, DataError) as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return 4
-    except DataError as exc:
-        print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return 3
+        return 4 if isinstance(exc, NumericalError) else 3
 
 
 if __name__ == "__main__":

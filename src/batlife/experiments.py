@@ -35,7 +35,15 @@ from .errors import (
     ValidationError,
     ZeroEolError,
 )
-from .features import FEATURE_NAMES, FeatureSet, FeatureVector, WindowMode, WindowSpec, assemble
+from .features import (
+    FEATURE_NAMES,
+    FeatureSet,
+    FeatureVector,
+    WindowMode,
+    WindowSpec,
+    assemble,
+    feature_cycles,
+)
 from .gpc import (
     GpcTrainConfig,
     LifetimeLabel,
@@ -133,7 +141,8 @@ def build_rul_samples(
     """Labeled regression samples for the chosen cells, in deterministic order.
 
     Cells that never reach end of life carry no supervised target and are
-    skipped. Samples at or below the retirement threshold are excluded.
+    skipped, as are cycles ``feature_cycles`` does not admit. Samples at or
+    below the retirement threshold are excluded.
     """
     samples: list[RulSample] = []
     for cell_id in sorted(ids):
@@ -141,15 +150,7 @@ def build_rul_samples(
         if history.eol_cycle is None:
             continue
         cache = caches.setdefault(cell_id, {})
-        if window.mode is WindowMode.ADJACENT:
-            start = history.cycles[0].cycle_index + 1
-        else:
-            start = window.reference_cycle + 1
-            if not history.has_cycle(window.reference_cycle):
-                continue
-        for m in range(start, history.eol_cycle + 1, stride):
-            if not history.has_cycle(m):
-                continue
+        for m in feature_cycles(history, window, stride, last=history.eol_cycle):
             soh = history.soh(m)
             if soh <= soh_floor:
                 continue
@@ -193,11 +194,8 @@ def build_classification_samples(
         if history.eol_cycle is None:
             continue
         cache = caches.setdefault(cell_id, {})
-        for m in range(max(lo, 2), hi + 1, stride):
-            if m > history.eol_cycle:
-                break
-            if not (history.has_cycle(m) and history.has_cycle(m - 1)):
-                continue
+        last = min(hi, history.eol_cycle)
+        for m in feature_cycles(history, window, stride, first=lo, last=last):
             soh = history.soh(m)
             if soh <= soh_floor:
                 continue

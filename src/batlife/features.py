@@ -17,6 +17,7 @@ models remain compatible with later extractions.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -90,6 +91,10 @@ class WindowSpec:
     mode: WindowMode = WindowMode.FIXED_REFERENCE
     reference_cycle: int = 1
 
+    def __post_init__(self):
+        if self.reference_cycle < 1:
+            raise ValidationError(f"reference cycle {self.reference_cycle} is not a cycle index")
+
     def reference_for(self, current_cycle: int) -> int:
         if self.mode is WindowMode.ADJACENT:
             n = current_cycle - 1
@@ -100,6 +105,28 @@ class WindowSpec:
                 f"window needs current cycle > reference cycle (got m={current_cycle}, n={n})"
             )
         return n
+
+
+def feature_cycles(
+    history: CellHistory,
+    window: WindowSpec,
+    stride: int = 1,
+    first: int = 1,
+    last: int | None = None,
+) -> Iterator[int]:
+    """The cycles of a cell that get a feature vector, in ascending order.
+
+    Candidates run every ``stride`` cycles from ``first`` (or the first
+    cycle the window allows, if later: 2 for adjacent windows, the
+    reference plus one for a fixed reference) up to ``last`` (default: the
+    last recorded cycle). A candidate m is kept when m and
+    ``window.reference_for(m)`` are both recorded.
+    """
+    lowest = 2 if window.mode is WindowMode.ADJACENT else window.reference_cycle + 1
+    stop = history.cycles[-1].cycle_index if last is None else last
+    for m in range(max(first, lowest), stop + 1, stride):
+        if history.has_cycle(m) and history.has_cycle(window.reference_for(m)):
+            yield m
 
 
 @dataclass(frozen=True)

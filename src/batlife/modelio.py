@@ -127,8 +127,19 @@ def load_model(path):
     raise SchemaError(f"{path}: unknown model kind {kind!r}")
 
 
-def _split_fields(body: list[str], path) -> tuple[dict[str, str], list[np.ndarray]]:
-    fields: dict[str, str] = {}
+class _Fields(dict):
+    """A model file's ``key = value`` fields; reading an absent one is a schema error."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, key):
+        raise SchemaError(f"{self.path}: missing model field {key!r}")
+
+
+def _split_fields(body: list[str], path) -> tuple[_Fields, list[np.ndarray]]:
+    fields = _Fields(path)
     rows: list[np.ndarray] = []
     for line in body:
         if line.startswith("X "):
@@ -143,21 +154,18 @@ def _split_fields(body: list[str], path) -> tuple[dict[str, str], list[np.ndarra
 
 def _load_gpr(body: list[str], path) -> GprModel:
     fields, rows = _split_fields(body, path)
-    try:
-        kernel = KernelParams(
-            sigma_f=float(fields["sigma_f"]),
-            length_scales=_parse_floats(fields["length_scales"]),
-            sigma_n=float(fields["sigma_n"]),
-        )
-        standardizer = Standardizer(
-            mean=_parse_floats(fields["x_mean"]),
-            scale=_parse_floats(fields["x_scale"]),
-        )
-        y = _parse_floats(fields["y"])
-        y_mean = float(fields["y_mean"])
-        n = int(fields["n"])
-    except KeyError as exc:
-        raise SchemaError(f"{path}: missing model field {exc}") from None
+    kernel = KernelParams(
+        sigma_f=float(fields["sigma_f"]),
+        length_scales=_parse_floats(fields["length_scales"]),
+        sigma_n=float(fields["sigma_n"]),
+    )
+    standardizer = Standardizer(
+        mean=_parse_floats(fields["x_mean"]),
+        scale=_parse_floats(fields["x_scale"]),
+    )
+    y = _parse_floats(fields["y"])
+    y_mean = float(fields["y_mean"])
+    n = int(fields["n"])
     if len(rows) != n or y.size != n:
         raise SchemaError(f"{path}: expected {n} training rows, found {len(rows)}")
     X = np.vstack(rows) if rows else np.empty((0, kernel.n_features))

@@ -36,6 +36,7 @@ from .dataset import (
     DischargeCurve,
     RelaxationCurve,
     build_history,
+    parse_condition,
 )
 from .ecm import EcmParams, predict_relaxation
 from .errors import DriftUnderflowError, ValidationError
@@ -144,15 +145,9 @@ def make_discharge(
     lower, upper = protocol.voltage_window
     voltages = _pseudo_ocv_template(upper, lower, n_knots)
     charges = np.linspace(0.0, capacity_ah, voltages.size)
-    _, _, dis_rate = _rates_of(protocol.condition)
+    _, _, dis_rate = parse_condition(protocol.condition)
     duration_s = capacity_ah / (dis_rate * protocol.nominal_capacity_ah) * 3600.0
     return DischargeCurve(charges, voltages, duration_s)
-
-
-def _rates_of(condition: str) -> tuple[float, float, float]:
-    from .dataset import parse_condition
-
-    return parse_condition(condition)
 
 
 def simulate_cell(

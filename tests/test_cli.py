@@ -1,6 +1,18 @@
+import csv
+import dataclasses
+import hashlib
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from batlife.cli import main
+from batlife.dataset import ingest_manifest, read_manifest, write_cell, write_manifest
+from batlife.experiments import build_classification_samples
+from batlife.features import FeatureSet
+from batlife.gpc import NCA_POLICY
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +103,12 @@ class TestFeatures:
         first = (tmp_path / "a.csv").read_bytes()
         main(args)
         assert (tmp_path / "a.csv").read_bytes() == first
+
+    def test_window_start_before_first_cycle_exits_3(self, dataset_dir, tmp_path, capsys):
+        code = main(["features", "--manifest", _manifest(dataset_dir), "--window-start", "0",
+                     "--out", str(tmp_path / "f.csv")])
+        assert code == 3
+        assert "reference cycle 0" in capsys.readouterr().err
 
 
 class TestModelCommands:
@@ -218,3 +236,183 @@ class TestUsage:
         main(["features", "--manifest", _manifest(dataset_dir),
               "--feature-set", "ECM", "--stride", "16"])
         assert (tmp_path / "features.csv").exists()
+
+
+def _write_fleet(cells, entries, directory: Path) -> str:
+    """Write ``cells`` under ``directory`` with a manifest of their ``entries``."""
+    by_id = {e.cell_id: e for e in entries}
+    kept = [by_id[cell.cell_id] for cell in cells]
+    for cell, entry in zip(cells, kept):
+        (directory / entry.path).parent.mkdir(parents=True, exist_ok=True)
+        write_cell(cell, directory / entry.path)
+    write_manifest(kept, directory / "manifest.txt")
+    return str(directory / "manifest.txt")
+
+
+def _without(cell, cycles):
+    return dataclasses.replace(
+        cell, cycles=tuple(r for r in cell.cycles if r.cycle_index not in cycles))
+
+
+def _written_cycles(path) -> dict[str, list[int]]:
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))[1:]
+    cycles: dict[str, list[int]] = {}
+    for row in rows:
+        found = cycles.setdefault(row[0], [])
+        if not found or found[-1] != int(row[1]):
+            found.append(int(row[1]))
+    return cycles
+
+
+# Header fingerprint and sha256 of each output, recorded with the CLI that
+# resolved flags and config files by hand (before argparse did it).
+GOLDEN = {
+    "small/manifest.txt": (
+        "3f665b729229", "9fd0c79a1fad4d152c7fffe3b5506562d41d5346b8783dca1b2bd36a8b52b49d"),
+    "small/cells/syn25-00.csv": (
+        "3f665b729229", "a471cf280526b47701b969a2625d2aeca154ede0ea6906094dfc106bc71194e1"),
+    "by_flags/features.csv": (
+        "672c53d2fc2a", "49ab5977a50f5da26b4be2c13b5a38781149d2dbd05ce9707b7d9b038fe961b9"),
+    "by_config/features.csv": (
+        "672c53d2fc2a", "49ab5977a50f5da26b4be2c13b5a38781149d2dbd05ce9707b7d9b038fe961b9"),
+    "rul_model.txt": (
+        "efefeadd9222", "e67392a5b74835a55cda4a77eaa55c4be424873422ceb0743d42eee7e6923fe2"),
+    "class_model.txt": (
+        "c861099b7e8e", "f5960b339c45b9877ffe21674aa06980c4d59ce1fe32f653c1830d57c48b8aad"),
+}
+
+
+class TestGolden:
+    def test_outputs_match_recorded_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("BATLIFE_OUT", raising=False)
+        assert main(["simulate", "--cells", "1", "--conditions", "2", "--seed", "9",
+                     "--noise-mv", "0", "--fade-refs", "40,60", "--discharge-knots", "40",
+                     "--out", "small"]) == 0
+        assert main(["simulate", "--cells", "2", "--conditions", "3", "--seed", "9",
+                     "--noise-mv", "0", "--fade-refs", "60,350,600", "--discharge-knots", "40",
+                     "--out", "fleet"]) == 0
+        # The same settings by flags and by config file, under two output directories.
+        monkeypatch.setenv("BATLIFE_OUT", "by_flags")
+        assert main(["features", "--manifest", "small/manifest.txt", "--feature-set", "NOVEL_PRED",
+                     "--stride", "5", "--out", "features.csv"]) == 0
+        Path("features.cfg").write_text(
+            "manifest = small/manifest.txt\nfeature_set = NOVEL_PRED\nstride = 5\n")
+        monkeypatch.setenv("BATLIFE_OUT", "by_config")
+        assert main(["features", "--config", "features.cfg", "--out", "features.csv"]) == 0
+        monkeypatch.delenv("BATLIFE_OUT")
+        assert main(["train-rul", "--manifest", "small/manifest.txt"]) == 0
+        assert main(["train-class", "--manifest", "fleet/manifest.txt", "--test-cycle", "24",
+                     "--window-cycles", "16"]) == 0
+        for path, (fp, digest) in GOLDEN.items():
+            data = Path(path).read_bytes()
+            assert f"fingerprint={fp} ".encode() in data.split(b"\n", 1)[0], path
+            assert hashlib.sha256(data).hexdigest() == digest, path
+
+
+class TestConfigValues:
+    def test_bad_config_value_is_usage_error(self, dataset_dir, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("stride = x\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["features", "--manifest", _manifest(dataset_dir), "--config", str(config)])
+        assert excinfo.value.code == 2
+        assert "argument --stride: invalid int value: 'x'" in capsys.readouterr().err
+
+    def test_boolean_config_value(self, dataset_dir, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("include_ncm_nca = yes\n")
+        code = main(["evaluate", "--manifest", _manifest(dataset_dir), "--config", str(config),
+                     "--experiment", "classification", "--chemistry", "NCM+NCA",
+                     "--split", "1/1", "--out", str(tmp_path / "r")])
+        # Allowed by the config file, then no NCM+NCA cell has a training sample.
+        assert code == 3
+        assert "EmptyWindowError" in capsys.readouterr().err
+
+
+class TestEvaluateInput:
+    @pytest.mark.parametrize("flags, spec", [
+        (["--split", "3"], "'3'"),
+        (["--split", "A=x/1"], "'A=x/1'"),
+        (["--experiment", "truncation", "--split", "1/1", "--sample-counts", "6,abc"], "'6,abc'"),
+    ])
+    def test_malformed_spec_is_validation_error(self, dataset_dir, tmp_path, capsys, flags, spec):
+        code = main(["evaluate", "--manifest", _manifest(dataset_dir), *flags,
+                     "--out", str(tmp_path / "r")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and spec in err
+
+
+@pytest.fixture(scope="module")
+def dag_model(dataset_dir, tmp_path_factory):
+    model = tmp_path_factory.mktemp("dag") / "dag.txt"
+    assert main(["train-class", "--manifest", _manifest(dataset_dir), "--test-cycle", "24",
+                 "--window-cycles", "16", "--out", str(model)]) == 0
+    return model
+
+
+class TestModelSchema:
+    @pytest.mark.parametrize("field", ["sigma_f", "length_scales", "y", "n", "x_mean", "x_scale"])
+    def test_missing_dag_field_exits_3(self, dataset_dir, dag_model, tmp_path, capsys, field):
+        lines = dag_model.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith(f"{field} ="))
+        broken = tmp_path / "broken.txt"
+        broken.write_text("\n".join(lines[:first] + lines[first + 1:]) + "\n")
+        code = main(["classify", "--manifest", _manifest(dataset_dir), "--model", str(broken),
+                     "--cycle", "24", "--out", str(tmp_path / "labels.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "SchemaError" in err and f"missing model field '{field}'" in err
+
+
+class TestMissingCycles:
+    """A cycle gets a feature vector when it and its window partner are recorded."""
+
+    def test_predict_skips_cycles_without_partner(self, dataset_dir, tmp_path):
+        model = tmp_path / "model.txt"
+        assert main(["train-rul", "--manifest", _manifest(dataset_dir), "--stride", "10",
+                     "--restarts", "1", "--max-iters", "50", "--out", str(model)]) == 0
+        cells = {c.cell_id: c for c in ingest_manifest(_manifest(dataset_dir))}
+        gapped = [_without(cells["syn25-00"], {1}), _without(cells["syn25-01"], {20})]
+        manifest = _write_fleet(gapped, read_manifest(_manifest(dataset_dir)), tmp_path / "gapped")
+        out = tmp_path / "pred.csv"
+        assert main(["predict-rul", "--manifest", manifest, "--model", str(model),
+                     "--out", str(out)]) == 0
+        last = cells["syn25-01"].cycles[-1].cycle_index
+        # The window starts at cycle 1: syn25-00 has no reference cycle left.
+        assert _written_cycles(out) == {"syn25-01": [m for m in range(2, last + 1) if m != 20]}
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_rate_features_follow_the_rule(self, dataset_dir, data):
+        cell = next(c for c in ingest_manifest(_manifest(dataset_dir)) if c.cell_id == "syn25-00")
+        n = cell.cycles[-1].cycle_index
+        dropped = data.draw(st.sets(st.integers(1, n), max_size=n // 2), label="dropped")
+        stride = data.draw(st.integers(1, 4), label="stride")
+        gapped = _without(cell, dropped)
+        recorded = {r.cycle_index for r in gapped.cycles}
+
+        def admitted(first, last):
+            return [m for m in range(max(first, 2), last + 1, stride)
+                    if m in recorded and m - 1 in recorded]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = _write_fleet([gapped], read_manifest(_manifest(dataset_dir)), Path(tmp))
+            out = Path(tmp) / "features.csv"
+            assert main(["features", "--manifest", manifest, "--feature-set", "RATE_CLASS",
+                         "--stride", str(stride), "--out", str(out)]) == 0
+            written = _written_cycles(out)
+        assert written.get("syn25-00", []) == admitted(2, max(recorded))
+
+        test_cycle = data.draw(st.integers(2, n), label="test_cycle")
+        window_cycles = data.draw(st.integers(2, n), label="window_cycles")
+        pairs = build_classification_samples(
+            {cell.cell_id: gapped}, [cell.cell_id], FeatureSet.RATE_CLASS, test_cycle,
+            window_cycles, NCA_POLICY, stride, 0.8, {},
+        )
+        expected = [m for m in admitted(test_cycle - window_cycles // 2,
+                                        min(test_cycle + window_cycles // 2, gapped.eol_cycle))
+                    if gapped.soh(m) > 0.8]
+        assert [sample.cycle for sample, _ in pairs] == expected
