@@ -626,12 +626,13 @@ class ManifestEntry:
 
 
 def write_manifest(entries: list[ManifestEntry], path, header_comment: str | None = None) -> None:
+    """Write the manifest; ``header_comment`` is the whole first-line comment.
+
+    Callers pass ``experiments.header_comment(fp, kind="manifest")``, which
+    already names the kind; without one the line is ``# kind=manifest``.
+    """
     path = Path(path)
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment} kind=manifest")
-    else:
-        lines.append("# kind=manifest")
+    lines = [f"# {header_comment or 'kind=manifest'}"]
     for e in entries:
         cid = e.cell_id
         lines.append(f"cell.{cid}.path = {e.path}")

@@ -23,7 +23,6 @@ for the NCM policy.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -47,8 +46,9 @@ from .gpr import (
     FAILED_OBJECTIVE,
     KernelParams,
     Standardizer,
+    cholesky_inverse,
     kernel_matrix,
-    length_scale_derivatives,
+    length_scale_contraction,
     scaled_distance,
 )
 
@@ -211,23 +211,21 @@ def laplace_evidence(
     if not with_grad:
         return evidence, f_hat
 
-    d = X.shape[1]
     pi = expit(f_hat)
     # R = sqrtW B^-1 sqrtW = (K + W^-1)^-1
-    half = solve_triangular(L, np.diag(sqrt_w), lower=True)
-    R = half.T @ half
+    R = sqrt_w[:, None] * cholesky_inverse(L) * sqrt_w[None, :]
     C = solve_triangular(L, sqrt_w[:, None] * K, lower=True)
     # Implicit term: d(-0.5 log|B|)/df_i = -0.5 [(K^-1 + W)^-1]_ii dW_ii/df_i
     dw_df = pi * (1.0 - pi) * (1.0 - 2.0 * pi)
     s2 = -0.5 * (np.diag(K) - np.einsum("ij,ij->j", C, C)) * dw_df
-
-    grad = np.empty(1 + d)
-    derivatives = itertools.chain([2.0 * K], length_scale_derivatives(X, r, E, kernel))
-    for j, dK in enumerate(derivatives):
-        s1 = 0.5 * float(grad_mode @ (dK @ grad_mode)) - 0.5 * float(np.sum(R * dK))
-        b = dK @ grad_mode
-        s3 = b - K @ (R @ b)
-        grad[j] = s1 + float(s2 @ s3)
+    # Each entry is 0.5 g^T dK g - 0.5 tr(R dK) + s2^T (I - K R) dK g with
+    # g = grad_mode, i.e. sum(W * dK) for the symmetric W below, u = (I - R K) s2.
+    g = grad_mode
+    u = s2 - R @ (K @ s2)
+    W = 0.5 * (np.outer(g, g) - R + np.outer(u, g) + np.outer(g, u))
+    grad = np.empty(1 + X.shape[1])
+    grad[0] = 2.0 * float(np.vdot(W, K))      # dK / d log sigma_f = 2K
+    grad[1:] = length_scale_contraction(X, r, E, W, kernel)
     return evidence, f_hat, grad
 
 

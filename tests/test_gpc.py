@@ -143,6 +143,22 @@ class TestTrainBinary:
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(grad), 1e-12)
             assert rel < 1e-5
 
+    def test_evidence_gradient_with_duplicated_rows_matches_central_differences(self):
+        X, y = _mirror_data(n_side=7, d=3, seed=29)
+        X[[1, 3]] = X[0]
+        X[9] = X[8]
+        theta = np.array([0.4, 0.2, -0.3, 0.5])
+
+        def evidence(t):
+            kernel = KernelParams(sigma_f=math.exp(t[0]), length_scales=np.exp(t[1:]))
+            return laplace_evidence(kernel, X, y, with_grad=True)
+
+        grad = evidence(theta)[2]
+        h = 1e-6
+        fd = np.array([(evidence(theta + h * e)[0] - evidence(theta - h * e)[0]) / (2 * h)
+                       for e in np.eye(theta.size)])
+        assert np.linalg.norm(grad - fd) <= 1e-5 * np.linalg.norm(grad)
+
     @pytest.mark.parametrize("failure", [np.linalg.LinAlgError, NoConvergenceError])
     def test_every_restart_failing_raises(self, monkeypatch, failure):
         def failing(*args, **kwargs):

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 
 from batlife import gpr
 from batlife.errors import (
@@ -84,6 +88,155 @@ class TestLogMarginalLikelihood:
                          - gpr.log_marginal_likelihood(kernel_of(down), X, y)) / (2 * h)
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(grad), 1e-12)
             assert rel < 1e-5
+
+
+def _dense_length_scale_derivatives(X, r, E, kernel):
+    """dK/d log l_m, one n x n matrix per m: K (x_im - x_jm)^2 / (l_m^2 r), 0 at r = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
+    base = kernel.sigma_f**2 * E * inv_r
+    return [base * (X[:, None, m] - X[None, :, m]) ** 2 / kernel.length_scales[m] ** 2
+            for m in range(X.shape[1])]
+
+
+def _dense_gradient(kernel, X, y):
+    """The likelihood gradient with K^-1 = cho_solve(L, I) and d dense derivative matrices."""
+    n = X.shape[0]
+    r = gpr.scaled_distance(X, X, kernel.length_scales)
+    E = np.exp(-r)
+    jitter = gpr.JITTER_FACTOR * kernel.sigma_f**2
+    L = np.linalg.cholesky(kernel.sigma_f**2 * E + (kernel.sigma_n**2 + jitter) * np.eye(n))
+    alpha = cho_solve((L, True), y)
+    M = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(n))
+    return np.concatenate((
+        [0.5 * np.sum(M * 2.0 * kernel.sigma_f**2 * E) + np.trace(M) * jitter],
+        [0.5 * np.sum(M * dK) for dK in _dense_length_scale_derivatives(X, r, E, kernel)],
+        [np.trace(M) * kernel.sigma_n**2],
+    ))
+
+
+@st.composite
+def _contraction_inputs(draw):
+    """X with a duplicated row, a constant column and a column offset by 1e4."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 5))
+    entry = st.floats(-4.0, 4.0)
+    X = np.array(draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=n, max_size=n)))
+    src, dst = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    X[dst] = X[src]
+    constant, offset = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    X[:, constant] = X[0, constant]
+    X[:, offset] += 1e4
+    A = np.array(draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+                               min_size=n, max_size=n)))
+    kernel = gpr.KernelParams(
+        sigma_f=draw(st.floats(0.1, 5.0)),
+        length_scales=draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d)),
+    )
+    return X, A + A.T, kernel
+
+
+class TestLengthScaleContraction:
+    @settings(max_examples=200, deadline=None)
+    @given(_contraction_inputs())
+    def test_matches_dense_oracle(self, inputs):
+        X, W, kernel = inputs
+        n = X.shape[0]
+        r = gpr.scaled_distance(X, X, kernel.length_scales)
+        E = np.exp(-r)
+        got = gpr.length_scale_contraction(X, r, E, W, kernel)
+        terms = [W * dK for dK in _dense_length_scale_derivatives(X, r, E, kernel)]
+        want = np.array([t.sum() for t in terms])
+        scale = np.array([np.abs(t).sum() for t in terms])
+        # The identity's own rounding, eps * sum_ij |V_ij| (z_im^2 + z_jm^2)
+        # (see its docstring), is not bounded by scale_m alone: a close pair
+        # that agrees in column m adds to it and nothing to the entry.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            V = np.abs(np.where(r > 0, kernel.sigma_f**2 * W * E / np.where(r > 0, r, 1.0), 0.0))
+        Z2 = ((X - X.mean(axis=0)) / kernel.length_scales) ** 2
+        rounding = 2.0 * n * np.finfo(float).eps * (Z2.T @ V.sum(axis=1))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale + rounding)
+
+    def test_matches_dense_oracle_without_close_pairs(self):
+        # On a 1/8 grid with length scales near 1, no distinct pair is close
+        # and the rounding term above is small: 1e-12 * sum|W * dK_m| alone holds.
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            n, d = int(rng.integers(2, 41)), int(rng.integers(1, 6))
+            X = rng.integers(-32, 33, size=(n, d)) / 8.0
+            X[-1] = X[0]
+            X[:, 0] += 1e4
+            A = rng.uniform(-1.0, 1.0, size=(n, n))
+            kernel = gpr.KernelParams(sigma_f=float(rng.uniform(0.1, 5.0)),
+                                      length_scales=rng.uniform(0.5, 2.0, size=d))
+            r = gpr.scaled_distance(X, X, kernel.length_scales)
+            E = np.exp(-r)
+            got = gpr.length_scale_contraction(X, r, E, A + A.T, kernel)
+            terms = [(A + A.T) * dK for dK in _dense_length_scale_derivatives(X, r, E, kernel)]
+            want = np.array([t.sum() for t in terms])
+            scale = np.array([np.abs(t).sum() for t in terms])
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+class TestGradientAtScale:
+    def test_gradient_and_inverse_match_dense_oracle(self):
+        rng = np.random.default_rng(150)
+        n, d = 150, 8
+        X = rng.normal(size=(n, d))
+        y = rng.normal(size=n)
+        kernel = gpr.KernelParams(sigma_f=1.3, length_scales=rng.uniform(0.5, 3.0, size=d),
+                                  sigma_n=0.1)
+        _, grad = gpr.log_marginal_likelihood(kernel, X, y, with_grad=True)
+        oracle = _dense_gradient(kernel, X, y)
+        assert np.linalg.norm(grad - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+        K = gpr.kernel_matrix(X, X, kernel) + kernel.sigma_n**2 * np.eye(n)
+        L = np.linalg.cholesky(K)
+        K_inv = gpr.cholesky_inverse(L)
+        assert np.array_equal(K_inv, K_inv.T)
+        reference = cho_solve((L, True), np.eye(n))
+        assert np.abs(K_inv - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_gradient_with_duplicated_rows_matches_central_differences(self):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(12, 3))
+        X[[4, 9]] = X[2]
+        y = rng.normal(size=12)
+        theta = np.array([0.3, -0.2, 0.4, 0.1, -1.0])
+
+        def lml(t):
+            kernel = gpr.KernelParams(sigma_f=math.exp(t[0]), length_scales=np.exp(t[1:-1]),
+                                      sigma_n=math.exp(t[-1]))
+            return gpr.log_marginal_likelihood(kernel, X, y, with_grad=True)
+
+        _, grad = lml(theta)
+        h = 1e-5
+        fd = np.array([(lml(theta + h * e)[0] - lml(theta - h * e)[0]) / (2 * h)
+                       for e in np.eye(theta.size)])
+        assert np.linalg.norm(grad - fd) <= 1e-5 * np.linalg.norm(grad)
+
+    def test_gradient_bits_do_not_depend_on_blas_threads(self):
+        # The golden model files (n = 77) must not change with the machine's
+        # core count; LAPACK potri under two OpenBLAS threads rounds otherwise.
+        script = (
+            "import numpy as np; from batlife import gpr\n"
+            "rng = np.random.default_rng(77); X = rng.normal(size=(77, 8))\n"
+            "k = gpr.KernelParams(1.3, rng.uniform(0.5, 3.0, size=8), 0.1)\n"
+            "lml, g = gpr.log_marginal_likelihood(k, X, rng.normal(size=77), with_grad=True)\n"
+            "print(np.append(g, lml).tobytes().hex())\n"
+        )
+        outputs = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=120, check=True)
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
+
+    def test_singular_factor_raises_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            gpr.cholesky_inverse(np.zeros((3, 3)))
 
 
 class TestTrain:
