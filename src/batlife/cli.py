@@ -6,7 +6,10 @@ lines, keys matching flag names with dashes replaced by underscores): the
 file's values become the subcommand's defaults, checked like flags, and
 explicit flags override them. All output files begin with a comment line
 carrying the tool version and the fingerprint of the fully resolved
-configuration, and identical configurations produce identical files.
+configuration, and identical configurations produce identical files at a
+fixed BLAS thread count (GP models trained on about a hundred samples or
+more round differently under one and two OpenBLAS threads; pin
+OPENBLAS_NUM_THREADS).
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical error.
 """
@@ -315,7 +318,7 @@ def cmd_train_rul(args) -> int:
         )
     samples = build_rul_samples(
         {c.cell_id: c for c in cells}, [c.cell_id for c in cells], feature_set,
-        config.window(), config.truncate, config.stride, config.soh_floor, {},
+        config.window(), config.truncate, config.stride, {},
     )
     if not samples:
         raise ValidationError("no labeled training samples (no cell reaches end of life?)")
@@ -368,8 +371,7 @@ def cmd_train_class(args) -> int:
         raise ValidationError(f"manifest has no {config.chemistry.value} cells")
     pairs = build_classification_samples(
         {c.cell_id: c for c in cells}, [c.cell_id for c in cells], feature_set,
-        config.test_cycle, config.window_cycles, config.resolved_policy(), config.stride,
-        config.soh_floor, {},
+        config.test_cycle, config.window_cycles, config.resolved_policy(), config.stride, {},
     )
     if not pairs:
         raise ValidationError("no labeled samples inside the training window")

@@ -51,7 +51,9 @@ PHASES = ("charge", "rest_post_charge", "discharge", "rest_post_discharge")
 VOLTAGE_MIN_V = 2.0
 VOLTAGE_MAX_V = 4.5
 
-DEFAULT_SOH_EOL = 0.80
+# End-of-life state of health: RUL labels count down to the first cycle at it,
+# samples stay above it, and the classification thresholds reach zero there.
+SOH_EOL = 0.80
 EOL_MEDIAN_WINDOW = 5
 
 # CV-phase cutoff current as a fraction of nominal capacity per hour (0.05C).
@@ -213,7 +215,6 @@ class CellHistory:
     nominal_capacity_ah: float
     cycles: tuple[CycleRecord, ...]
     eol_cycle: int | None
-    soh_eol: float = DEFAULT_SOH_EOL
     # cycle_index -> record, built once so that lookups are O(1).
     _by_index: dict[int, CycleRecord] = field(init=False, repr=False, compare=False)
 
@@ -276,7 +277,6 @@ class CellSchema:
     nominal_capacity_ah: float | None = None
     sampling_interval_s: float | None = None
     rest_duration_s: float | None = None
-    soh_eol: float = DEFAULT_SOH_EOL
     columns: dict[str, str] = field(default_factory=dict)
 
     def column(self, canonical: str) -> str:
@@ -309,9 +309,8 @@ def compute_eol(
     capacities_ah,
     nominal_capacity_ah: float,
     cycle_indices=None,
-    soh_eol: float = DEFAULT_SOH_EOL,
 ) -> int:
-    """First cycle at which smoothed capacity falls to ``soh_eol`` of nominal.
+    """First cycle at which smoothed capacity falls to ``SOH_EOL`` of nominal.
 
     A centered 5-cycle moving median is applied before threshold detection
     so isolated capacity-measurement spikes cannot trigger retirement.
@@ -322,10 +321,10 @@ def compute_eol(
     if cycle_indices is None:
         cycle_indices = np.arange(1, caps.size + 1)
     smoothed = moving_median(caps)
-    crossed = np.nonzero(smoothed / nominal_capacity_ah <= soh_eol)[0]
+    crossed = np.nonzero(smoothed / nominal_capacity_ah <= SOH_EOL)[0]
     if crossed.size == 0:
         raise NeverReachedError(
-            f"capacity never fell to {soh_eol:.0%} of nominal within {caps.size} cycles"
+            f"capacity never fell to {SOH_EOL:.0%} of nominal within {caps.size} cycles"
         )
     return int(np.asarray(cycle_indices)[crossed[0]])
 
@@ -358,7 +357,6 @@ def build_history(
     nominal_capacity_ah: float,
     cycle_data: list[tuple[int, RelaxationCurve, DischargeCurve | None, float]],
     rest_duration_s: float,
-    soh_eol: float = DEFAULT_SOH_EOL,
 ) -> CellHistory:
     """Assemble a CellHistory, deriving throughput, calendar time, and EOL.
 
@@ -383,7 +381,7 @@ def build_history(
     try:
         eol = compute_eol(
             [r.capacity_ah for r in records], nominal_capacity_ah,
-            cycle_indices=[r.cycle_index for r in records], soh_eol=soh_eol,
+            cycle_indices=[r.cycle_index for r in records],
         )
     except NeverReachedError:
         eol = None  # unlabeled: kept for feature extraction only
@@ -394,7 +392,6 @@ def build_history(
         nominal_capacity_ah=nominal_capacity_ah,
         cycles=tuple(records),
         eol_cycle=eol,
-        soh_eol=soh_eol,
     )
 
 
@@ -550,7 +547,6 @@ def ingest_cell(path, schema: CellSchema | None = None) -> CellHistory:
         nominal_capacity_ah=nominal,
         cycle_data=cycle_data,
         rest_duration_s=rest_duration,
-        soh_eol=schema.soh_eol,
     )
 
 
@@ -558,22 +554,22 @@ def write_cell(history: CellHistory, path, header_comment: str | None = None) ->
     """Serialize a CellHistory in the canonical CSV layout.
 
     Floats are written with repr so a write/ingest round trip reproduces
-    every field bit for bit.
+    every field bit for bit. The first-line comment opens with
+    ``header_comment`` (callers pass ``experiments.header_comment(fp,
+    kind="cell")``, which already names the kind; without one it opens
+    ``kind=cell``) and goes on with the cell's metadata.
     """
     path = Path(path)
     rest_duration = float(history.cycles[0].relaxation.times_s[-1])
     interval = history.cycles[0].relaxation.sampling_interval_s
     cutoff = history.cycles[0].relaxation.cutoff_current_a
     meta = (
-        f"kind=cell cell_id={history.cell_id} chemistry={history.chemistry.value} "
+        f"cell_id={history.cell_id} chemistry={history.chemistry.value} "
         f"condition={history.condition} nominal_capacity_ah={history.nominal_capacity_ah!r} "
         f"sampling_interval_s={interval!r} rest_duration_s={rest_duration!r}"
     )
     buf = io.StringIO()
-    if header_comment:
-        buf.write(f"# {header_comment} {meta}\n")
-    else:
-        buf.write(f"# {meta}\n")
+    buf.write(f"# {header_comment or 'kind=cell'} {meta}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CANONICAL_COLUMNS)
     for rec in history.cycles:
@@ -690,15 +686,11 @@ def read_manifest(path) -> list[ManifestEntry]:
     return entries
 
 
-def ingest_manifest(path, soh_eol: float = DEFAULT_SOH_EOL) -> list[CellHistory]:
+def ingest_manifest(path) -> list[CellHistory]:
     """Load every cell listed in a manifest (paths relative to the manifest)."""
     path = Path(path)
-    cells = []
-    for entry in read_manifest(path):
-        schema = entry.schema()
-        schema.soh_eol = soh_eol
-        cells.append(ingest_cell(path.parent / entry.path, schema))
-    return cells
+    return [ingest_cell(path.parent / entry.path, entry.schema())
+            for entry in read_manifest(path)]
 
 
 # ---------------------------------------------------------------------------

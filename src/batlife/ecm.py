@@ -20,15 +20,17 @@ deterministic multi-start and keeps the lowest-residual solution. Branch
 labels are canonical: the 'e' branch carries the smaller time constant.
 
 A second multi-start over a wide box runs only when the tight fit does not
-interpolate the data, and its result is adopted only when it does. On noisy
-data no model can, and a Hankel-rank certificate proves it before the wide
-pass runs: on a uniform grid a constant plus two decaying exponentials
-makes the (n-3) x 4 Hankel matrix of the t > 0 samples rank 3 or less, so
-a smallest singular value well above twice the exact-fit residual norm
-rules out every model (``_cannot_interpolate``). With fewer than 7 t > 0
-samples, on a non-uniform grid, or when the certificate does not hold, the
-wide pass runs as before. Skipping it never changes a result: every
-``FitReport`` is bitwise the one the unconditional wide pass gives.
+interpolate the data, and its result is adopted only when it does. It never
+runs on the shortest curves (five t > 0 samples for five parameters), where
+an exact fit interpolates noise as readily as it recovers a noiseless
+transient. On noisy data no model can interpolate, and a Hankel-rank
+certificate proves it before the wide pass runs: on a uniform grid a
+constant plus two decaying exponentials makes the (n-3) x 4 Hankel matrix
+of the t > 0 samples rank 3 or less, so a smallest singular value well
+above twice the exact-fit residual norm rules out every model
+(``_cannot_interpolate``). With six t > 0 samples, on a non-uniform grid,
+or when the certificate does not hold, the wide pass runs. A certified skip
+never changes a result: the report is bitwise the one the wide pass gives.
 """
 
 from __future__ import annotations
@@ -176,7 +178,7 @@ def _fit_bounds(curve: RelaxationCurve, tight: bool) -> tuple[np.ndarray, np.nda
     return lower, upper
 
 
-def _damped_gauss_newton(theta0, t, v, current, max_iters, lower, upper):
+def _damped_gauss_newton(theta0, t, v, current, lower, upper):
     """Projected Levenberg-style damped Gauss-Newton.
 
     Returns (theta, cost, iters, converged). Candidate steps are clipped
@@ -196,7 +198,7 @@ def _damped_gauss_newton(theta0, t, v, current, max_iters, lower, upper):
     jac = np.empty((t.size, 5))
     jac[:, 0] = 1.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while iterations < max_iters:
+        while iterations < MAX_ITERATIONS:
             iterations += 1
             term_e, scaled_e, term_c, scaled_c = terms
             np.negative(term_e, out=jac[:, 1])
@@ -274,7 +276,7 @@ def initial_guesses(curve: RelaxationCurve) -> list[np.ndarray]:
     return guesses
 
 
-def _multistart(curve: RelaxationCurve, max_iters: int, tight: bool):
+def _multistart(curve: RelaxationCurve, tight: bool):
     t = curve.times_s
     positive = t > 0
     t_pos = t[positive]
@@ -282,9 +284,7 @@ def _multistart(curve: RelaxationCurve, max_iters: int, tight: bool):
     lower, upper = _fit_bounds(curve, tight)
     best = None
     for theta0 in initial_guesses(curve):
-        result = _damped_gauss_newton(
-            theta0, t_pos, v_pos, curve.cutoff_current_a, max_iters, lower, upper
-        )
+        result = _damped_gauss_newton(theta0, t_pos, v_pos, curve.cutoff_current_a, lower, upper)
         if best is None or result[1] < best[1]:
             best = result
     return best
@@ -324,17 +324,19 @@ def _cannot_interpolate(t_pos: np.ndarray, v_pos: np.ndarray, exact_cost: float)
     return bool(sigma_min > _CERTIFICATE_SAFETY * 2.0 * math.sqrt(exact_cost))
 
 
-def fit(curve: RelaxationCurve, max_iters: int = MAX_ITERATIONS) -> FitReport:
+def fit(curve: RelaxationCurve) -> FitReport:
     """Identify the six circuit parameters from one relaxation transient.
 
     Requires at least 6 samples (t = 0 plus five t > 0 points for the
     five-parameter nonlinear fit). The tight-box solution is preferred;
     when it cannot interpolate the data exactly, a wide-box pass runs and
     replaces it only by interpolating exactly itself (noiseless data whose
-    time constants fall outside the tight box). The wide pass is skipped
-    when the Hankel-rank certificate proves no model can interpolate the
-    data (noisy curves with at least 7 t > 0 samples on a uniform grid);
-    since it could not have been adopted, the report is bitwise the same.
+    time constants fall outside the tight box). It never runs on five t > 0
+    samples, which five parameters interpolate almost whatever their noise.
+    It is skipped when the Hankel-rank certificate proves no model can
+    interpolate the data (noisy curves with at least 7 t > 0 samples on a
+    uniform grid); since it could not have been adopted, the report is
+    bitwise the same.
     Never raises on slow convergence: best-effort parameters come back with
     ``converged=False``.
     """
@@ -350,9 +352,11 @@ def fit(curve: RelaxationCurve, max_iters: int = MAX_ITERATIONS) -> FitReport:
     t_pos = t[positive]
 
     exact_cost = t_pos.size * EXACT_RESIDUAL_V**2
-    best = _multistart(curve, max_iters, tight=True)
-    if best[1] > exact_cost and not _cannot_interpolate(t_pos, v[positive], exact_cost):
-        wide = _multistart(curve, max_iters, tight=False)
+    best = _multistart(curve, tight=True)
+    # On five t > 0 samples an exact wide fit is no evidence of noiseless data.
+    if (best[1] > exact_cost and t_pos.size > 5
+            and not _cannot_interpolate(t_pos, v[positive], exact_cost)):
+        wide = _multistart(curve, tight=False)
         if wide[1] <= exact_cost:
             best = wide
 

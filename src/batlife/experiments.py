@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import CellHistory, Chemistry, DatasetSplit, fingerprint
+from .dataset import CellHistory, Chemistry, DatasetSplit, SOH_EOL, fingerprint
 from .errors import (
     EmptyInputError,
     EmptyWindowError,
@@ -135,14 +135,16 @@ def build_rul_samples(
     window: WindowSpec,
     truncate: int | None,
     stride: int,
-    soh_floor: float,
     caches: dict[str, dict],
+    first: int = 1,
+    last: int | None = None,
 ) -> list[RulSample]:
     """Labeled regression samples for the chosen cells, in deterministic order.
 
     Cells that never reach end of life carry no supervised target and are
-    skipped, as are cycles ``feature_cycles`` does not admit. Samples at or
-    below the retirement threshold are excluded.
+    skipped. The candidates are the cycles ``feature_cycles`` admits from
+    ``first`` to ``last``, capped at each cell's end-of-life cycle; samples
+    at or below ``SOH_EOL`` are excluded.
     """
     samples: list[RulSample] = []
     for cell_id in sorted(ids):
@@ -150,9 +152,10 @@ def build_rul_samples(
         if history.eol_cycle is None:
             continue
         cache = caches.setdefault(cell_id, {})
-        for m in feature_cycles(history, window, stride, last=history.eol_cycle):
+        stop = history.eol_cycle if last is None else min(last, history.eol_cycle)
+        for m in feature_cycles(history, window, stride, first=first, last=stop):
             soh = history.soh(m)
-            if soh <= soh_floor:
+            if soh <= SOH_EOL:
                 continue
             fv = assemble(history, m, window, feature_set,
                           truncate=truncate, fit_cache=cache)
@@ -177,7 +180,6 @@ def build_classification_samples(
     window_cycles: int,
     policy: ThresholdPolicy,
     stride: int,
-    soh_floor: float,
     caches: dict[str, dict],
 ) -> list[tuple[RulSample, LifetimeLabel]]:
     """Adjacent-cycle samples within the aging-stage window, with labels.
@@ -185,32 +187,11 @@ def build_classification_samples(
     The window spans [test_cycle - window/2, test_cycle + window/2]; labels
     come from the SOH-scaled thresholds evaluated at each sample's own SOH.
     """
-    window = WindowSpec(mode=WindowMode.ADJACENT)
-    lo = test_cycle - window_cycles // 2
-    hi = test_cycle + window_cycles // 2
-    out: list[tuple[RulSample, LifetimeLabel]] = []
-    for cell_id in sorted(ids):
-        history = cells[cell_id]
-        if history.eol_cycle is None:
-            continue
-        cache = caches.setdefault(cell_id, {})
-        last = min(hi, history.eol_cycle)
-        for m in feature_cycles(history, window, stride, first=lo, last=last):
-            soh = history.soh(m)
-            if soh <= soh_floor:
-                continue
-            rul = float(history.eol_cycle - m)
-            label = label_sample(rul, threshold(policy, soh))
-            fv = assemble(history, m, window, feature_set, fit_cache=cache)
-            out.append((
-                RulSample(
-                    features=fv, rul=rul, soh=soh,
-                    condition=history.condition, chemistry=history.chemistry,
-                    cell_id=cell_id, cycle=m, eol=history.eol_cycle,
-                ),
-                label,
-            ))
-    return out
+    samples = build_rul_samples(
+        cells, ids, feature_set, WindowSpec(mode=WindowMode.ADJACENT), None, stride, caches,
+        first=test_cycle - window_cycles // 2, last=test_cycle + window_cycles // 2,
+    )
+    return [(s, label_sample(s.rul, threshold(policy, s.soh))) for s in samples]
 
 
 def _matrix(samples: list[RulSample]) -> np.ndarray:
@@ -410,7 +391,6 @@ class RulExperimentConfig:
     window_start: int = 1
     truncate: int | None = None
     stride: int = 1
-    soh_floor: float = 0.8
     seed: int = 0
     restarts: int = 5
     max_iters: int = 500
@@ -428,7 +408,7 @@ class RulExperimentConfig:
             "window_start": str(self.window_start),
             "truncate": "full" if self.truncate is None else str(self.truncate),
             "stride": str(self.stride),
-            "soh_floor": repr(self.soh_floor),
+            "soh_floor": repr(SOH_EOL),
             "seed": str(self.seed),
             "restarts": str(self.restarts),
             "max_iters": str(self.max_iters),
@@ -443,7 +423,6 @@ class ClassificationConfig:
     window_cycles: int = 100
     policy: ThresholdPolicy | None = None
     stride: int = 1
-    soh_floor: float = 0.8
     seed: int = 0
     restarts: int = 3
     max_iters: int = 200
@@ -468,7 +447,7 @@ class ClassificationConfig:
             "policy_upper": repr(policy.upper_at_soh1),
             "policy_lower": repr(policy.lower_at_soh1),
             "stride": str(self.stride),
-            "soh_floor": repr(self.soh_floor),
+            "soh_floor": repr(SOH_EOL),
             "seed": str(self.seed),
             "restarts": str(self.restarts),
             "max_iters": str(self.max_iters),
@@ -511,11 +490,11 @@ def run_rul_experiment(
                 continue
             train_samples = build_rul_samples(
                 by_id, train_ids, feature_set, window, config.truncate,
-                config.stride, config.soh_floor, caches,
+                config.stride, caches,
             )
             test_samples = build_rul_samples(
                 by_id, test_ids, feature_set, window, config.truncate,
-                config.stride, config.soh_floor, caches,
+                config.stride, caches,
             )
             if not train_samples or not test_samples:
                 continue
@@ -656,7 +635,7 @@ def run_classification_experiment(
     for feature_set in config.feature_sets:
         train_pairs = build_classification_samples(
             by_id, train_ids, feature_set, config.test_cycle, config.window_cycles,
-            policy, config.stride, config.soh_floor, caches,
+            policy, config.stride, caches,
         )
         if not train_pairs:
             raise EmptyWindowError(
@@ -666,9 +645,9 @@ def run_classification_experiment(
             )
         test_pairs = build_classification_samples(
             by_id, test_ids, feature_set, config.test_cycle, config.window_cycles,
-            policy, config.stride, config.soh_floor, caches,
+            policy, config.stride, caches,
         )
-        X = np.vstack([s.features.as_array() for s, _ in train_pairs])
+        X = _matrix([s for s, _ in train_pairs])
         labels = [label for _, label in train_pairs]
         dag = train_dag(X, labels, config.gpc_config(),
                         feature_names=FEATURE_NAMES[feature_set])

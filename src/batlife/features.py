@@ -73,8 +73,6 @@ FEATURE_NAMES: dict[FeatureSet, tuple[str, ...]] = {
     FeatureSet.RATE_CLASS: RATE_CLASS_NAMES,
 }
 
-# Feature sets that difference two cycles' curves.
-RATE_SETS = (FeatureSet.STATS, FeatureSet.NOVEL_PRED, FeatureSet.NOVEL_CLASS, FeatureSet.RATE_CLASS)
 # Feature sets built on discharge data (adjacent-cycle classification).
 DISCHARGE_SETS = (FeatureSet.NOVEL_CLASS, FeatureSet.RATE_CLASS)
 

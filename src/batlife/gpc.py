@@ -15,10 +15,10 @@ Three binaries compose the {Short, Medium, Long} decision: short-vs-long
 first, then the winning side's classifier against Medium. Labels come from
 lifetime thresholds that shrink linearly with state of health:
 
-    N_thr(soh) = N_thr(soh=1) * (soh - 0.8) / 0.2,     soh > 0.8
+    N_thr(soh) = N_thr(soh=1) * (soh - SOH_EOL) / (1 - SOH_EOL),     soh > SOH_EOL
 
 with (upper, lower) = (450, 180) cycles for the NCA policy and (800, 200)
-for the NCM policy.
+for the NCM policy; ``dataset.SOH_EOL`` is the end-of-life state of health.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import minimize
 from scipy.special import expit, ndtr
 
+from .dataset import SOH_EOL
 from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
@@ -90,12 +91,12 @@ NCM_POLICY = ThresholdPolicy(upper_at_soh1=800.0, lower_at_soh1=200.0)
 
 
 def threshold(policy: ThresholdPolicy, soh: float) -> tuple[float, float]:
-    """Thresholds scaled to the given state of health (defined for soh > 0.8)."""
-    if soh <= 0.8:
+    """Thresholds scaled to the given state of health (defined for soh > SOH_EOL)."""
+    if soh <= SOH_EOL:
         raise OutOfDomainError(
-            f"lifetime thresholds are defined for soh > 0.8, got {soh:.4f}"
+            f"lifetime thresholds are defined for soh > SOH_EOL = {SOH_EOL}, got {soh:.4f}"
         )
-    # (soh - 0.8) / 0.2 written so soh = 1.0 scales by exactly 1.
+    # (soh - SOH_EOL) / (1 - SOH_EOL) written so soh = 1.0 scales by exactly 1.
     scale = 5.0 * soh - 4.0
     return policy.upper_at_soh1 * scale, policy.lower_at_soh1 * scale
 

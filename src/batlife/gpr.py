@@ -121,7 +121,6 @@ class GprModel:
 class GprTrainConfig:
     restarts: int = 5
     max_iters: int = 500
-    tol: float = 1e-8
     seed: int = 0
 
 
@@ -340,7 +339,7 @@ def train(
     for theta0 in starts:
         result = minimize(
             objective, theta0, jac=True, method="L-BFGS-B", bounds=bounds,
-            options={"maxiter": config.max_iters, "ftol": config.tol * 1e-2, "gtol": 1e-9},
+            options={"maxiter": config.max_iters, "ftol": 1e-10, "gtol": 1e-9},
         )
         if result.fun < best_value:
             best_value = float(result.fun)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batlife.cli import main
-from batlife.dataset import ingest_manifest, read_manifest, write_cell, write_manifest
+from batlife.dataset import ingest_cell, ingest_manifest, read_manifest, write_cell, write_manifest
 from batlife.experiments import build_classification_samples
 from batlife.features import FeatureSet
 from batlife.gpc import NCA_POLICY
@@ -48,6 +48,25 @@ class TestSimulateIngest:
         first = (dataset_dir / "manifest.txt").read_text().splitlines()[0]
         assert first.split().count("kind=manifest") == 1
         assert len(read_manifest(dataset_dir / "manifest.txt")) == 6
+
+    def test_cell_header_names_its_kind_once(self, dataset_dir, tmp_path):
+        path = dataset_dir / "cells" / "syn25-00.csv"
+        cell = ingest_cell(path)  # every metadata field from the header line
+        plain = tmp_path / "plain.csv"
+        write_cell(cell, plain)
+        for written in (path, plain):
+            assert written.read_text().splitlines()[0].split().count("kind=cell") == 1
+        assert plain.read_text().startswith("# kind=cell cell_id=syn25-00 ")
+        entry = next(e for e in read_manifest(dataset_dir / "manifest.txt")
+                     if e.cell_id == "syn25-00")
+        by_schema = ingest_cell(path, entry.schema())
+        rel = cell.cycles[0].relaxation
+        assert (cell.cell_id, cell.chemistry, cell.condition, cell.nominal_capacity_ah,
+                rel.sampling_interval_s, rel.times_s[-1]) == (
+            entry.cell_id, entry.chemistry, entry.condition, entry.nominal_capacity_ah,
+            entry.sampling_interval_s, entry.rest_duration_s)
+        # The rest duration also sets calendar time.
+        assert cell.cycles[-1].calendar_days == by_schema.cycles[-1].calendar_days
 
     def test_ingest_validates(self, dataset_dir, capsys):
         assert main(["ingest", "--manifest", _manifest(dataset_dir)]) == 0
@@ -274,12 +293,13 @@ def _written_cycles(path) -> dict[str, list[int]]:
 # resolved flags and config files by hand (before argparse did it). The
 # manifest and the two models were re-recorded when the manifest header
 # stopped repeating its kind and the GP gradients moved to the shared
-# length-scale contraction and the trtri inverse.
+# length-scale contraction and the trtri inverse, the cell file when its
+# header stopped repeating its kind.
 GOLDEN = {
     "small/manifest.txt": (
         "3f665b729229", "36752dd343d66ef5673b0cd13a50b01d392cb0cb832a06f6d90c7af9c55eba41"),
     "small/cells/syn25-00.csv": (
-        "3f665b729229", "a471cf280526b47701b969a2625d2aeca154ede0ea6906094dfc106bc71194e1"),
+        "3f665b729229", "7b00351baa40f1a9a4bf703bd3f6019e1d7db658fd3a18991be6c190521ee52d"),
     "by_flags/features.csv": (
         "672c53d2fc2a", "49ab5977a50f5da26b4be2c13b5a38781149d2dbd05ce9707b7d9b038fe961b9"),
     "by_config/features.csv": (
@@ -418,7 +438,7 @@ class TestMissingCycles:
         window_cycles = data.draw(st.integers(2, n), label="window_cycles")
         pairs = build_classification_samples(
             {cell.cell_id: gapped}, [cell.cell_id], FeatureSet.RATE_CLASS, test_cycle,
-            window_cycles, NCA_POLICY, stride, 0.8, {},
+            window_cycles, NCA_POLICY, stride, {},
         )
         expected = [m for m in admitted(test_cycle - window_cycles // 2,
                                         min(test_cycle + window_cycles // 2, gapped.eol_cycle))

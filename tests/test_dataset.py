@@ -83,17 +83,17 @@ class TestTypes:
 
 class TestEol:
     def test_first_crossing(self):
-        assert compute_eol([1.00, 0.90, 0.79], 1.0, soh_eol=0.8) == 3
+        assert compute_eol([1.00, 0.90, 0.79], 1.0) == 3
 
     def test_never_reached(self):
         with pytest.raises(NeverReachedError):
-            compute_eol([1.0, 0.95, 0.9], 1.0, soh_eol=0.8)
+            compute_eol([1.0, 0.95, 0.9], 1.0)
 
     def test_median_smoothing_ignores_spike(self):
         # One bad measurement dipping below threshold must not retire the cell.
         caps = [1.0, 0.99, 0.70, 0.97, 0.96, 0.95, 0.94]
         with pytest.raises(NeverReachedError):
-            compute_eol(caps, 1.0, soh_eol=0.8)
+            compute_eol(caps, 1.0)
 
     def test_programmed_fade_crossing(self):
         # q(m) = q0 * (1 - 0.2 * m / 500) hits 80% exactly at m = 500.

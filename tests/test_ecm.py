@@ -270,8 +270,22 @@ class TestWidePassCertificate:
         positive = curve.times_s > 0
         t_pos = curve.times_s[positive]
         if ecm._cannot_interpolate(t_pos, curve.voltages_v[positive], _exact_cost(t_pos)):
-            wide = ecm._multistart(curve, ecm.MAX_ITERATIONS, tight=False)
+            wide = ecm._multistart(curve, tight=False)
             assert wide[1] > _exact_cost(t_pos)
+
+    @pytest.mark.parametrize("seed", [7, 11, 26, 39, 56])
+    def test_six_noisy_samples_never_adopt_the_wide_interpolant(self, seed):
+        # Five t > 0 samples for five parameters: on these noisy curves the
+        # wide box interpolates the noise exactly and the tight box does not.
+        fresh = ecm.EcmParams(ocv=4.19, r_o=0.135, r_e=0.15, c_e=800.0,
+                              r_c=0.3, c_c=5000.0 / 3.0)
+        curve = relaxation_curve(fresh, n_samples=6, noise=2e-4, rng=np.random.default_rng(seed))
+        t_pos = curve.times_s[curve.times_s > 0]
+        assert ecm._multistart(curve, tight=False)[1] <= _exact_cost(t_pos)
+        tight_cost = ecm._multistart(curve, tight=True)[1]
+        report = ecm.fit(curve)
+        assert report.residual_rms_v > ecm.EXACT_RESIDUAL_V
+        assert report.residual_rms_v == math.sqrt(tight_cost / t_pos.size)
 
     def test_short_or_non_uniform_grids_prove_nothing(self):
         rng = np.random.default_rng(3)

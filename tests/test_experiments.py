@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batlife import simgen
-from batlife.dataset import Chemistry, DatasetSplit, split_dataset
+from batlife.dataset import Chemistry, DatasetSplit, SOH_EOL, split_dataset
 from batlife.errors import (
     EmptyInputError,
     EmptyWindowError,
@@ -15,6 +17,7 @@ from batlife.errors import (
 from batlife.experiments import (
     ClassificationConfig,
     RulExperimentConfig,
+    build_rul_samples,
     mape,
     read_report,
     rmse,
@@ -23,7 +26,7 @@ from batlife.experiments import (
     run_truncation_sweep,
     verify_report,
 )
-from batlife.features import FeatureSet
+from batlife.features import FeatureSet, WindowSpec
 
 
 class TestRmse:
@@ -205,6 +208,30 @@ class TestTruncationSweep:
         config = RulExperimentConfig(feature_sets=(FeatureSet.NOVEL_PRED,))
         with pytest.raises(ValidationError, match="one relaxation grid"):
             run_truncation_sweep(cells, split, config, [6, None])
+
+
+class TestRulSamples:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_emits_exactly_the_admitted_cycles(self, small_fleet, data):
+        cell = small_fleet[0]
+        eol = cell.eol_cycle
+        n = cell.cycles[-1].cycle_index
+        dropped = data.draw(st.sets(st.integers(1, n), max_size=n // 2), label="dropped")
+        stride = data.draw(st.integers(1, 6), label="stride")
+        window_start = data.draw(st.integers(1, eol), label="window_start")
+        gapped = dataclasses.replace(
+            cell, cycles=tuple(r for r in cell.cycles if r.cycle_index not in dropped))
+        recorded = {r.cycle_index for r in gapped.cycles}
+        samples = build_rul_samples(
+            {cell.cell_id: gapped}, [cell.cell_id], FeatureSet.STATS,
+            WindowSpec(reference_cycle=window_start), None, stride, {},
+        )
+        expected = [m for m in range(window_start + 1, n + 1, stride)
+                    if m <= eol and m in recorded and window_start in recorded
+                    and gapped.soh(m) > SOH_EOL]
+        assert [s.cycle for s in samples] == expected
+        assert [s.rul for s in samples] == [eol - m for m in expected]
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import expit
 
 from batlife import gpc
+from batlife.dataset import SOH_EOL
 from batlife.errors import (
     DimensionMismatchError,
     NoConvergenceError,
@@ -52,6 +53,15 @@ class TestThreshold:
     def test_policy_ordering_enforced(self):
         with pytest.raises(ValidationError):
             gpc.ThresholdPolicy(upper_at_soh1=100.0, lower_at_soh1=200.0)
+
+    def test_scale_reaches_zero_at_end_of_life(self):
+        # The thresholds scale by (soh - SOH_EOL) / (1 - SOH_EOL), written
+        # as 5 soh - 4 so that soh = 1 scales by exactly 1.
+        for soh in np.linspace(SOH_EOL, 1.2, 401)[1:]:
+            upper, lower = threshold(NCA_POLICY, soh)
+            scale = (soh - SOH_EOL) / (1.0 - SOH_EOL)
+            assert upper == pytest.approx(450.0 * scale, rel=1e-12, abs=1e-9)
+            assert lower == pytest.approx(180.0 * scale, rel=1e-12, abs=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=0.801, max_value=1.2))
