@@ -17,9 +17,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical error.
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
-import io
 import os
 import sys
 from pathlib import Path
@@ -30,7 +28,6 @@ from . import __version__, ecm, modelio, simgen
 from .dataset import (
     Chemistry,
     ManifestEntry,
-    fingerprint,
     ingest_manifest,
     split_dataset,
     write_cell,
@@ -42,9 +39,9 @@ from .experiments import (
     RulExperimentConfig,
     build_classification_samples,
     build_rul_samples,
-    header_comment,
+    derive_tables,
+    feature_matrix,
     read_report,
-    recompute_metrics,
     run_classification_experiment,
     run_rul_experiment,
     run_truncation_sweep,
@@ -58,32 +55,17 @@ from .features import (
     WindowSpec,
     assemble,
     feature_cycles,
+    relaxation_curve,
 )
-from .gpc import NCA_POLICY, NCM_POLICY, classify as dag_classify, train_dag
+from .gpc import classify as dag_classify, train_dag
 from .gpr import predict as gpr_predict, train as gpr_train
+from .textio import fingerprint, header_comment, read_keys, spell, write_table
 
 OUTPUT_DIR_ENV = "BATLIFE_OUT"
-POLICIES = {"nca": NCA_POLICY, "ncm": NCM_POLICY}
 # simulate's defaults are benchmark_fleet's; presets for a fourth to sixth condition extend it.
 FLEET = {k: p.default for k, p in inspect.signature(simgen.benchmark_fleet).parameters.items()}
 FADE_REFS = FLEET["fade_refs"] + (400.0, 650.0, 950.0)
 TEMPERATURES = FLEET["temperatures"] + (30, 40, 50)
-
-
-def _read_config_file(path: str) -> dict[str, str]:
-    file = Path(path)
-    if not file.exists():
-        raise ValidationError(f"no such config file: {path}")
-    values: dict[str, str] = {}
-    for raw in file.read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValidationError(f"config line without '=': {raw!r}")
-        key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
@@ -96,7 +78,8 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if not args.config:
         return args
-    values = _read_config_file(args.config)
+    values = {key.replace("-", "_"): value
+              for key, value in read_keys(args.config, ValidationError).items()}
     command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
     command.set_defaults(**{
         a.dest: values[a.dest].lower() in ("1", "true", "yes") if a.nargs == 0 else values[a.dest]
@@ -133,17 +116,6 @@ def _feature_sets(text: str | None) -> tuple[FeatureSet, ...] | None:
     return tuple(FeatureSet.parse(tok) for tok in text.split(",") if tok.strip())
 
 
-def _policy(name: str | None):
-    if name is None:
-        return None
-    try:
-        return POLICIES[name.strip().lower()]
-    except KeyError:
-        raise ValidationError(
-            f"unknown threshold policy {name!r} (expected {' or '.join(POLICIES)})"
-        ) from None
-
-
 def _given(**values) -> dict:
     """The keyword arguments that were set; a config dataclass fills in the rest."""
     return {k: v for k, v in values.items() if v is not None}
@@ -161,7 +133,7 @@ def _class_config(args, feature_sets, **trainer) -> ClassificationConfig:
     return ClassificationConfig(**_given(
         chemistry=Chemistry.parse(args.chemistry), feature_sets=feature_sets,
         test_cycle=args.test_cycle, window_cycles=args.window_cycles,
-        policy=_policy(args.policy), stride=args.stride, seed=args.seed, **trainer,
+        stride=args.stride, seed=args.seed, **trainer,
     ))
 
 
@@ -186,13 +158,8 @@ def _parse_split(text: str, cells) -> dict[str, tuple[int, int]]:
 
 
 def _write_csv(args, path: Path, kind: str, columns: list[str], rows: list[list], what: str):
-    buf = io.StringIO()
-    buf.write(f"# {header_comment(_fingerprint(args), kind=kind)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(buf.getvalue())
+    write_table(path, [header_comment(_fingerprint(args), kind=kind)], columns, rows)
     print(f"wrote {path} ({len(rows)} {what})")
 
 
@@ -201,10 +168,6 @@ def _save_model(args, path: Path, model, meta: dict[str, str], n_samples: int) -
     comment = header_comment(_fingerprint(args), kind="model")
     modelio.save_model(model, path, header_comment=comment, meta=meta)
     print(f"wrote {path} ({n_samples} training samples)")
-
-
-def _fmt(value) -> str:
-    return repr(float(value))
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +235,9 @@ def cmd_fit_ecm(args) -> int:
     rows = []
     for cell in cells:
         for record in cell.cycles:
-            curve = record.relaxation
-            if args.truncate is not None:
-                curve = curve.truncated(args.truncate)
-            report = ecm.fit(curve)
-            rows.append([cell.cell_id, record.cycle_index, *map(_fmt, report.params.as_array()),
-                         _fmt(report.residual_rms_v), int(report.converged)])
+            report = ecm.fit(relaxation_curve(cell, record.cycle_index, args.truncate))
+            rows.append([cell.cell_id, record.cycle_index, *map(spell, report.params.as_array()),
+                         spell(report.residual_rms_v), spell(report.converged)])
     _write_csv(args, out, "ecm-params",
                ["cell_id", "cycle", "ocv_v", "r_o_ohm", "r_e_ohm", "c_e_farad",
                 "r_c_ohm", "c_c_farad", "residual_rms_v", "converged"], rows, "fits")
@@ -299,7 +259,7 @@ def cmd_features(args) -> int:
         for m in feature_cycles(cell, window, args.stride):
             fv = assemble(cell, m, window, feature_set, truncate=args.truncate, fit_cache=cache)
             for name, value in fv.values.items():
-                rows.append([cell.cell_id, m, name, _fmt(value)])
+                rows.append([cell.cell_id, m, name, spell(value)])
     _write_csv(args, out, "features", ["cell_id", "cycle", "feature", "value"], rows, "values")
     return 0
 
@@ -322,9 +282,8 @@ def cmd_train_rul(args) -> int:
     )
     if not samples:
         raise ValidationError("no labeled training samples (no cell reaches end of life?)")
-    X = np.vstack([s.features.as_array() for s in samples])
-    y = np.array([s.rul for s in samples])
-    model = gpr_train(X, y, config.gpr_config(), feature_names=FEATURE_NAMES[feature_set])
+    model = gpr_train(feature_matrix(samples), np.array([s.rul for s in samples]),
+                      config.gpr_config(), feature_names=FEATURE_NAMES[feature_set])
     settings = config.to_dict()
     meta = {"feature_set": feature_set.value,
             "window_start": settings["window_start"], "truncate": settings["truncate"]}
@@ -351,8 +310,7 @@ def cmd_predict_rul(args) -> int:
         for m in feature_cycles(cell, window, args.stride):
             fv = assemble(cell, m, window, feature_set, truncate=config.truncate, fit_cache=cache)
             mean, variance = gpr_predict(model, fv.as_array())
-            rows.append([cell.cell_id, m, _fmt(cell.soh(m)),
-                         _fmt(mean[0]), _fmt(variance[0])])
+            rows.append([cell.cell_id, m, spell(cell.soh(m)), spell(mean[0]), spell(variance[0])])
     _write_csv(args, out, "rul-predictions",
                ["cell_id", "cycle", "soh", "rul_predicted_cycles", "predictive_variance"],
                rows, "predictions")
@@ -371,11 +329,11 @@ def cmd_train_class(args) -> int:
         raise ValidationError(f"manifest has no {config.chemistry.value} cells")
     pairs = build_classification_samples(
         {c.cell_id: c for c in cells}, [c.cell_id for c in cells], feature_set,
-        config.test_cycle, config.window_cycles, config.resolved_policy(), config.stride, {},
+        config.test_cycle, config.window_cycles, config.threshold_policy, config.stride, {},
     )
     if not pairs:
         raise ValidationError("no labeled samples inside the training window")
-    X = np.vstack([s.features.as_array() for s, _ in pairs])
+    X = feature_matrix([s for s, _ in pairs])
     labels = [label for _, label in pairs]
     dag = train_dag(X, labels, config.gpc_config(), feature_names=FEATURE_NAMES[feature_set])
     settings = config.to_dict()
@@ -400,7 +358,7 @@ def cmd_classify(args) -> int:
         for m in feature_cycles(cell, window, first=args.cycle, last=args.cycle):
             fv = assemble(cell, m, window, feature_set, fit_cache={})
             label, probability = dag_classify(dag, fv.as_array())
-            rows.append([cell.cell_id, m, _fmt(cell.soh(m)), label.value, _fmt(probability)])
+            rows.append([cell.cell_id, m, spell(cell.soh(m)), label.value, spell(probability)])
     _write_csv(args, out, "classification",
                ["cell_id", "cycle", "soh", "label", "probability"], rows, "cells")
     return 0
@@ -449,10 +407,12 @@ def cmd_report(args) -> int:
     report = read_report(args.in_dir)
     if not verify_report(report):
         raise ValidationError(
-            f"{args.in_dir}: stored metrics do not match a recomputation from predictions"
+            f"{args.in_dir}: stored tables do not match a recomputation from predictions"
         )
-    print(f"report kind={report.kind} fingerprint={report.fingerprint}: metrics verified")
-    for row in recompute_metrics(report):
+    derived = derive_tables(report)
+    print(f"report kind={report.kind} fingerprint={report.fingerprint}: "
+          f"{' and '.join(derived)} verified")
+    for row in derived["metrics"]:
         print(row)
     if args.plots:
         from .plots import emit_plots
@@ -553,9 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     def class_flags(p):
         p.add_argument("--chemistry", default=cls.chemistry.value,
                        help=" | ".join(c.value for c in Chemistry) + " (default %(default)s)")
-        p.add_argument("--policy", help="threshold policy: " + " or ".join(
-            f"{name} ({policy.upper_at_soh1:g}/{policy.lower_at_soh1:g})"
-            for name, policy in POLICIES.items()) + " cycles (default: the chemistry's)")
         p.add_argument("--test-cycle", dest="test_cycle", type=int, default=cls.test_cycle,
                        help="center of the aging-stage window (cycle, default %(default)s)")
         p.add_argument("--window-cycles", dest="window_cycles", type=int,

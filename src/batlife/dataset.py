@@ -25,9 +25,7 @@ their chemistry, condition code, nominal capacity, and sampling protocol.
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import io
+import itertools
 import random
 import re
 from dataclasses import dataclass, field
@@ -44,6 +42,7 @@ from .errors import (
     UnknownCycleError,
     ValidationError,
 )
+from .textio import read_keys, read_table, spell, spell_floats, write_keys, write_table
 
 CANONICAL_COLUMNS = ("cycle", "phase", "t_s", "voltage_v", "current_a", "capacity_ah")
 PHASES = ("charge", "rest_post_charge", "discharge", "rest_post_discharge")
@@ -399,15 +398,6 @@ def build_history(
 # CSV ingestion / serialization
 # ---------------------------------------------------------------------------
 
-def _parse_header_comment(line: str) -> dict[str, str]:
-    meta: dict[str, str] = {}
-    for token in line.lstrip("#").split():
-        if "=" in token:
-            key, _, value = token.partition("=")
-            meta[key] = value
-    return meta
-
-
 def _resample_relaxation(times, voltages, interval_s: float):
     """Snap a rest transient onto the declared uniform grid.
 
@@ -435,22 +425,9 @@ def ingest_cell(path, schema: CellSchema | None = None) -> CellHistory:
     if not path.exists():
         raise SchemaError(f"no such file: {path}")
 
-    header_meta: dict[str, str] = {}
-    with path.open(newline="") as fh:
-        pos = fh.tell()
-        first = fh.readline()
-        while first.startswith("#"):
-            header_meta.update(_parse_header_comment(first))
-            pos = fh.tell()
-            first = fh.readline()
-        fh.seek(pos)
-        reader = csv.reader(fh)
-        try:
-            columns = next(reader)
-        except StopIteration:
-            raise EmptyFileError(f"{path} has no header row") from None
-        rows = [row for row in reader if row]
-
+    comments, columns, rows = read_table(path)
+    header_meta = dict(token.split("=", 1) for comment in comments
+                       for token in comment.split() if "=" in token)
     if not rows:
         raise EmptyFileError(f"{path} has no data rows")
 
@@ -553,47 +530,42 @@ def ingest_cell(path, schema: CellSchema | None = None) -> CellHistory:
 def write_cell(history: CellHistory, path, header_comment: str | None = None) -> None:
     """Serialize a CellHistory in the canonical CSV layout.
 
-    Floats are written with repr so a write/ingest round trip reproduces
-    every field bit for bit. The first-line comment opens with
-    ``header_comment`` (callers pass ``experiments.header_comment(fp,
+    Floats are spelled by ``textio`` so a write/ingest round trip
+    reproduces every field bit for bit. The first-line comment opens with
+    ``header_comment`` (callers pass ``textio.header_comment(fp,
     kind="cell")``, which already names the kind; without one it opens
     ``kind=cell``) and goes on with the cell's metadata.
     """
-    path = Path(path)
-    rest_duration = float(history.cycles[0].relaxation.times_s[-1])
-    interval = history.cycles[0].relaxation.sampling_interval_s
-    cutoff = history.cycles[0].relaxation.cutoff_current_a
+    first = history.cycles[0].relaxation
     meta = (
         f"cell_id={history.cell_id} chemistry={history.chemistry.value} "
-        f"condition={history.condition} nominal_capacity_ah={history.nominal_capacity_ah!r} "
-        f"sampling_interval_s={interval!r} rest_duration_s={rest_duration!r}"
+        f"condition={history.condition} "
+        f"nominal_capacity_ah={spell(history.nominal_capacity_ah)} "
+        f"sampling_interval_s={spell(first.sampling_interval_s)} "
+        f"rest_duration_s={spell(first.times_s[-1])}"
     )
-    buf = io.StringIO()
-    buf.write(f"# {header_comment or 'kind=cell'} {meta}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CANONICAL_COLUMNS)
-    for rec in history.cycles:
-        rel = rec.relaxation
-        for i in range(rel.n_samples):
-            current = cutoff if rel.times_s[i] == 0.0 else 0.0
-            writer.writerow([
-                rec.cycle_index, "rest_post_charge",
-                repr(float(rel.times_s[i])), repr(float(rel.voltages_v[i])),
-                repr(float(current)), repr(float(rec.capacity_ah)),
-            ])
-        if rec.discharge is not None:
-            dis = rec.discharge
-            _, _, dis_rate = parse_condition(history.condition)
-            current = -dis_rate * history.nominal_capacity_ah
-            n = dis.charges_ah.size
-            for i in range(n):
-                t_s = dis.duration_s * (i / (n - 1))
-                writer.writerow([
-                    rec.cycle_index, "discharge",
-                    repr(float(t_s)), repr(float(dis.voltages_v[i])),
-                    repr(float(current)), repr(float(dis.charges_ah[i])),
-                ])
-    path.write_text(buf.getvalue())
+    cutoff = spell(first.cutoff_current_a)
+    _, _, dis_rate = parse_condition(history.condition)
+    discharge_current = spell(-dis_rate * history.nominal_capacity_ah)
+
+    def rows():
+        # Whole columns are spelled at once: per-value formatting dominates the write.
+        for rec in history.cycles:
+            rel = rec.relaxation
+            cycle = itertools.repeat(rec.cycle_index)
+            capacity = itertools.repeat(spell(rec.capacity_ah))
+            currents = [cutoff if t == 0.0 else "0.0" for t in rel.times_s.tolist()]
+            yield from zip(cycle, itertools.repeat("rest_post_charge"), spell_floats(rel.times_s),
+                           spell_floats(rel.voltages_v), currents, capacity)
+            if rec.discharge is not None:
+                dis = rec.discharge
+                n = dis.charges_ah.size
+                times = dis.duration_s * (np.arange(n) / (n - 1))
+                yield from zip(cycle, itertools.repeat("discharge"), spell_floats(times),
+                               spell_floats(dis.voltages_v), itertools.repeat(discharge_current),
+                               spell_floats(dis.charges_ah))
+
+    write_table(path, [f"{header_comment or 'kind=cell'} {meta}"], CANONICAL_COLUMNS, rows())
 
 
 # ---------------------------------------------------------------------------
@@ -624,53 +596,35 @@ class ManifestEntry:
 def write_manifest(entries: list[ManifestEntry], path, header_comment: str | None = None) -> None:
     """Write the manifest; ``header_comment`` is the whole first-line comment.
 
-    Callers pass ``experiments.header_comment(fp, kind="manifest")``, which
+    Callers pass ``textio.header_comment(fp, kind="manifest")``, which
     already names the kind; without one the line is ``# kind=manifest``.
     """
-    path = Path(path)
-    lines = [f"# {header_comment or 'kind=manifest'}"]
-    for e in entries:
-        cid = e.cell_id
-        lines.append(f"cell.{cid}.path = {e.path}")
-        lines.append(f"cell.{cid}.chemistry = {e.chemistry.value}")
-        lines.append(f"cell.{cid}.condition = {e.condition}")
-        lines.append(f"cell.{cid}.nominal_capacity_ah = {e.nominal_capacity_ah!r}")
-        lines.append(f"cell.{cid}.sampling_interval_s = {e.sampling_interval_s!r}")
-        lines.append(f"cell.{cid}.rest_duration_s = {e.rest_duration_s!r}")
-    path.write_text("\n".join(lines) + "\n")
+    write_keys(path, header_comment or "kind=manifest", (
+        (f"cell.{e.cell_id}.{attr}", value) for e in entries for attr, value in (
+            ("path", e.path),
+            ("chemistry", e.chemistry.value),
+            ("condition", e.condition),
+            ("nominal_capacity_ah", spell(e.nominal_capacity_ah)),
+            ("sampling_interval_s", spell(e.sampling_interval_s)),
+            ("rest_duration_s", spell(e.rest_duration_s)),
+        )
+    ))
 
 
 def read_manifest(path) -> list[ManifestEntry]:
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"no such manifest: {path}")
     fields: dict[str, dict[str, str]] = {}
-    order: list[str] = []
-    for raw in path.read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise SchemaError(f"{path}: manifest line without '=': {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for key, value in read_keys(path, SchemaError).items():
         if not key.startswith("cell."):
             continue
-        _, _, rest = key.partition(".")
-        cell_id, _, attr = rest.rpartition(".")
+        cell_id, _, attr = key.removeprefix("cell.").rpartition(".")
         if not cell_id or not attr:
             raise SchemaError(f"{path}: malformed manifest key {key!r}")
-        if cell_id not in fields:
-            fields[cell_id] = {}
-            order.append(cell_id)
-        fields[cell_id][attr] = value
+        fields.setdefault(cell_id, {})[attr] = value
 
     entries = []
     required = ("path", "chemistry", "condition", "nominal_capacity_ah",
                 "sampling_interval_s", "rest_duration_s")
-    for cell_id in order:
-        attrs = fields[cell_id]
+    for cell_id, attrs in fields.items():
         missing = [r for r in required if r not in attrs]
         if missing:
             raise SchemaError(f"{path}: cell {cell_id} missing manifest keys {missing}")
@@ -727,8 +681,3 @@ def split_dataset(
         test.update(available[n_train:n_train + n_test])
     return DatasetSplit(train=frozenset(train), test=frozenset(test), seed=seed)
 
-
-def fingerprint(config: dict) -> str:
-    """Short stable hash of a configuration mapping."""
-    text = "\n".join(f"{k}={config[k]}" for k in sorted(config))
-    return hashlib.sha256(text.encode()).hexdigest()[:12]

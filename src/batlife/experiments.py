@@ -10,23 +10,21 @@ Three experiment drivers cover the study designs the library exists for:
 * ``run_classification_experiment`` - three-way life classification
   trained on an aging-stage window of cycles around a test cycle.
 
-Every report stores its per-sample predictions; all metric tables are
-derived from those rows by ``recompute_metrics``, which makes reports
+Every report stores its per-sample predictions; every derived table
+(metrics, and the truncation sweep or the classification confusion counts)
+is computed from those rows by ``derive_tables``, which makes reports
 self-verifying: re-reading a report directory and recomputing must
-reproduce the stored metrics exactly.
+reproduce the stored tables exactly.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .dataset import CellHistory, Chemistry, DatasetSplit, SOH_EOL, fingerprint
+from .dataset import CellHistory, Chemistry, DatasetSplit, SOH_EOL
 from .errors import (
     EmptyInputError,
     EmptyWindowError,
@@ -62,12 +60,18 @@ from .gpr import (
     relative_importance,
     train,
 )
+from .textio import (
+    fingerprint,
+    header_comment,
+    parse_value,
+    read_keys,
+    read_table,
+    spell,
+    write_keys,
+    write_table,
+)
 
 ALL = "ALL"
-
-
-def header_comment(fp: str, kind: str = "report") -> str:
-    return f"batlife v{__version__} fingerprint={fp} kind={kind}"
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +198,8 @@ def build_classification_samples(
     return [(s, label_sample(s.rul, threshold(policy, s.soh))) for s in samples]
 
 
-def _matrix(samples: list[RulSample]) -> np.ndarray:
+def feature_matrix(samples: list[RulSample]) -> np.ndarray:
+    """The samples' feature vectors as the rows of one matrix."""
     return np.vstack([s.features.as_array() for s in samples])
 
 
@@ -214,83 +219,29 @@ class ExperimentReport:
         outdir.mkdir(parents=True, exist_ok=True)
         comment = header_comment(self.fingerprint, kind=self.kind)
         for name, rows in self.tables.items():
-            if not rows:
-                continue
-            buf = io.StringIO()
-            buf.write(f"# {comment} table={name}\n")
-            writer = csv.writer(buf, lineterminator="\n")
-            columns = list(rows[0].keys())
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_format_cell(row[c]) for c in columns])
-            (outdir / f"{name}.csv").write_text(buf.getvalue())
-        lines = [f"# {comment}", f"kind = {self.kind}", f"fingerprint = {self.fingerprint}"]
-        for key in sorted(self.config):
-            lines.append(f"config.{key} = {self.config[key]}")
-        for row in self.tables.get("metrics", []):
-            tag = ".".join(
-                str(row[k]) for k in row if k not in ("rmse_cycles", "mape_pct",
-                                                      "accuracy_pct", "n_samples")
-            )
-            for metric in ("rmse_cycles", "mape_pct", "accuracy_pct"):
-                if metric in row:
-                    lines.append(f"metric.{tag}.{metric} = {row[metric]!r}")
-        (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
-
-
-def _format_cell(value):
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
-def _parse_cell(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+            if rows:
+                columns = list(rows[0])
+                write_table(outdir / f"{name}.csv", [f"{comment} table={name}"], columns,
+                            ([spell(row[c]) for c in columns] for row in rows))
+        write_keys(outdir / "summary.txt", comment, [
+            ("kind", self.kind), ("fingerprint", self.fingerprint),
+            *((f"config.{key}", self.config[key]) for key in sorted(self.config)),
+        ])
 
 
 def read_report(outdir) -> ExperimentReport:
     outdir = Path(outdir)
-    summary = outdir / "summary.txt"
-    if not summary.exists():
-        raise SchemaError(f"{outdir} has no summary.txt")
-    kind = ""
-    fp = ""
-    config: dict[str, str] = {}
-    for raw in summary.read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "kind":
-            kind = value
-        elif key == "fingerprint":
-            fp = value
-        elif key.startswith("config."):
-            config[key.removeprefix("config.")] = value
+    summary = read_keys(outdir / "summary.txt", SchemaError)
+    config = {key.removeprefix("config."): value for key, value in summary.items()
+              if key.startswith("config.")}
     tables: dict[str, list[dict]] = {}
     for path in sorted(outdir.glob("*.csv")):
-        with path.open(newline="") as fh:
-            pos = fh.tell()
-            line = fh.readline()
-            while line.startswith("#"):
-                pos = fh.tell()
-                line = fh.readline()
-            fh.seek(pos)
-            reader = csv.DictReader(fh)
-            tables[path.stem] = [
-                {k: _parse_cell(v) for k, v in row.items()} for row in reader
-            ]
-    return ExperimentReport(kind=kind, fingerprint=fp, config=config, tables=tables)
+        _, header, rows = read_table(path)
+        tables[path.stem] = [dict(zip(header, map(parse_value, row))) for row in rows]
+    return ExperimentReport(
+        kind=summary.get("kind", ""), fingerprint=summary.get("fingerprint", ""),
+        config=config, tables=tables,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -364,21 +315,45 @@ def _confusion_rows(predictions: list[dict]) -> list[dict]:
     return rows
 
 
-def recompute_metrics(report: ExperimentReport) -> list[dict]:
-    """Re-derive the metrics table from the stored per-sample predictions."""
+def _sweep_rows(metric_rows: list[dict], interval_s: float) -> list[dict]:
+    return [{
+        "feature_set": row["feature_set"],
+        "relax_samples": row["relax_samples"],
+        "relaxation_time_s": row["relax_samples"] * interval_s,
+        "rmse_cycles": row["rmse_cycles"],
+        "mape_pct": row["mape_pct"],
+    } for row in metric_rows if row["chemistry"] == ALL and row["condition"] == ALL]
+
+
+def derive_tables(report: ExperimentReport) -> dict[str, list[dict]]:
+    """Every table derived from the stored per-sample predictions.
+
+    ``metrics`` for each kind, plus ``sweep`` for a truncation report (its
+    relaxation times use the config's ``sampling_interval_s``) and
+    ``confusion`` for a classification report.
+    """
     predictions = report.tables.get("predictions", [])
     if report.kind == "rul":
-        return _rul_metric_rows(predictions)
+        return {"metrics": _rul_metric_rows(predictions)}
     if report.kind == "truncation":
-        return _rul_metric_rows(predictions, extra_keys=("relax_samples",))
+        try:
+            interval = float(report.config["sampling_interval_s"])
+        except (KeyError, ValueError):
+            raise SchemaError(
+                "truncation report config has no numeric sampling_interval_s"
+            ) from None
+        metrics = _rul_metric_rows(predictions, extra_keys=("relax_samples",))
+        return {"sweep": _sweep_rows(metrics, interval), "metrics": metrics}
     if report.kind == "classification":
-        return _classification_metric_rows(predictions)
+        return {"confusion": _confusion_rows(predictions),
+                "metrics": _classification_metric_rows(predictions)}
     raise ValidationError(f"unknown report kind {report.kind!r}")
 
 
 def verify_report(report: ExperimentReport) -> bool:
-    """True when the stored metrics match a recomputation from predictions."""
-    return recompute_metrics(report) == report.tables.get("metrics", [])
+    """True when every stored derived table matches a recomputation from predictions."""
+    return all(report.tables.get(name, []) == rows
+               for name, rows in derive_tables(report).items())
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +383,7 @@ class RulExperimentConfig:
             "window_start": str(self.window_start),
             "truncate": "full" if self.truncate is None else str(self.truncate),
             "stride": str(self.stride),
-            "soh_floor": repr(SOH_EOL),
+            "soh_floor": spell(SOH_EOL),
             "seed": str(self.seed),
             "restarts": str(self.restarts),
             "max_iters": str(self.max_iters),
@@ -421,33 +396,32 @@ class ClassificationConfig:
     chemistry: Chemistry = Chemistry.NCA
     test_cycle: int = 100
     window_cycles: int = 100
-    policy: ThresholdPolicy | None = None
     stride: int = 1
     seed: int = 0
     restarts: int = 3
     max_iters: int = 200
     allow_ncm_nca: bool = False
 
-    def resolved_policy(self) -> ThresholdPolicy:
-        if self.policy is not None:
-            return self.policy
+    @property
+    def threshold_policy(self) -> ThresholdPolicy:
+        """NCM cells get the NCM thresholds, every other chemistry the NCA ones."""
         return NCM_POLICY if self.chemistry is Chemistry.NCM else NCA_POLICY
 
     def gpc_config(self) -> GpcTrainConfig:
         return GpcTrainConfig(restarts=self.restarts, max_iters=self.max_iters, seed=self.seed)
 
     def to_dict(self) -> dict[str, str]:
-        policy = self.resolved_policy()
+        policy = self.threshold_policy
         return {
             "experiment": "classification",
             "feature_sets": ",".join(fs.value for fs in self.feature_sets),
             "chemistry": self.chemistry.value,
             "test_cycle": str(self.test_cycle),
             "window_cycles": str(self.window_cycles),
-            "policy_upper": repr(policy.upper_at_soh1),
-            "policy_lower": repr(policy.lower_at_soh1),
+            "policy_upper": spell(policy.upper_at_soh1),
+            "policy_lower": spell(policy.lower_at_soh1),
             "stride": str(self.stride),
-            "soh_floor": repr(SOH_EOL),
+            "soh_floor": spell(SOH_EOL),
             "seed": str(self.seed),
             "restarts": str(self.restarts),
             "max_iters": str(self.max_iters),
@@ -500,12 +474,12 @@ def run_rul_experiment(
                 continue
             names = FEATURE_NAMES[feature_set]
             model = train(
-                _matrix(train_samples),
+                feature_matrix(train_samples),
                 np.array([s.rul for s in train_samples]),
                 config.gpr_config(),
                 feature_names=names,
             )
-            mean, variance = predict(model, _matrix(test_samples))
+            mean, variance = predict(model, feature_matrix(test_samples))
             for sample, mu, var in zip(test_samples, mean, variance):
                 predictions.append({
                     "feature_set": feature_set.value,
@@ -540,7 +514,7 @@ def run_rul_experiment(
         config=cfg,
         tables={"predictions": predictions, "importance": importance_rows},
     )
-    report.tables["metrics"] = recompute_metrics(report)
+    report.tables.update(derive_tables(report))
     return report
 
 
@@ -586,24 +560,14 @@ def run_truncation_sweep(
     cfg["sample_counts"] = ",".join(
         "full" if c is None else str(c) for c in sample_counts
     )
+    cfg["sampling_interval_s"] = spell(interval)
     report = ExperimentReport(
         kind="truncation",
         fingerprint=fingerprint(cfg),
         config=cfg,
         tables={"predictions": predictions, "importance": importance_rows},
     )
-    report.tables["metrics"] = recompute_metrics(report)
-    rows = []
-    for row in report.tables["metrics"]:
-        if row["chemistry"] == ALL and row["condition"] == ALL:
-            rows.append({
-                "feature_set": row["feature_set"],
-                "relax_samples": row["relax_samples"],
-                "relaxation_time_s": row["relax_samples"] * interval,
-                "rmse_cycles": row["rmse_cycles"],
-                "mape_pct": row["mape_pct"],
-            })
-    report.tables["sweep"] = rows
+    report.tables.update(derive_tables(report))
     return report
 
 
@@ -625,7 +589,7 @@ def run_classification_experiment(
             "set allow_ncm_nca to override"
         )
     by_id = _cells_by_id(cells)
-    policy = config.resolved_policy()
+    policy = config.threshold_policy
     caches: dict[str, dict] = {}
 
     train_ids = [cid for cid in split.train if by_id[cid].chemistry is config.chemistry]
@@ -647,7 +611,7 @@ def run_classification_experiment(
             by_id, test_ids, feature_set, config.test_cycle, config.window_cycles,
             policy, config.stride, caches,
         )
-        X = _matrix([s for s, _ in train_pairs])
+        X = feature_matrix([s for s, _ in train_pairs])
         labels = [label for _, label in train_pairs]
         dag = train_dag(X, labels, config.gpc_config(),
                         feature_names=FEATURE_NAMES[feature_set])
@@ -675,6 +639,5 @@ def run_classification_experiment(
         config=cfg,
         tables={"predictions": predictions},
     )
-    report.tables["metrics"] = recompute_metrics(report)
-    report.tables["confusion"] = _confusion_rows(predictions)
+    report.tables.update(derive_tables(report))
     return report

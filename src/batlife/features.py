@@ -225,26 +225,21 @@ def _charge_of_voltage(curve: DischargeCurve, grid_v: np.ndarray) -> np.ndarray:
     return np.interp(grid_v, v_ascending, q_matching)
 
 
-def delta_q_variance(
-    disc_m: DischargeCurve,
-    disc_n: DischargeCurve,
-    grid_points: int = DELTA_Q_GRID_POINTS,
-) -> float:
+def delta_q_variance(disc_m: DischargeCurve, disc_n: DischargeCurve) -> float:
     """log10 sample variance of Q_m(V) - Q_n(V) on a shared voltage grid.
 
     Both capacity-vs-voltage curves are linearly interpolated onto a
-    uniform grid over their voltage overlap; the variance is floored at
-    1e-12 Ah^2 so identical curves return -12 instead of -inf.
+    uniform ``DELTA_Q_GRID_POINTS`` grid over their voltage overlap; the
+    variance is floored at 1e-12 Ah^2 so identical curves return -12
+    instead of -inf.
     """
-    if grid_points < 2:
-        raise ValidationError("voltage grid needs at least 2 points")
     lo = max(disc_m.voltages_v.min(), disc_n.voltages_v.min())
     hi = min(disc_m.voltages_v.max(), disc_n.voltages_v.max())
     if lo >= hi:
         raise NoVoltageOverlapError(
             f"discharge curves share no voltage range ([{lo:.3f}, {hi:.3f}])"
         )
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, DELTA_Q_GRID_POINTS)
     dq = _charge_of_voltage(disc_m, grid) - _charge_of_voltage(disc_n, grid)
     variance = float(np.var(dq, ddof=1))
     return math.log10(max(variance, DELTA_Q_VARIANCE_FLOOR))
@@ -279,16 +274,16 @@ def _fitted_params(
     key = (cycle_index, truncate)
     if cache is not None and key in cache:
         return cache[key]
-    curve = history.record(cycle_index).relaxation
-    if truncate is not None:
-        curve = curve.truncated(truncate)
-    params = ecm.fit(curve).params
+    params = ecm.fit(relaxation_curve(history, cycle_index, truncate)).params
     if cache is not None:
         cache[key] = params
     return params
 
 
-def _relaxation(history, cycle_index, truncate):
+def relaxation_curve(
+    history: CellHistory, cycle_index: int, truncate: int | None
+) -> RelaxationCurve:
+    """A cycle's relaxation transient, cut to its first ``truncate`` samples when given."""
     curve = history.record(cycle_index).relaxation
     return curve.truncated(truncate) if truncate is not None else curve
 
@@ -322,8 +317,8 @@ def assemble(
 
     if feature_set in (FeatureSet.STATS, FeatureSet.NOVEL_PRED):
         reference = window.reference_for(cycle_index)
-        curve_m = _relaxation(history, cycle_index, truncate)
-        curve_n = _relaxation(history, reference, truncate)
+        curve_m = relaxation_curve(history, cycle_index, truncate)
+        curve_n = relaxation_curve(history, reference, truncate)
         dv = delta_v(curve_m, curve_n)
         horizon = float(curve_m.times_s[-1])
         if feature_set is FeatureSet.STATS:

@@ -1,12 +1,14 @@
 """Plain-text model serialization.
 
 Versioned key/value format with matrix rows spelled out as comma-joined
-repr floats, so a save/load round trip is exact. Factorizations and
-posterior modes are recomputed on load rather than stored.
+floats (spelled by ``textio``), so a save/load round trip is exact.
+Factorizations and posterior modes are recomputed on load rather than
+stored.
 """
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +16,13 @@ import numpy as np
 from .errors import SchemaError
 from .gpc import BinaryGpc, LifeDag, posterior_binary
 from .gpr import GprModel, KernelParams, Standardizer, posterior
+from .textio import spell, spell_floats
 
 FORMAT_HEADER = "batlife-model v1"
 
 
 def _floats(values) -> str:
-    return ",".join(repr(float(v)) for v in np.asarray(values, dtype=float).ravel())
+    return ",".join(spell_floats(values))
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -52,28 +55,22 @@ def save_model(
 
 def read_model_meta(path) -> dict[str, str]:
     """The ``meta.*`` key/value pairs stored next to a serialized model."""
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"no such model file: {path}")
-    meta: dict[str, str] = {}
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if line.startswith("meta.") and "=" in line:
-            key, _, value = line.partition("=")
-            meta[key.removeprefix("meta.").strip()] = value.strip()
-    return meta
+    _, body = _read_model(path)
+    meta_lines = list(itertools.takewhile(lambda line: line.startswith("meta."), body))
+    fields, _ = _split_fields(meta_lines, path)
+    return {key.removeprefix("meta."): value for key, value in fields.items()}
 
 
 def _gpr_lines(model: GprModel) -> list[str]:
     lines = []
     if model.feature_names:
         lines.append("feature_names = " + ",".join(model.feature_names))
-    lines.append(f"sigma_f = {model.kernel.sigma_f!r}")
-    lines.append(f"sigma_n = {model.kernel.sigma_n!r}")
+    lines.append(f"sigma_f = {spell(model.kernel.sigma_f)}")
+    lines.append(f"sigma_n = {spell(model.kernel.sigma_n)}")
     lines.append("length_scales = " + _floats(model.kernel.length_scales))
     lines.append("x_mean = " + _floats(model.standardizer.mean))
     lines.append("x_scale = " + _floats(model.standardizer.scale))
-    lines.append(f"y_mean = {model.y_mean!r}")
+    lines.append(f"y_mean = {spell(model.y_mean)}")
     lines.append(f"n = {model.n_train}")
     for row in model.X_train:
         lines.append("X " + _floats(row))
@@ -85,7 +82,7 @@ def _binary_lines(name: str, model: BinaryGpc) -> list[str]:
     lines = [f"begin binary {name}"]
     lines.append(f"positive_label = {model.positive_label}")
     lines.append(f"negative_label = {model.negative_label}")
-    lines.append(f"sigma_f = {model.kernel.sigma_f!r}")
+    lines.append(f"sigma_f = {spell(model.kernel.sigma_f)}")
     lines.append("length_scales = " + _floats(model.kernel.length_scales))
     lines.append(f"n = {model.X_train.shape[0]}")
     for row in model.X_train:
@@ -107,8 +104,8 @@ def _dag_lines(dag: LifeDag) -> list[str]:
     return lines
 
 
-def load_model(path):
-    """Load a serialized model; the kind is read from the format header."""
+def _read_model(path) -> tuple[str, list[str]]:
+    """The model kind from the format line, and the lines after it."""
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"no such model file: {path}")
@@ -118,8 +115,12 @@ def load_model(path):
     ]
     if not lines or not lines[0].startswith(FORMAT_HEADER):
         raise SchemaError(f"{path}: not a {FORMAT_HEADER} file")
-    kind = lines[0].partition("kind=")[2].strip()
-    body = lines[1:]
+    return lines[0].partition("kind=")[2].strip(), lines[1:]
+
+
+def load_model(path):
+    """Load a serialized model; the kind is read from the format header."""
+    kind, body = _read_model(path)
     if kind == "gpr":
         return _load_gpr(body, path)
     if kind == "life-dag":

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -168,6 +169,29 @@ class TestModelCommands:
         assert len(lines) == 8  # six cells classified
 
 
+def _evaluate(dataset_dir, outdir: Path, *flags: str) -> Path:
+    assert main(["evaluate", "--manifest", _manifest(dataset_dir), *flags,
+                 "--out", str(outdir)]) == 0
+    return outdir
+
+
+@pytest.fixture(scope="module")
+def class_report(dataset_dir, tmp_path_factory):
+    return _evaluate(dataset_dir, tmp_path_factory.mktemp("clsrep") / "report",
+                     "--experiment", "classification", "--chemistry", "NCA",
+                     "--test-cycle", "24", "--window-cycles", "16",
+                     "--split", "1/1", "--seed", "2")
+
+
+@pytest.fixture(scope="module")
+def trunc_report(dataset_dir, tmp_path_factory):
+    return _evaluate(dataset_dir, tmp_path_factory.mktemp("truncrep") / "report",
+                     "--experiment", "truncation", "--sample-counts", "6,full",
+                     "--feature-sets", "NOVEL_PRED", "--stride", "8",
+                     "--restarts", "2", "--max-iters", "100",
+                     "--split", "1/1", "--seed", "3")
+
+
 class TestEvaluateReport:
     def test_rul_report_and_verify(self, dataset_dir, tmp_path, capsys):
         outdir = tmp_path / "report"
@@ -195,27 +219,30 @@ class TestEvaluateReport:
         metrics.write_text("\n".join(text) + "\n")
         assert main(["report", "--in", str(outdir)]) == 3
 
-    def test_classification_evaluate(self, dataset_dir, tmp_path):
-        outdir = tmp_path / "clsrep"
-        code = main(["evaluate", "--manifest", _manifest(dataset_dir),
-                     "--experiment", "classification", "--chemistry", "NCA",
-                     "--test-cycle", "24", "--window-cycles", "16",
-                     "--split", "1/1", "--seed", "2", "--out", str(outdir)])
-        assert code == 0
-        assert (outdir / "confusion.csv").exists()
+    def test_classification_evaluate(self, class_report):
+        assert (class_report / "confusion.csv").exists()
 
-    def test_truncation_evaluate(self, dataset_dir, tmp_path, capsys):
-        outdir = tmp_path / "truncrep"
-        code = main(["evaluate", "--manifest", _manifest(dataset_dir),
-                     "--experiment", "truncation", "--sample-counts", "6,full",
-                     "--feature-sets", "NOVEL_PRED", "--stride", "8",
-                     "--restarts", "2", "--max-iters", "100",
-                     "--split", "1/1", "--seed", "3", "--out", str(outdir)])
-        assert code == 0
-        rows = (outdir / "sweep.csv").read_text().splitlines()[2:]
+    def test_truncation_evaluate(self, trunc_report, capsys):
+        rows = (trunc_report / "sweep.csv").read_text().splitlines()[2:]
         assert [row.split(",")[1:3] for row in rows] == [["6", "720.0"], ["16", "1920.0"]]
-        assert main(["report", "--in", str(outdir)]) == 0
+        assert main(["report", "--in", str(trunc_report)]) == 0
         assert "metrics verified" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("report, name, edit, error", [
+        ("class_report", "confusion.csv", lambda line: line.rsplit(",", 1)[0] + ",999",
+         "ValidationError"),
+        ("trunc_report", "sweep.csv", lambda line: line.rsplit(",", 1)[0] + ",1.0",
+         "ValidationError"),
+        ("class_report", "summary.txt", lambda line: line + "\nstray line", "SchemaError"),
+    ], ids=["confusion", "sweep", "summary-line-without-equals"])
+    def test_edited_report_exits_3(self, request, tmp_path, capsys, report, name, edit, error):
+        copy = tmp_path / "copy"
+        shutil.copytree(request.getfixturevalue(report), copy)
+        lines = (copy / name).read_text().splitlines()
+        lines[2] = edit(lines[2])
+        (copy / name).write_text("\n".join(lines) + "\n")
+        assert main(["report", "--in", str(copy)]) == 3
+        assert error in capsys.readouterr().err
 
 
 class TestUsage:

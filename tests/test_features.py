@@ -15,6 +15,7 @@ from batlife.errors import (
     ValidationError,
 )
 from batlife.features import (
+    DELTA_Q_GRID_POINTS,
     FeatureSet,
     WindowMode,
     WindowSpec,
@@ -150,7 +151,7 @@ class TestDeltaQVariance:
         # Q_m adds a ramp growing linearly in V with total span 0.01 Ah;
         # linear interpolation reproduces the ramp exactly on the grid, so
         # the expected value is the sample variance of that p-point ramp.
-        p = 1000
+        p = DELTA_Q_GRID_POINTS
         base = _linear_discharge(3.5)
         ramp_span = 0.01
         v = base.voltages_v
@@ -158,7 +159,7 @@ class TestDeltaQVariance:
         shifted = DischargeCurve(base.charges_ah + ramp, v, base.duration_s)
         oracle = math.log10(np.var(ramp_span * np.arange(p) / (p - 1), ddof=1))
         assert oracle == pytest.approx(-5.077875, abs=1e-4)
-        assert delta_q_variance(shifted, base, p) == pytest.approx(oracle, abs=1e-9)
+        assert delta_q_variance(shifted, base) == pytest.approx(oracle, abs=1e-9)
 
     def test_no_overlap(self):
         a = _linear_discharge(3.5, v_hi=4.2, v_lo=3.6)

@@ -1,0 +1,87 @@
+import struct
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from batlife.errors import EmptyFileError, SchemaError, ValidationError
+from batlife.textio import parse_value, read_keys, read_table, spell, write_table
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+               1.7976931348623157e308, 0.1, 1 / 3]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126))
+VALUES = st.one_of(
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126) | st.sampled_from("\n\"")),
+)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestTable:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        comments=st.lists(TEXT, max_size=3),
+        columns=st.lists(TEXT.filter(lambda name: not name.startswith("#")), min_size=1,
+                         max_size=4),
+        data=st.data(),
+    )
+    def test_round_trip(self, comments, columns, data):
+        rows = data.draw(st.lists(st.lists(VALUES, min_size=len(columns), max_size=len(columns)),
+                                  max_size=5), label="rows")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            write_table(path, comments, columns, [[spell(v) for v in row] for row in rows])
+            back_comments, header, back_rows = read_table(path)
+        assert back_comments == comments
+        assert header == columns
+        assert back_rows == [[spell(v) for v in row] for row in rows]
+        for row, back in zip(rows, back_rows):
+            for value, text in zip(row, back):
+                if isinstance(value, (bool, np.bool_)):
+                    assert parse_value(text) == int(value)
+                elif isinstance(value, (float, np.floating)):
+                    assert _bits(float(parse_value(text))) == _bits(float(value))
+                elif isinstance(value, int):
+                    assert parse_value(text) == value
+                else:
+                    assert text == value
+
+    def test_comment_without_a_space(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("#a=1\n# b=2\nx\n1\n")
+        assert read_table(path) == (["a=1", "b=2"], ["x"], [["1"]])
+
+    def test_no_header_row(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("# only a comment\n")
+        with pytest.raises(EmptyFileError):
+            read_table(path)
+
+
+class TestKeys:
+    def test_skips_blank_and_comment_lines(self, tmp_path):
+        path = tmp_path / "keys.txt"
+        path.write_text("# kind=x\n\n  a = 1 \n#b = 2\nc=x = y\n\n")
+        assert read_keys(path, SchemaError) == {"a": "1", "c": "x = y"}
+
+    @pytest.mark.parametrize("error", [ValidationError, SchemaError])
+    def test_line_without_equals_raises_the_callers_error(self, tmp_path, error):
+        path = tmp_path / "keys.txt"
+        path.write_text("a = 1\nstray\n")
+        with pytest.raises(error, match="line without '='"):
+            read_keys(path, error)
+
+    @pytest.mark.parametrize("error", [ValidationError, SchemaError])
+    def test_missing_file_raises_the_callers_error(self, tmp_path, error):
+        with pytest.raises(error):
+            read_keys(tmp_path / "absent.txt", error)
