@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__, ecm, modelio, simgen
 from .dataset import (
+    CellMeta,
     Chemistry,
     ManifestEntry,
     ingest_manifest,
@@ -194,17 +195,8 @@ def cmd_simulate(args) -> int:
     cell_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for cell in cells:
-        rel = cell.cycles[0].relaxation
         write_cell(cell, cell_dir / f"{cell.cell_id}.csv", header_comment=comment)
-        entries.append(ManifestEntry(
-            cell_id=cell.cell_id,
-            path=f"cells/{cell.cell_id}.csv",
-            chemistry=cell.chemistry,
-            condition=cell.condition,
-            nominal_capacity_ah=cell.nominal_capacity_ah,
-            sampling_interval_s=rel.sampling_interval_s,
-            rest_duration_s=float(rel.times_s[-1]),
-        ))
+        entries.append(ManifestEntry(**vars(CellMeta.of(cell)), path=f"cells/{cell.cell_id}.csv"))
     write_manifest(entries, outdir / "manifest.txt",
                    header_comment=header_comment(fp, kind="manifest"))
     print(f"wrote {len(cells)} cells under {outdir} (fingerprint {fp})")
@@ -432,6 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"batlife {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     rul, cls = RulExperimentConfig, ClassificationConfig
+    truncate_help = (f"relaxation samples kept per curve "
+                     f"(count, >= {ecm.MIN_FIT_SAMPLES}; default full)")
 
     def command(name, handler, help, manifest="manifest file (path)"):
         p = sub.add_parser(name, help=help)
@@ -466,15 +460,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("fit-ecm", cmd_fit_ecm, "fit circuit parameters for every cycle")
     p.add_argument("--cell", help="restrict to one cell id")
-    p.add_argument("--truncate", type=int,
-                   help="relaxation samples kept per curve (count, >= 6; default full)")
+    p.add_argument("--truncate", type=int, help=truncate_help)
     p.add_argument("--out", help="output CSV (path, default ecm_params.csv)")
 
     def window_flags(p):
         p.add_argument("--window-start", dest="window_start", type=int, default=rul.window_start,
                        help="reference cycle (cycle, default %(default)s)")
-        p.add_argument("--truncate", type=int,
-                       help="relaxation samples kept per curve (count, >= 6; default full)")
+        p.add_argument("--truncate", type=int, help=truncate_help)
         p.add_argument("--stride", type=int, default=rul.stride,
                        help="cycle stride (cycles, default %(default)s)")
 

@@ -19,13 +19,17 @@ round trip is exact:
 * calendar time = the sum of per-cycle durations reconstructed from the
   condition code (charge and discharge C-rates) plus two rest periods.
 
-A plain-text key/value manifest lists the cells of a dataset together with
-their chemistry, condition code, nominal capacity, and sampling protocol.
+``CellMeta`` is the one cell record: id, chemistry, condition code, nominal
+capacity, sampling interval and rest length, declared, spelled and parsed
+once for a cell CSV's first-line comment and for the plain-text key/value
+manifest that lists the cells of a dataset.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -261,25 +265,61 @@ class DatasetSplit:
             raise ValidationError(f"train and test overlap: {sorted(overlap)}")
 
 
-@dataclass
-class CellSchema:
-    """Column mapping plus per-cell metadata needed to ingest one file.
+@dataclass(frozen=True)
+class CellMeta:
+    """The one cell record: what a cell CSV's header line and a manifest say
+    about a cell besides its cycles."""
 
-    ``columns`` maps canonical column names to the names used in the file;
-    identity by default. Metadata left as ``None`` is read from the file's
-    leading comment header when present.
-    """
+    cell_id: str
+    chemistry: Chemistry
+    condition: str
+    nominal_capacity_ah: float
+    sampling_interval_s: float
+    rest_duration_s: float
 
-    cell_id: str | None = None
-    chemistry: Chemistry | None = None
-    condition: str | None = None
-    nominal_capacity_ah: float | None = None
-    sampling_interval_s: float | None = None
-    rest_duration_s: float | None = None
-    columns: dict[str, str] = field(default_factory=dict)
+    @staticmethod
+    def of(history: CellHistory) -> CellMeta:
+        """The record of a history; interval and rest length from its first relaxation."""
+        first = history.cycles[0].relaxation
+        return CellMeta(history.cell_id, history.chemistry, history.condition,
+                        history.nominal_capacity_ah, first.sampling_interval_s,
+                        float(first.times_s[-1]))
 
-    def column(self, canonical: str) -> str:
-        return self.columns.get(canonical, canonical)
+    def fields(self) -> list[tuple[str, str]]:
+        """The spelled ``(key, value)`` pairs, in header and manifest order."""
+        return [
+            ("cell_id", self.cell_id),
+            ("chemistry", self.chemistry.value),
+            ("condition", self.condition),
+            ("nominal_capacity_ah", spell(self.nominal_capacity_ah)),
+            ("sampling_interval_s", spell(self.sampling_interval_s)),
+            ("rest_duration_s", spell(self.rest_duration_s)),
+        ]
+
+    @staticmethod
+    def parse(values: dict[str, str], where) -> CellMeta:
+        """Read the record back from ``fields``' keys; other keys are ignored.
+
+        A missing key raises SchemaError; an unknown chemistry, or a number
+        that is not finite and positive, raises ValidationError.
+        """
+        missing = [f.name for f in dataclasses.fields(CellMeta) if f.name not in values]
+        if missing:
+            raise SchemaError(f"{where}: missing cell metadata {missing}")
+
+        def positive(key: str) -> float:
+            try:
+                number = float(values[key])
+            except ValueError:
+                number = math.nan
+            if not (math.isfinite(number) and number > 0):
+                raise ValidationError(
+                    f"{where}: {key} = {values[key]!r} is not a finite positive number")
+            return number
+
+        return CellMeta(values["cell_id"], Chemistry.parse(values["chemistry"]),
+                        values["condition"], positive("nominal_capacity_ah"),
+                        positive("sampling_interval_s"), positive("rest_duration_s"))
 
 
 # ---------------------------------------------------------------------------
@@ -413,51 +453,33 @@ def _resample_relaxation(times, voltages, interval_s: float):
     return grid, np.interp(grid, times, voltages)
 
 
-def ingest_cell(path, schema: CellSchema | None = None) -> CellHistory:
+def ingest_cell(path, meta: CellMeta | None = None) -> CellHistory:
     """Read one cell CSV into a validated CellHistory.
 
-    Raises SchemaError when declared columns are missing or duplicated,
-    ValidationError on structural violations, EmptyFileError on a file with
-    no data rows.
+    ``meta`` is the cell's record from a manifest; without one it is parsed
+    from the file's header line. Raises SchemaError when a column or a
+    metadata key is missing or a column duplicated, ValidationError on
+    structural violations, EmptyFileError on a file with no data rows.
     """
     path = Path(path)
-    schema = schema or CellSchema()
     if not path.exists():
         raise SchemaError(f"no such file: {path}")
 
     comments, columns, rows = read_table(path)
-    header_meta = dict(token.split("=", 1) for comment in comments
-                       for token in comment.split() if "=" in token)
     if not rows:
         raise EmptyFileError(f"{path} has no data rows")
+    for name in CANONICAL_COLUMNS:
+        if columns.count(name) != 1:
+            problem = "duplicated" if name in columns else "missing"
+            raise SchemaError(f"{path}: {problem} column {name!r}")
+    col_index = {name: columns.index(name) for name in CANONICAL_COLUMNS}
 
-    col_index: dict[str, int] = {}
-    for canonical in CANONICAL_COLUMNS:
-        name = schema.column(canonical)
-        hits = [i for i, c in enumerate(columns) if c == name]
-        if len(hits) == 0:
-            raise SchemaError(f"{path}: missing column {name!r} (for {canonical!r})")
-        if len(hits) > 1:
-            raise SchemaError(f"{path}: duplicated column {name!r}")
-        col_index[canonical] = hits[0]
-
-    def meta(field_name: str, header_key: str, parser):
-        explicit = getattr(schema, field_name)
-        if explicit is not None:
-            return explicit
-        if header_key in header_meta:
-            return parser(header_meta[header_key])
-        raise SchemaError(
-            f"{path}: {field_name} not in schema and no {header_key!r} header present"
-        )
-
-    cell_id = meta("cell_id", "cell_id", str)
-    chemistry = meta("chemistry", "chemistry", Chemistry.parse)
-    condition = meta("condition", "condition", str)
-    nominal = meta("nominal_capacity_ah", "nominal_capacity_ah", float)
-    interval = meta("sampling_interval_s", "sampling_interval_s", float)
-    rest_duration = meta("rest_duration_s", "rest_duration_s", float)
-    cutoff_current = CUTOFF_C_RATE * nominal
+    if meta is None:
+        meta = CellMeta.parse(dict(token.split("=", 1) for comment in comments
+                                   for token in comment.split() if "=" in token), path)
+    interval = meta.sampling_interval_s
+    rest_duration = meta.rest_duration_s
+    cutoff_current = CUTOFF_C_RATE * meta.nominal_capacity_ah
 
     per_cycle: dict[int, dict[str, list]] = {}
     for row in rows:
@@ -517,14 +539,8 @@ def ingest_cell(path, schema: CellSchema | None = None) -> CellHistory:
             raise ValidationError(f"{path}: cycle {cycle} carries no positive capacity")
         cycle_data.append((cycle, relaxation, discharge, capacity))
 
-    return build_history(
-        cell_id=cell_id,
-        chemistry=chemistry,
-        condition=condition,
-        nominal_capacity_ah=nominal,
-        cycle_data=cycle_data,
-        rest_duration_s=rest_duration,
-    )
+    return build_history(meta.cell_id, meta.chemistry, meta.condition,
+                         meta.nominal_capacity_ah, cycle_data, rest_duration)
 
 
 def write_cell(history: CellHistory, path, header_comment: str | None = None) -> None:
@@ -534,17 +550,11 @@ def write_cell(history: CellHistory, path, header_comment: str | None = None) ->
     reproduces every field bit for bit. The first-line comment opens with
     ``header_comment`` (callers pass ``textio.header_comment(fp,
     kind="cell")``, which already names the kind; without one it opens
-    ``kind=cell``) and goes on with the cell's metadata.
+    ``kind=cell``) and goes on with the cell's ``CellMeta`` fields as
+    ``key=value`` tokens.
     """
-    first = history.cycles[0].relaxation
-    meta = (
-        f"cell_id={history.cell_id} chemistry={history.chemistry.value} "
-        f"condition={history.condition} "
-        f"nominal_capacity_ah={spell(history.nominal_capacity_ah)} "
-        f"sampling_interval_s={spell(first.sampling_interval_s)} "
-        f"rest_duration_s={spell(first.times_s[-1])}"
-    )
-    cutoff = spell(first.cutoff_current_a)
+    meta = " ".join(f"{key}={value}" for key, value in CellMeta.of(history).fields())
+    cutoff = spell(history.cycles[0].relaxation.cutoff_current_a)
     _, _, dis_rate = parse_condition(history.condition)
     discharge_current = spell(-dis_rate * history.nominal_capacity_ah)
 
@@ -572,79 +582,51 @@ def write_cell(history: CellHistory, path, header_comment: str | None = None) ->
 # Manifest
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ManifestEntry:
-    cell_id: str
-    path: str
-    chemistry: Chemistry
-    condition: str
-    nominal_capacity_ah: float
-    sampling_interval_s: float
-    rest_duration_s: float
+@dataclass(frozen=True)
+class ManifestEntry(CellMeta):
+    """One cell of a manifest: its record and its CSV, relative to the manifest."""
 
-    def schema(self) -> CellSchema:
-        return CellSchema(
-            cell_id=self.cell_id,
-            chemistry=self.chemistry,
-            condition=self.condition,
-            nominal_capacity_ah=self.nominal_capacity_ah,
-            sampling_interval_s=self.sampling_interval_s,
-            rest_duration_s=self.rest_duration_s,
-        )
+    path: str
 
 
 def write_manifest(entries: list[ManifestEntry], path, header_comment: str | None = None) -> None:
     """Write the manifest; ``header_comment`` is the whole first-line comment.
 
-    Callers pass ``textio.header_comment(fp, kind="manifest")``, which
-    already names the kind; without one the line is ``# kind=manifest``.
+    Each cell is a block of ``cell.<id>.<key> = value`` lines: ``path``,
+    then its ``CellMeta`` fields after the id. Callers pass
+    ``textio.header_comment(fp, kind="manifest")``, which already names the
+    kind; without one the line is ``# kind=manifest``.
     """
     write_keys(path, header_comment or "kind=manifest", (
-        (f"cell.{e.cell_id}.{attr}", value) for e in entries for attr, value in (
-            ("path", e.path),
-            ("chemistry", e.chemistry.value),
-            ("condition", e.condition),
-            ("nominal_capacity_ah", spell(e.nominal_capacity_ah)),
-            ("sampling_interval_s", spell(e.sampling_interval_s)),
-            ("rest_duration_s", spell(e.rest_duration_s)),
-        )
+        (f"cell.{e.cell_id}.{key}", value)
+        for e in entries for key, value in [("path", e.path), *e.fields()[1:]]
     ))
 
 
 def read_manifest(path) -> list[ManifestEntry]:
-    fields: dict[str, dict[str, str]] = {}
+    cells: dict[str, dict[str, str]] = {}
     for key, value in read_keys(path, SchemaError).items():
         if not key.startswith("cell."):
             continue
         cell_id, _, attr = key.removeprefix("cell.").rpartition(".")
         if not cell_id or not attr:
             raise SchemaError(f"{path}: malformed manifest key {key!r}")
-        fields.setdefault(cell_id, {})[attr] = value
+        cells.setdefault(cell_id, {})[attr] = value
 
     entries = []
-    required = ("path", "chemistry", "condition", "nominal_capacity_ah",
-                "sampling_interval_s", "rest_duration_s")
-    for cell_id, attrs in fields.items():
-        missing = [r for r in required if r not in attrs]
-        if missing:
-            raise SchemaError(f"{path}: cell {cell_id} missing manifest keys {missing}")
-        entries.append(ManifestEntry(
-            cell_id=cell_id,
-            path=attrs["path"],
-            chemistry=Chemistry.parse(attrs["chemistry"]),
-            condition=attrs["condition"],
-            nominal_capacity_ah=float(attrs["nominal_capacity_ah"]),
-            sampling_interval_s=float(attrs["sampling_interval_s"]),
-            rest_duration_s=float(attrs["rest_duration_s"]),
-        ))
+    for cell_id, values in cells.items():
+        where = f"{path}: cell {cell_id}"
+        if "path" not in values:
+            raise SchemaError(f"{where} has no manifest path")
+        meta = CellMeta.parse({**values, "cell_id": cell_id}, where)
+        entries.append(ManifestEntry(**vars(meta), path=values["path"]))
     return entries
 
 
 def ingest_manifest(path) -> list[CellHistory]:
     """Load every cell listed in a manifest (paths relative to the manifest)."""
     path = Path(path)
-    return [ingest_cell(path.parent / entry.path, entry.schema())
-            for entry in read_manifest(path)]
+    return [ingest_cell(path.parent / entry.path, entry) for entry in read_manifest(path)]
 
 
 # ---------------------------------------------------------------------------

@@ -140,10 +140,6 @@ def _evaluate(theta: np.ndarray, t: np.ndarray, v, current: float):
     return theta[0] - term_e - term_c - v, (term_e, scaled_e, term_c, scaled_c)
 
 
-def _model_positive_times(theta: np.ndarray, t: np.ndarray, current: float) -> np.ndarray:
-    return _evaluate(np.asarray(theta, dtype=float), t, 0.0, current)[0]
-
-
 def _fit_bounds(curve: RelaxationCurve, tight: bool) -> tuple[np.ndarray, np.ndarray]:
     """Box constraints for the two-exponential fit.
 

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import CellHistory, Chemistry, DatasetSplit, SOH_EOL
+from .ecm import MIN_FIT_SAMPLES
 from .errors import (
     EmptyInputError,
     EmptyWindowError,
@@ -533,8 +534,9 @@ def run_truncation_sweep(
     ``ValidationError``.
     """
     for count in sample_counts:
-        if count is not None and count < 6:
-            raise ValidationError("truncation below 6 samples cannot support the circuit fit")
+        if count is not None and count < MIN_FIT_SAMPLES:
+            raise ValidationError(
+                f"truncation below {MIN_FIT_SAMPLES} samples cannot support the circuit fit")
     grids = {(rec.relaxation.sampling_interval_s, rec.relaxation.n_samples)
              for cell in cells for rec in cell.cycles}
     if len(grids) > 1:

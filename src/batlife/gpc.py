@@ -96,8 +96,7 @@ def threshold(policy: ThresholdPolicy, soh: float) -> tuple[float, float]:
         raise OutOfDomainError(
             f"lifetime thresholds are defined for soh > SOH_EOL = {SOH_EOL}, got {soh:.4f}"
         )
-    # (soh - SOH_EOL) / (1 - SOH_EOL) written so soh = 1.0 scales by exactly 1.
-    scale = 5.0 * soh - 4.0
+    scale = (soh - SOH_EOL) / (1.0 - SOH_EOL)
     return policy.upper_at_soh1 * scale, policy.lower_at_soh1 * scale
 
 

@@ -191,11 +191,6 @@ def cholesky_inverse(L: np.ndarray) -> np.ndarray:
     return L_inv.T @ L_inv
 
 
-def _factorize(K_reg: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor; raises np.linalg.LinAlgError when indefinite."""
-    return cholesky(K_reg, lower=True)
-
-
 def factorize_with_jitter(
     K: np.ndarray, sigma_f: float, sigma_n: float
 ) -> tuple[np.ndarray, float]:
@@ -210,7 +205,7 @@ def factorize_with_jitter(
     while factor <= MAX_JITTER_FACTOR * (1.0 + 1e-12):
         jitter = factor * sigma_f**2
         try:
-            L = _factorize(K + (sigma_n**2 + jitter) * eye)
+            L = cholesky(K + (sigma_n**2 + jitter) * eye, lower=True)
             return L, jitter
         except np.linalg.LinAlgError:
             factor *= 10.0
@@ -249,7 +244,7 @@ def log_marginal_likelihood(
     jitter = JITTER_FACTOR * sigma_f**2
     K_reg = sigma_f**2 * E
     K_reg[np.diag_indices(n)] += sigma_n**2 + jitter
-    L = _factorize(K_reg)
+    L = cholesky(K_reg, lower=True)
     alpha = cho_solve((L, True), y_centered)
     lml = (
         -0.5 * float(y_centered @ alpha)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -10,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batlife.cli import main
-from batlife.dataset import ingest_cell, ingest_manifest, read_manifest, write_cell, write_manifest
+from batlife.dataset import (
+    CellMeta,
+    ingest_cell,
+    ingest_manifest,
+    read_manifest,
+    write_cell,
+    write_manifest,
+)
+from batlife.errors import ValidationError
 from batlife.experiments import build_classification_samples
 from batlife.features import FeatureSet
 from batlife.gpc import NCA_POLICY
@@ -60,14 +69,46 @@ class TestSimulateIngest:
         assert plain.read_text().startswith("# kind=cell cell_id=syn25-00 ")
         entry = next(e for e in read_manifest(dataset_dir / "manifest.txt")
                      if e.cell_id == "syn25-00")
-        by_schema = ingest_cell(path, entry.schema())
+        by_manifest = ingest_cell(path, entry)
         rel = cell.cycles[0].relaxation
         assert (cell.cell_id, cell.chemistry, cell.condition, cell.nominal_capacity_ah,
                 rel.sampling_interval_s, rel.times_s[-1]) == (
             entry.cell_id, entry.chemistry, entry.condition, entry.nominal_capacity_ah,
             entry.sampling_interval_s, entry.rest_duration_s)
+        assert CellMeta.of(by_manifest) == CellMeta.of(cell)
         # The rest duration also sets calendar time.
-        assert cell.cycles[-1].calendar_days == by_schema.cycles[-1].calendar_days
+        assert cell.cycles[-1].calendar_days == by_manifest.cycles[-1].calendar_days
+
+    @pytest.mark.parametrize("source", ["manifest", "header"])
+    @pytest.mark.parametrize("key, value", [
+        ("nominal_capacity_ah", "3.5Ah"),
+        ("sampling_interval_s", "two"),
+        ("sampling_interval_s", "0.0"),
+        ("nominal_capacity_ah", "nan"),
+        ("rest_duration_s", "-5.0"),
+        ("rest_duration_s", "inf"),
+    ])
+    def test_bad_metadata_number_is_validation_error(self, dataset_dir, tmp_path, capsys,
+                                                     source, key, value):
+        entry = next(e for e in read_manifest(dataset_dir / "manifest.txt")
+                     if e.cell_id == "syn25-00")
+        cell = tmp_path / entry.path
+        cell.parent.mkdir()
+        shutil.copy(dataset_dir / entry.path, cell)
+        manifest = tmp_path / "manifest.txt"
+        write_manifest([entry], manifest)
+        if source == "manifest":
+            text = manifest.read_text()
+            manifest.write_text(re.sub(rf"(\.{key} = ).*", rf"\g<1>{value}", text))
+            assert main(["ingest", "--manifest", str(manifest)]) == 3
+            err = capsys.readouterr().err
+            assert "ValidationError" in err and key in err
+        else:
+            header, rest = cell.read_text().split("\n", 1)
+            cell.write_text(re.sub(rf"\b{key}=\S+", f"{key}={value}", header) + "\n" + rest)
+            assert main(["ingest", "--manifest", str(manifest)]) == 0  # the manifest's record
+            with pytest.raises(ValidationError, match=key):
+                ingest_cell(cell)
 
     def test_ingest_validates(self, dataset_dir, capsys):
         assert main(["ingest", "--manifest", _manifest(dataset_dir)]) == 0

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from batlife import simgen
 from batlife.dataset import (
     CellHistory,
-    CellSchema,
+    CellMeta,
     Chemistry,
     CycleRecord,
     DatasetSplit,
@@ -168,20 +168,11 @@ class TestRoundTrip:
         with pytest.raises(SchemaError):
             ingest_cell(path)
 
-    def test_column_mapping(self, tmp_path):
-        cell = _simulated_cell(horizon=3)
-        path = tmp_path / "cell.csv"
-        write_cell(cell, path)
-        path.write_text(path.read_text().replace("voltage_v", "volts"))
-        schema = CellSchema(columns={"voltage_v": "volts"})
-        back = ingest_cell(path, schema)
-        assert back.n_cycles == 3
-
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("cycle,phase,t_s,voltage_v,current_a,capacity_ah\n")
         with pytest.raises(EmptyFileError):
-            ingest_cell(path, CellSchema())
+            ingest_cell(path)
 
     def test_non_monotone_time_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -255,6 +246,33 @@ class TestManifest:
         path.write_text("cell.a.path = a.csv\ncell.a.chemistry = NCA\n")
         with pytest.raises(SchemaError):
             read_manifest(path)
+
+
+class TestCellMeta:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cell_id=st.from_regex(r"[A-Za-z0-9_.+-]{1,16}", fullmatch=True),
+        chemistry=st.sampled_from(list(Chemistry)),
+        condition=st.from_regex(r"CY[0-9]{1,2}-[0-9]\.[0-9]/[0-9]", fullmatch=True),
+        numbers=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                         min_size=3, max_size=3),
+    )
+    def test_fields_parse_round_trip(self, cell_id, chemistry, condition, numbers):
+        meta = CellMeta(cell_id, chemistry, condition, *numbers)
+        back = CellMeta.parse(dict(meta.fields()), "round trip")
+        assert back == meta
+        assert back.chemistry is chemistry
+        for a, b in zip(numbers, (back.nominal_capacity_ah, back.sampling_interval_s,
+                                  back.rest_duration_s)):
+            assert np.float64(a).tobytes() == np.float64(b).tobytes()
+
+    def test_missing_key_is_schema_error(self):
+        meta = CellMeta("x", Chemistry.NCM_NCA, "CY25-0.5/1", 3.5, 120.0, 1800.0)
+        for key, _ in meta.fields():
+            values = dict(meta.fields())
+            del values[key]
+            with pytest.raises(SchemaError, match=key):
+                CellMeta.parse(values, "partial")
 
 
 class TestSplit:

@@ -101,7 +101,7 @@ class TestFit:
         v_pos = curve.voltages_v[curve.times_s > 0]
         final_cost = report.residual_rms_v**2 * t_pos.size
         for theta0 in ecm.initial_guesses(curve):
-            start_residual = ecm._model_positive_times(theta0, t_pos, CUTOFF_A) - v_pos
+            start_residual = ecm._evaluate(theta0, t_pos, v_pos, CUTOFF_A)[0]
             assert final_cost <= float(start_residual @ start_residual) + 1e-15
 
     def test_branch_relabeling_symmetry(self):

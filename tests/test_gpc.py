@@ -55,8 +55,7 @@ class TestThreshold:
             gpc.ThresholdPolicy(upper_at_soh1=100.0, lower_at_soh1=200.0)
 
     def test_scale_reaches_zero_at_end_of_life(self):
-        # The thresholds scale by (soh - SOH_EOL) / (1 - SOH_EOL), written
-        # as 5 soh - 4 so that soh = 1 scales by exactly 1.
+        # The thresholds scale by (soh - SOH_EOL) / (1 - SOH_EOL).
         for soh in np.linspace(SOH_EOL, 1.2, 401)[1:]:
             upper, lower = threshold(NCA_POLICY, soh)
             scale = (soh - SOH_EOL) / (1.0 - SOH_EOL)
