@@ -11,6 +11,12 @@ other phases are accepted and ignored. Rest rows carry the cycle's
 measured capacity in ``capacity_ah`` so relaxation-only logs still have a
 capacity trace; discharge rows carry the running discharged charge.
 
+Ingest is columnar: ``textio.read_columns`` parses the five columns it
+reads in one C pass (``np.loadtxt``), the rows of each phase are grouped
+by one stable sort on (cycle, time), every check runs over whole columns,
+and each cycle's curves are slices of the sorted columns. Rows may come in
+any order; a rejected row is reported with its file line.
+
 Two bookkeeping quantities are derived, not stored, so that a write/ingest
 round trip is exact:
 
@@ -37,6 +43,7 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     EmptyFileError,
@@ -46,7 +53,7 @@ from .errors import (
     UnknownCycleError,
     ValidationError,
 )
-from .textio import read_keys, read_table, spell, spell_floats, write_keys, write_table
+from .textio import read_columns, read_keys, spell, spell_floats, write_keys, write_table
 
 CANONICAL_COLUMNS = ("cycle", "phase", "t_s", "voltage_v", "current_a", "capacity_ah")
 PHASES = ("charge", "rest_post_charge", "discharge", "rest_post_discharge")
@@ -125,9 +132,9 @@ class RelaxationCurve:
             raise ValidationError("relaxation curve needs at least 2 samples")
         if t[0] != 0.0:
             raise ValidationError("relaxation curve must start at t = 0")
-        if np.any(np.diff(t) <= 0):
+        if (t[1:] - t[:-1] <= 0).any():
             raise ValidationError("relaxation times must be strictly increasing")
-        if np.any(v < VOLTAGE_MIN_V) or np.any(v > VOLTAGE_MAX_V):
+        if (v < VOLTAGE_MIN_V).any() or (v > VOLTAGE_MAX_V).any():
             raise ValidationError(
                 f"relaxation voltage outside [{VOLTAGE_MIN_V}, {VOLTAGE_MAX_V}] V"
             )
@@ -178,9 +185,9 @@ class DischargeCurve:
             raise ValidationError("discharge charges and voltages must be 1-D and equal length")
         if q.size < 2:
             raise ValidationError("discharge curve needs at least 2 points")
-        if np.any(np.diff(q) < 0):
+        if (q[1:] - q[:-1] < 0).any():
             raise ValidationError("discharged charge must be non-decreasing")
-        if np.any(np.diff(v) > 0):
+        if (v[1:] - v[:-1] > 0).any():
             raise ValidationError("discharge voltage must be non-increasing")
         if self.duration_s <= 0:
             raise ValidationError("discharge duration must be positive")
@@ -277,6 +284,13 @@ class CellMeta:
     sampling_interval_s: float
     rest_duration_s: float
 
+    def __post_init__(self):
+        # The header splits its tokens on whitespace and each at its first '=';
+        # a manifest spells the id inside its keys.
+        if not self.cell_id or re.search(r"[\s=]", self.cell_id):
+            raise ValidationError(f"cell id {self.cell_id!r} is empty or holds whitespace or "
+                                  "'=', so it would not read back from a cell header or manifest")
+
     @staticmethod
     def of(history: CellHistory) -> CellMeta:
         """The record of a history; interval and rest length from its first relaxation."""
@@ -300,8 +314,9 @@ class CellMeta:
     def parse(values: dict[str, str], where) -> CellMeta:
         """Read the record back from ``fields``' keys; other keys are ignored.
 
-        A missing key raises SchemaError; an unknown chemistry, or a number
-        that is not finite and positive, raises ValidationError.
+        A missing key raises SchemaError; a cell id that would not read back,
+        an unknown chemistry, or a number that is not finite and positive,
+        raises ValidationError.
         """
         missing = [f.name for f in dataclasses.fields(CellMeta) if f.name not in values]
         if missing:
@@ -313,34 +328,35 @@ class CellMeta:
             except ValueError:
                 number = math.nan
             if not (math.isfinite(number) and number > 0):
-                raise ValidationError(
-                    f"{where}: {key} = {values[key]!r} is not a finite positive number")
+                raise ValidationError(f"{key} = {values[key]!r} is not a finite positive number")
             return number
 
-        return CellMeta(values["cell_id"], Chemistry.parse(values["chemistry"]),
-                        values["condition"], positive("nominal_capacity_ah"),
-                        positive("sampling_interval_s"), positive("rest_duration_s"))
+        try:
+            return CellMeta(values["cell_id"], Chemistry.parse(values["chemistry"]),
+                            values["condition"], positive("nominal_capacity_ah"),
+                            positive("sampling_interval_s"), positive("rest_duration_s"))
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # End of life
 # ---------------------------------------------------------------------------
 
-def moving_median(values: np.ndarray, window: int = EOL_MEDIAN_WINDOW) -> np.ndarray:
-    """Centered moving median; shrinks the window near the edges.
+def moving_median(values: np.ndarray) -> np.ndarray:
+    """Centered ``EOL_MEDIAN_WINDOW``-point moving median; shrinks the window near the edges.
 
     Sequences shorter than one full window pass through unchanged: an edge
     median over 2-3 points would mask rather than clean a real crossing.
     """
     values = np.asarray(values, dtype=float)
-    if values.size < window:
+    if values.size < EOL_MEDIAN_WINDOW:
         return values.copy()
-    half = window // 2
+    half = EOL_MEDIAN_WINDOW // 2
     out = np.empty_like(values)
-    for i in range(values.size):
-        lo = max(0, i - half)
-        hi = min(values.size, i + half + 1)
-        out[i] = np.median(values[lo:hi])
+    out[half:values.size - half] = np.median(sliding_window_view(values, EOL_MEDIAN_WINDOW), axis=1)
+    for i in [*range(half), *range(values.size - half, values.size)]:
+        out[i] = np.median(values[max(0, i - half):i + half + 1])
     return out
 
 
@@ -372,35 +388,20 @@ def compute_eol(
 # History assembly (shared by simulation and ingestion)
 # ---------------------------------------------------------------------------
 
-def cycle_duration_s(
-    capacity_ah: float,
-    nominal_capacity_ah: float,
-    condition: str,
-    rest_duration_s: float,
-) -> float:
-    """Wall-clock length of one full cycle under the condition's C-rates.
-
-    CC charge + post-charge rest + CC discharge + post-discharge rest; the
-    CV charge tail is not modeled.
-    """
-    _, chg_rate, dis_rate = parse_condition(condition)
-    charge_s = capacity_ah / (chg_rate * nominal_capacity_ah) * 3600.0
-    discharge_s = capacity_ah / (dis_rate * nominal_capacity_ah) * 3600.0
-    return charge_s + discharge_s + 2.0 * rest_duration_s
-
-
 def build_history(
-    cell_id: str,
-    chemistry: Chemistry,
-    condition: str,
-    nominal_capacity_ah: float,
+    meta: CellMeta,
     cycle_data: list[tuple[int, RelaxationCurve, DischargeCurve | None, float]],
-    rest_duration_s: float,
 ) -> CellHistory:
     """Assemble a CellHistory, deriving throughput, calendar time, and EOL.
 
     ``cycle_data`` rows are (cycle_index, relaxation, discharge, capacity_ah).
+    A cycle lasts its CC charge, post-charge rest, CC discharge and
+    post-discharge rest at the condition's C-rates; the CV charge tail is
+    not modeled.
     """
+    _, chg_rate, dis_rate = parse_condition(meta.condition)
+    charge_a = chg_rate * meta.nominal_capacity_ah
+    discharge_a = dis_rate * meta.nominal_capacity_ah
     records: list[CycleRecord] = []
     cumulative = 0.0
     calendar_s = 0.0
@@ -416,19 +417,20 @@ def build_history(
                 calendar_days=calendar_s / SECONDS_PER_DAY,
             )
         )
-        calendar_s += cycle_duration_s(capacity, nominal_capacity_ah, condition, rest_duration_s)
+        calendar_s += (capacity / charge_a * 3600.0 + capacity / discharge_a * 3600.0
+                       + 2.0 * meta.rest_duration_s)
     try:
         eol = compute_eol(
-            [r.capacity_ah for r in records], nominal_capacity_ah,
+            [r.capacity_ah for r in records], meta.nominal_capacity_ah,
             cycle_indices=[r.cycle_index for r in records],
         )
     except NeverReachedError:
         eol = None  # unlabeled: kept for feature extraction only
     return CellHistory(
-        cell_id=cell_id,
-        chemistry=chemistry,
-        condition=condition,
-        nominal_capacity_ah=nominal_capacity_ah,
+        cell_id=meta.cell_id,
+        chemistry=meta.chemistry,
+        condition=meta.condition,
+        nominal_capacity_ah=meta.nominal_capacity_ah,
         cycles=tuple(records),
         eol_cycle=eol,
     )
@@ -438,109 +440,109 @@ def build_history(
 # CSV ingestion / serialization
 # ---------------------------------------------------------------------------
 
-def _resample_relaxation(times, voltages, interval_s: float):
-    """Snap a rest transient onto the declared uniform grid.
+# The columns ingest parses (``current_a`` is not read). A phase longer than
+# every known one is cut to one character more than the longest, which
+# still names no phase.
+_COLUMN_DTYPES = {"cycle": np.int64, "phase": f"U{max(map(len, PHASES)) + 1}",
+                  "t_s": np.float64, "voltage_v": np.float64, "capacity_ah": np.float64}
 
-    Samples already on the grid are kept verbatim so canonical files round
-    trip exactly; anything else is linearly interpolated.
-    """
-    times = np.asarray(times, dtype=float)
-    voltages = np.asarray(voltages, dtype=float)
-    n = int(np.floor(times[-1] / interval_s + 1e-9)) + 1
-    grid = np.arange(n) * interval_s
-    if times.size == n and np.allclose(times, grid, atol=1e-9, rtol=0.0):
-        return times, voltages
-    return grid, np.interp(grid, times, voltages)
+
+def _phase_rows(cycle, phase, t_s, name: str):
+    """Row indices of one phase sorted by (cycle, time), file order among ties;
+    its cycles, and where each cycle's run of sorted rows starts and ends."""
+    rows = np.flatnonzero(phase == name)
+    rows = rows[np.lexsort((t_s[rows], cycle[rows]))]
+    cycles, starts = np.unique(cycle[rows], return_index=True)
+    return rows, cycles, starts, np.append(starts[1:], rows.size)
 
 
 def ingest_cell(path, meta: CellMeta | None = None) -> CellHistory:
     """Read one cell CSV into a validated CellHistory.
 
     ``meta`` is the cell's record from a manifest; without one it is parsed
-    from the file's header line. Raises SchemaError when a column or a
-    metadata key is missing or a column duplicated, ValidationError on
-    structural violations, EmptyFileError on a file with no data rows.
+    from the file's header line. The columns are parsed once, in bulk
+    (``textio.read_columns``); rows are grouped by one stable sort on
+    (cycle, time) per phase and checked in bulk, and each cycle's curves are
+    slices of the sorted columns. A rest whose samples are all on the
+    declared grid is kept verbatim, so canonical files round trip exactly;
+    any other rest is linearly interpolated onto the grid. The capacity is
+    the first rest row's, in file order.
+
+    Raises SchemaError when a column or a metadata key is missing or a
+    column duplicated, ValidationError on structural violations (naming the
+    file line), EmptyFileError on a file with no data rows.
     """
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"no such file: {path}")
-
-    comments, columns, rows = read_table(path)
-    if not rows:
+    table = read_columns(path, _COLUMN_DTYPES)
+    cycle, phase, t_s, volts, capacity = (table.values[name] for name in _COLUMN_DTYPES)
+    if cycle.size == 0:
         raise EmptyFileError(f"{path} has no data rows")
-    for name in CANONICAL_COLUMNS:
-        if columns.count(name) != 1:
-            problem = "duplicated" if name in columns else "missing"
-            raise SchemaError(f"{path}: {problem} column {name!r}")
-    col_index = {name: columns.index(name) for name in CANONICAL_COLUMNS}
-
     if meta is None:
-        meta = CellMeta.parse(dict(token.split("=", 1) for comment in comments
+        meta = CellMeta.parse(dict(token.split("=", 1) for comment in table.comments
                                    for token in comment.split() if "=" in token), path)
     interval = meta.sampling_interval_s
-    rest_duration = meta.rest_duration_s
     cutoff_current = CUTOFF_C_RATE * meta.nominal_capacity_ah
 
-    per_cycle: dict[int, dict[str, list]] = {}
-    for row in rows:
-        try:
-            cycle = int(row[col_index["cycle"]])
-            phase = row[col_index["phase"]]
-            t_s = float(row[col_index["t_s"]])
-            v = float(row[col_index["voltage_v"]])
-            q = float(row[col_index["capacity_ah"]])
-        except (ValueError, IndexError) as exc:
-            raise ValidationError(f"{path}: unparseable row {row!r}") from exc
-        if phase not in PHASES:
-            raise ValidationError(f"{path}: unknown phase {phase!r}")
-        bucket = per_cycle.setdefault(cycle, {"rest_t": [], "rest_v": [], "rest_q": [],
-                                              "dis_t": [], "dis_v": [], "dis_q": []})
-        if phase == "rest_post_charge":
-            bucket["rest_t"].append(t_s)
-            bucket["rest_v"].append(v)
-            bucket["rest_q"].append(q)
-        elif phase == "discharge":
-            bucket["dis_t"].append(t_s)
-            bucket["dis_v"].append(v)
-            bucket["dis_q"].append(q)
-        # charge / rest_post_discharge rows are tolerated and skipped
+    def fail(row, problem: str):
+        raise ValidationError(f"{table.where(int(row))}: {problem}")
+
+    unknown = np.flatnonzero(~np.isin(phase, PHASES))
+    if unknown.size:
+        fail(unknown[0], f"unknown phase {phase[unknown[0]]!r}")
+    rest, cycles, starts, ends = _phase_rows(cycle, phase, t_s, "rest_post_charge")
+    all_cycles, first_rows = np.unique(cycle, return_index=True)
+    no_rest = np.flatnonzero(~np.isin(all_cycles, cycles))
+    if no_rest.size:
+        fail(first_rows[no_rest[0]], f"cycle {all_cycles[no_rest[0]]} has no rest_post_charge rows")
+
+    rest_c, rest_t, rest_v = cycle[rest], t_s[rest], volts[rest]
+    if not np.isfinite(rest_t).all():
+        i = np.argmin(np.isfinite(rest_t))
+        fail(rest[i], f"cycle {rest_c[i]} rest time is not finite")
+    later = np.flatnonzero((rest_t[1:] <= rest_t[:-1]) & (rest_c[1:] == rest_c[:-1])) + 1
+    if later.size:
+        fail(rest[later[0]], f"cycle {rest_c[later[0]]} rest times not strictly increasing")
+    # Samples on the grid, grid points the last sample spans, and the points
+    # the declared rest needs.
+    position = np.arange(rest.size) - np.repeat(starts, ends - starts)
+    on_grid = np.logical_and.reduceat(np.abs(rest_t - position * interval) <= 1e-9, starts)
+    spans = np.floor(rest_t[ends - 1] / interval + 1e-9) + 1
+    on_grid &= ends - starts == spans
+    expected = int(np.floor(meta.rest_duration_s / interval + 1e-9)) + 1
+    short = np.flatnonzero(spans < expected)
+    if short.size:
+        k = short[0]
+        fail(rest[starts[k]], f"cycle {cycles[k]} rest has {int(spans[k])} samples; the declared "
+             f"{meta.rest_duration_s:g} s rest at {interval:g} s spacing requires {expected}")
+    first_rest = np.minimum.reduceat(rest, starts)
+
+    dis, dis_cycles, dis_starts, dis_ends = _phase_rows(cycle, phase, t_s, "discharge")
+    dis_spans = dict(zip(dis_cycles.tolist(), zip(dis_starts.tolist(), dis_ends.tolist())))
+    dis_t, dis_v, dis_q = t_s[dis], volts[dis], capacity[dis]
 
     cycle_data = []
-    for cycle in sorted(per_cycle):
-        bucket = per_cycle[cycle]
-        if not bucket["rest_t"]:
-            raise ValidationError(f"{path}: cycle {cycle} has no rest_post_charge rows")
-        order = np.argsort(bucket["rest_t"], kind="stable")
-        rest_t = np.asarray(bucket["rest_t"])[order]
-        rest_v = np.asarray(bucket["rest_v"])[order]
-        if np.any(np.diff(rest_t) <= 0):
-            raise ValidationError(f"{path}: cycle {cycle} rest times not strictly increasing")
-        rest_t, rest_v = _resample_relaxation(rest_t, rest_v, interval)
-        expected = int(np.floor(rest_duration / interval + 1e-9)) + 1
-        if rest_t.size < expected:
-            raise ValidationError(
-                f"{path}: cycle {cycle} rest has {rest_t.size} samples; the declared "
-                f"{rest_duration:g} s rest at {interval:g} s spacing requires {expected}"
-            )
-        relaxation = RelaxationCurve(rest_t, rest_v, interval, cutoff_current)
+    for k, (index, start, end) in enumerate(zip(cycles.tolist(), starts.tolist(), ends.tolist())):
+        times, voltages = rest_t[start:end], rest_v[start:end]
+        if not on_grid[k]:
+            grid = np.arange(int(spans[k])) * interval
+            times, voltages = grid, np.interp(grid, times, voltages)
+        relaxation = RelaxationCurve(times, voltages, interval, cutoff_current)
 
         discharge = None
-        if bucket["dis_t"]:
-            order = np.argsort(bucket["dis_t"], kind="stable")
-            dis_q = np.asarray(bucket["dis_q"])[order]
-            dis_v = np.asarray(bucket["dis_v"])[order]
-            duration = float(np.asarray(bucket["dis_t"])[order][-1])
-            discharge = DischargeCurve(dis_q, dis_v, duration)
+        if index in dis_spans:
+            lo, hi = dis_spans[index]
+            discharge = DischargeCurve(dis_q[lo:hi], dis_v[lo:hi], float(dis_t[hi - 1]))
 
-        capacity = float(bucket["rest_q"][0]) if bucket["rest_q"] else 0.0
-        if capacity <= 0.0 and discharge is not None:
-            capacity = discharge.capacity_ah
-        if capacity <= 0.0:
-            raise ValidationError(f"{path}: cycle {cycle} carries no positive capacity")
-        cycle_data.append((cycle, relaxation, discharge, capacity))
+        cap = float(capacity[first_rest[k]])
+        if cap <= 0.0 and discharge is not None:
+            cap = discharge.capacity_ah
+        if cap <= 0.0:
+            fail(first_rest[k], f"cycle {index} carries no positive capacity")
+        cycle_data.append((index, relaxation, discharge, cap))
 
-    return build_history(meta.cell_id, meta.chemistry, meta.condition,
-                         meta.nominal_capacity_ah, cycle_data, rest_duration)
+    return build_history(meta, cycle_data)
 
 
 def write_cell(history: CellHistory, path, header_comment: str | None = None) -> None:

@@ -32,6 +32,7 @@ from .dataset import (
     CUTOFF_WINDOWS_V,
     CUTOFF_C_RATE,
     CellHistory,
+    CellMeta,
     Chemistry,
     DischargeCurve,
     RelaxationCurve,
@@ -183,14 +184,10 @@ def simulate_cell(
         discharge = make_discharge(protocol, capacity, discharge_knots)
         cycle_data.append((m, relaxation, discharge, capacity))
 
-    return build_history(
-        cell_id=cell_id,
-        chemistry=protocol.chemistry,
-        condition=protocol.condition,
-        nominal_capacity_ah=protocol.nominal_capacity_ah,
-        cycle_data=cycle_data,
-        rest_duration_s=protocol.rest_duration_s,
-    )
+    meta = CellMeta(cell_id, protocol.chemistry, protocol.condition,
+                    protocol.nominal_capacity_ah, protocol.sampling_interval_s,
+                    protocol.rest_duration_s)
+    return build_history(meta, cycle_data)
 
 
 def spread_profile(profile: DriftProfile, cell_index: int) -> DriftProfile:

@@ -5,7 +5,9 @@ CLI outputs) and plain ``key = value`` files (manifests, report summaries,
 ``--config`` files). Both open with ``# `` comment lines; the first carries
 the provenance header (tool version, configuration fingerprint, kind).
 Every float is spelled as ``repr`` of a Python float, the shortest text
-that reads back bit for bit, and booleans as 0/1.
+that reads back bit for bit, and booleans as 0/1. ``read_table`` reads a
+table as text rows; ``read_columns`` parses chosen columns of a large
+table to typed arrays in one C pass (``np.loadtxt``).
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import itertools
+import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import EmptyFileError
+from .errors import EmptyFileError, SchemaError, ValidationError
 
 
 def fingerprint(config: dict) -> str:
@@ -70,26 +74,106 @@ def write_table(path, comments: list[str], columns, rows) -> None:
         writer.writerows(rows)
 
 
+def _read_head(fh, path):
+    """(comments, header, reader) of an open commented CSV, ``fh`` left at its first data line.
+
+    Comments come back as written (without their ``#`` and one space). A
+    file with no header row raises ``EmptyFileError``.
+    """
+    comments: list[str] = []
+    line = fh.readline()
+    while line.startswith("#"):
+        comments.append(line[1:].removeprefix(" ").rstrip("\r\n"))
+        line = fh.readline()
+    reader = csv.reader(itertools.chain([line], fh) if line else fh)
+    header = next(reader, None)
+    if not header:
+        raise EmptyFileError(f"{path} has no header row")
+    return comments, header, reader
+
+
 def read_table(path) -> tuple[list[str], list[str], list[list[str]]]:
     """(comments, header, rows) of a commented CSV, parsed as it streams in.
 
-    Comments come back as written (without their ``#`` and one space);
-    blank rows are dropped. A file with no header row raises
-    ``EmptyFileError``.
+    Blank rows are dropped.
     """
     path = Path(path)
-    comments: list[str] = []
     with path.open(newline="") as fh:
-        line = fh.readline()
-        while line.startswith("#"):
-            comments.append(line[1:].removeprefix(" ").rstrip("\r\n"))
-            line = fh.readline()
-        reader = csv.reader(itertools.chain([line], fh) if line else fh)
-        header = next(reader, None)
-        if not header:
-            raise EmptyFileError(f"{path} has no header row")
+        comments, header, reader = _read_head(fh, path)
         rows = [row for row in reader if row]
     return comments, header, rows
+
+
+@dataclass(frozen=True)
+class Columns:
+    """The typed columns ``read_columns`` read, by name, and where their rows are."""
+
+    path: Path
+    comments: list[str]
+    values: dict[str, np.ndarray]
+    head_lines: int  # comment lines plus the header line
+
+    def where(self, row: int) -> str:
+        """``<path> line <n>``: the file line of data row ``row`` (blank lines hold no row)."""
+        with self.path.open(newline="") as fh:
+            body = enumerate(itertools.islice(fh, self.head_lines, None), self.head_lines + 1)
+            numbers = (number for number, line in body if line.rstrip("\r\n"))
+            return f"{self.path} line {next(itertools.islice(numbers, row, None))}"
+
+
+def read_columns(path, dtypes: dict[str, object]) -> Columns:
+    """The columns named by ``dtypes``, each parsed to its dtype, in one C pass.
+
+    Comments and header are read as ``read_table`` reads them; the body goes
+    through ``np.loadtxt`` (``,``-separated, ``"``-quoted, blank lines
+    skipped); columns not named are not parsed. A named column that is
+    missing or duplicated raises ``SchemaError``; a row with too few fields,
+    or a field its dtype does not parse, raises ``ValidationError`` naming
+    the line.
+    """
+    path = Path(path)
+    with path.open(newline="") as fh:
+        comments, header, reader = _read_head(fh, path)
+        head_lines = len(comments) + reader.line_num
+        for name in dtypes:
+            if header.count(name) != 1:
+                problem = "duplicated" if name in header else "missing"
+                raise SchemaError(f"{path} line {head_lines}: {problem} column {name!r}")
+
+        def parse(lines):
+            with warnings.catch_warnings():
+                # An empty body is the caller's to judge, not a warning.
+                warnings.simplefilter("ignore", UserWarning)
+                return np.loadtxt(lines, dtype=list(dtypes.items()), delimiter=",", comments=None,
+                                  quotechar='"', usecols=[header.index(name) for name in dtypes],
+                                  ndmin=1)
+
+        try:
+            table = parse(fh)
+        except ValueError as exc:
+            with path.open(newline="") as again:
+                lines = again.readlines()[head_lines:]
+            bad = _first_refused(lines, parse)
+            reason = str(exc).partition(" at row")[0]
+            raise ValidationError(f"{path} line {head_lines + bad + 1}: {reason} in "
+                                  f"{lines[bad].rstrip()!r}") from None
+    return Columns(path, comments, {name: table[name] for name in dtypes}, head_lines)
+
+
+def _first_refused(lines: list[str], parse) -> int:
+    """Index of the first of ``lines`` that ``parse`` refuses, by bisection.
+
+    ``parse`` must refuse ``lines`` and judge each line on its own.
+    """
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            parse(lines[lo:mid])
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
 
 
 def write_keys(path, comment: str, items) -> None:

@@ -1,10 +1,20 @@
+import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batlife import simgen
+from batlife.cli import main
 from batlife.dataset import (
+    CANONICAL_COLUMNS,
+    CUTOFF_C_RATE,
+    VOLTAGE_MAX_V,
+    VOLTAGE_MIN_V,
     CellHistory,
     CellMeta,
     Chemistry,
@@ -118,8 +128,8 @@ class TestEol:
         curve = _simulated_cell(horizon=1).cycles[0].relaxation
         indices = [1, 2, 3, 4, 5, 20, 21, 22, 23, 24, 25]
         caps = [1.0] * 5 + [0.9, 0.85, 0.79, 0.78, 0.77, 0.76]
-        cell = build_history("gap", Chemistry.NCA, "CY25-0.5/1", 1.0,
-                             [(i, curve, None, q) for i, q in zip(indices, caps)], 1800.0)
+        meta = CellMeta("gap", Chemistry.NCA, "CY25-0.5/1", 1.0, 120.0, 1800.0)
+        cell = build_history(meta, [(i, curve, None, q) for i, q in zip(indices, caps)])
         assert cell.eol_cycle == 22
 
     def test_moving_median_of_monotone_is_identity_inside(self):
@@ -221,6 +231,182 @@ class TestRoundTrip:
             ingest_cell(path)
 
 
+def _same_history(a: CellHistory, b: CellHistory) -> bool:
+    """Every scalar equal and every array equal byte for byte."""
+    def flat(cell):
+        out = [cell.cell_id, cell.chemistry, cell.condition, cell.nominal_capacity_ah,
+               cell.eol_cycle]
+        for rec in cell.cycles:
+            rel, dis = rec.relaxation, rec.discharge
+            out += [rec.cycle_index, rec.capacity_ah, rec.cumulative_ah, rec.calendar_days,
+                    rel.times_s.tobytes(), rel.voltages_v.tobytes(), rel.sampling_interval_s,
+                    rel.cutoff_current_a, dis is None]
+            if dis is not None:
+                out += [dis.charges_ah.tobytes(), dis.voltages_v.tobytes(), dis.duration_s]
+        return out
+    return flat(a) == flat(b)
+
+
+def _parent_resample(times, voltages, interval_s):
+    """The rest resampling of the row-by-row reader this parser replaced."""
+    n = int(np.floor(times[-1] / interval_s + 1e-9)) + 1
+    grid = np.arange(n) * interval_s
+    if times.size == n and np.allclose(times, grid, atol=1e-9, rtol=0.0):
+        return times, voltages
+    return grid, np.interp(grid, times, voltages)
+
+
+CAPACITY = st.floats(min_value=0.0, max_value=1e6, exclude_min=True)
+VOLTS = st.floats(min_value=VOLTAGE_MIN_V, max_value=VOLTAGE_MAX_V)
+
+
+@st.composite
+def _histories(draw):
+    """Cells with gaps in their cycle indices, some cycles without discharge rows."""
+    interval = draw(st.sampled_from([0.5, 7.3, 30.0, 120.0]))
+    n = draw(st.integers(2, 8))
+    nominal = draw(st.floats(0.01, 1e3))
+    meta = CellMeta("prop-0", draw(st.sampled_from(list(Chemistry))), "CY25-0.5/1", nominal,
+                    interval, float((n - 1) * interval))
+    times = np.arange(n) * interval
+    cycle_data = []
+    for index in sorted(draw(st.sets(st.integers(1, 400), min_size=1, max_size=6))):
+        relaxation = RelaxationCurve(times, draw(st.lists(VOLTS, min_size=n, max_size=n)),
+                                     interval, CUTOFF_C_RATE * nominal)
+        discharge = None
+        if draw(st.booleans()):
+            m = draw(st.integers(2, 6))
+            charges = sorted(draw(st.lists(st.floats(0.0, 10.0), min_size=m, max_size=m)))
+            volts = sorted(draw(st.lists(VOLTS, min_size=m, max_size=m)), reverse=True)
+            discharge = DischargeCurve(charges, volts, draw(st.floats(1e-3, 1e9)))
+        cycle_data.append((index, relaxation, discharge, draw(CAPACITY)))
+    return build_history(meta, cycle_data)
+
+
+GOOD_HEADER = ("# kind=cell cell_id=x chemistry=NCA condition=CY25-0.5/1 "
+               "nominal_capacity_ah=3.5 sampling_interval_s=120.0 rest_duration_s=240.0")
+# File lines 3-10.
+GOOD_ROWS = [
+    "1,rest_post_charge,0.0,4.10,0.175,3.4",
+    "1,rest_post_charge,120.0,4.12,0.0,3.4",
+    "1,rest_post_charge,240.0,4.13,0.0,3.4",
+    "1,discharge,0.0,4.2,-1.75,0.0",
+    "1,discharge,3600.0,3.0,-1.75,3.4",
+    "2,rest_post_charge,0.0,4.10,0.175,3.3",
+    "2,rest_post_charge,120.0,4.12,0.0,3.3",
+    "2,rest_post_charge,240.0,4.13,0.0,3.3",
+]
+
+
+def _cell_text(rows) -> str:
+    return "\n".join([GOOD_HEADER, ",".join(CANONICAL_COLUMNS), *rows]) + "\n"
+
+
+def _cli_ingest(directory: Path, cell: Path) -> int:
+    entry = ManifestEntry("x", Chemistry.NCA, "CY25-0.5/1", 3.5, 120.0, 240.0, path=cell.name)
+    write_manifest([entry], directory / "manifest.txt")
+    return main(["ingest", "--manifest", str(directory / "manifest.txt")])
+
+
+class TestColumnarIngest:
+    @settings(max_examples=150, deadline=None)
+    @given(cell=_histories(), rng=st.randoms(use_true_random=False))
+    def test_round_trip_is_bit_exact(self, cell, rng):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cell.csv"
+            write_cell(cell, path)
+            assert _same_history(ingest_cell(path), cell)
+            # Shuffled rows, and the phases ingest skips interleaved, read the same.
+            lines = path.read_text().splitlines()
+            head, rows = lines[:2], lines[2:]
+            for rec in cell.cycles:
+                for phase in ("charge", "rest_post_discharge"):
+                    rows.append(f"{rec.cycle_index},{phase},{rng.uniform(0, 1e4)},3.9,1.0,0.0")
+            rng.shuffle(rows)
+            path.write_text("\n".join(head + rows) + "\n")
+            assert _same_history(ingest_cell(path), cell)
+
+    @settings(max_examples=100, deadline=None)
+    @given(interval=st.sampled_from([7.3, 30.0, 120.0]), n=st.integers(3, 12),
+           jitter=st.lists(st.floats(-0.4, 0.4), min_size=12, max_size=12),
+           volts=st.lists(VOLTS, min_size=12, max_size=12), rng=st.randoms(use_true_random=False))
+    def test_off_grid_rest_resamples_as_before(self, interval, n, jitter, volts, rng):
+        times = np.arange(n) * interval + np.array(jitter[:n]) * interval
+        times[0], times[-1] = 0.0, (n - 1) * interval + abs(jitter[-1]) * interval
+        rows = [f"1,rest_post_charge,{t!r},{v!r},0.0,3.5" for t, v in zip(times.tolist(), volts)]
+        rng.shuffle(rows)
+        header = (f"# kind=cell cell_id=x chemistry=NCA condition=CY25-0.5/1 "
+                  f"nominal_capacity_ah=3.5 sampling_interval_s={interval!r} "
+                  f"rest_duration_s={(n - 1) * interval!r}")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cell.csv"
+            path.write_text("\n".join([header, ",".join(CANONICAL_COLUMNS), *rows]) + "\n")
+            rel = ingest_cell(path).cycles[0].relaxation
+        want_t, want_v = _parent_resample(times, np.array(volts[:n]), interval)
+        assert rel.times_s.tobytes() == want_t.tobytes()
+        assert rel.voltages_v.tobytes() == want_v.tobytes()
+
+    @pytest.mark.parametrize("offset", [1e-10, -1e-10, 2e-9, 1e-6])
+    def test_grid_tolerance(self, tmp_path, offset):
+        # Within 1e-9 s of the grid a rest is kept verbatim; beyond, resampled.
+        times = np.array([0.0, 120.0 + offset, 240.0])
+        path = tmp_path / "cell.csv"
+        path.write_text(_cell_text([f"1,rest_post_charge,{t!r},{v},0.0,3.5"
+                                    for t, v in zip(times.tolist(), (4.1, 4.12, 4.13))]))
+        rel = ingest_cell(path).cycles[0].relaxation
+        want_t, want_v = _parent_resample(times, np.array([4.1, 4.12, 4.13]), 120.0)
+        assert rel.times_s.tobytes() == want_t.tobytes()
+        assert rel.voltages_v.tobytes() == want_v.tobytes()
+        assert bool(rel.times_s[1] == times[1]) == (abs(offset) <= 1e-9)
+
+    def test_capacity_is_the_first_rest_row_in_file_order(self, tmp_path):
+        path = tmp_path / "cell.csv"
+        path.write_text(_cell_text(["1,rest_post_charge,240.0,4.13,0.0,3.1",
+                                    "1,rest_post_charge,0.0,4.10,0.175,3.3",
+                                    "1,rest_post_charge,120.0,4.12,0.0,3.2"]))
+        assert ingest_cell(path).cycles[0].capacity_ah == 3.1
+
+    @pytest.mark.parametrize("edit, line", [
+        pytest.param({1: "1,rest_post_charge,120.0,4.1V,0.0,3.4"}, 4, id="unparseable-number"),
+        pytest.param({1: "1,rest_post_charge,120.0,4.1_2,0.0,3.4"}, 4, id="digit-underscore"),
+        pytest.param({3: "1.0,discharge,0.0,4.2,-1.75,0.0"}, 6, id="float-cycle"),
+        pytest.param({1: "1,rest_post_charge,120.0,4.12,0.0"}, 4, id="too-few-fields"),
+        pytest.param({3: "1,dischrge,0.0,4.2,-1.75,0.0"}, 6, id="unknown-phase"),
+        pytest.param({0: "\n" + GOOD_ROWS[0], 4: "1,rest_post_discharge_x,3600.0,3.0,-1.75,3.4"},
+                     8, id="unknown-phase-after-blank-line"),
+        pytest.param({2: "1,rest_post_charge,120.0,4.13,0.0,3.4"}, 5, id="repeated-rest-time"),
+        pytest.param({2: "1,rest_post_charge,nan,4.13,0.0,3.4"}, 5, id="rest-time-not-finite"),
+        pytest.param({8: "3,charge,0.0,3.9,1.75,0.0"}, 11, id="cycle-without-rest-rows"),
+        pytest.param({5: "2,rest_post_charge,0.0,4.10,0.175,0.0"}, 8, id="non-positive-capacity"),
+        pytest.param({7: "2,rest_post_charge,120.5,4.13,0.0,3.3"}, 8, id="short-rest"),
+    ])
+    def test_rejection_names_file_and_line(self, tmp_path, capsys, edit, line):
+        rows = [edit.get(i, row) for i, row in enumerate(GOOD_ROWS)]
+        rows += [text for i, text in edit.items() if i >= len(GOOD_ROWS)]
+        path = tmp_path / "cell.csv"
+        path.write_text(_cell_text(rows))
+        with pytest.raises(ValidationError, match=rf"{re.escape(str(path))} line {line}:"):
+            ingest_cell(path)
+        assert _cli_ingest(tmp_path, path) == 3
+        assert "ValidationError" in capsys.readouterr().err
+
+    def test_duplicated_column_is_schema_error(self, tmp_path, capsys):
+        path = tmp_path / "cell.csv"
+        path.write_text(_cell_text(GOOD_ROWS).replace("current_a", "voltage_v"))
+        where = re.escape(f"{path} line 2")
+        with pytest.raises(SchemaError, match=f"{where}: duplicated column 'voltage_v'"):
+            ingest_cell(path)
+        assert _cli_ingest(tmp_path, path) == 3
+
+    def test_good_rows_ingest(self, tmp_path):
+        path = tmp_path / "cell.csv"
+        path.write_text(_cell_text(GOOD_ROWS))
+        cell = ingest_cell(path)
+        assert [rec.cycle_index for rec in cell.cycles] == [1, 2]
+        assert cell.cycles[0].discharge.duration_s == 3600.0
+        assert cell.cycles[1].discharge is None
+
+
 class TestManifest:
     def test_manifest_roundtrip(self, tmp_path):
         cells = [_simulated_cell(seed=i, horizon=3, cell_id=f"m-{i:02d}") for i in range(3)]
@@ -265,6 +451,29 @@ class TestCellMeta:
         for a, b in zip(numbers, (back.nominal_capacity_ah, back.sampling_interval_s,
                                   back.rest_duration_s)):
             assert np.float64(a).tobytes() == np.float64(b).tobytes()
+
+    @pytest.mark.parametrize("cell_id", ["a b", "a\tb", "a\rb", "a\nb", "a=b", ""])
+    def test_id_that_cannot_read_back_is_rejected(self, cell_id):
+        with pytest.raises(ValidationError, match="cell id"):
+            CellMeta(cell_id, Chemistry.NCA, "CY25-0.5/1", 3.5, 120.0, 1800.0)
+
+    def test_header_id_that_cannot_read_back(self, tmp_path):
+        path = tmp_path / "cell.csv"
+        with pytest.raises(ValidationError, match="cell id 'a b'"):
+            write_cell(replace(_simulated_cell(horizon=3), cell_id="a b"), path)
+        path.write_text(_cell_text(GOOD_ROWS).replace("cell_id=x", "cell_id=a=b"))
+        with pytest.raises(ValidationError, match=rf"{re.escape(str(path))}: cell id 'a=b'"):
+            ingest_cell(path)
+
+    def test_manifest_id_that_cannot_read_back(self, tmp_path, capsys):
+        (tmp_path / "cell.csv").write_text(_cell_text(GOOD_ROWS))
+        assert _cli_ingest(tmp_path, tmp_path / "cell.csv") == 0
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("cell.x.", "cell.a b."))
+        with pytest.raises(ValidationError, match="cell a b: cell id 'a b'"):
+            read_manifest(manifest)
+        assert main(["ingest", "--manifest", str(manifest)]) == 3
+        assert "ValidationError" in capsys.readouterr().err
 
     def test_missing_key_is_schema_error(self):
         meta = CellMeta("x", Chemistry.NCM_NCA, "CY25-0.5/1", 3.5, 120.0, 1800.0)

@@ -1,5 +1,7 @@
+import re
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batlife.errors import EmptyFileError, SchemaError, ValidationError
-from batlife.textio import parse_value, read_keys, read_table, spell, write_table
+from batlife.textio import parse_value, read_columns, read_keys, read_table, spell, write_table
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
                1.7976931348623157e308, 0.1, 1 / 3]
@@ -66,6 +68,48 @@ class TestTable:
         path.write_text("# only a comment\n")
         with pytest.raises(EmptyFileError):
             read_table(path)
+
+
+DTYPES = {"n": np.int64, "name": "U8", "x": np.float64}
+
+
+class TestColumns:
+    def test_typed_columns_and_their_lines(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text('# a=1\nx,skip,name,n\n1.5,not a number,"b,c",7\n\n-2e3, ?,d,+8\n')
+        table = read_columns(path, DTYPES)
+        assert table.comments == ["a=1"]
+        assert table.values["n"].tolist() == [7, 8]
+        assert table.values["name"].tolist() == ["b,c", "d"]
+        assert table.values["x"].tolist() == [1.5, -2000.0]
+        assert [table.where(row) for row in (0, 1)] == [f"{path} line 3", f"{path} line 5"]
+
+    def test_header_only_gives_empty_columns(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("n,name,x\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = read_columns(path, DTYPES)
+        assert all(column.size == 0 for column in table.values.values())
+
+    @pytest.mark.parametrize("header, problem", [("n,name", "missing column 'x'"),
+                                                 ("n,name,x,n", "duplicated column 'n'")])
+    def test_missing_or_duplicated_column(self, tmp_path, header, problem):
+        path = tmp_path / "table.csv"
+        path.write_text(f"# c\n{header}\n1,a,2.0,1\n")
+        with pytest.raises(SchemaError, match=f"line 2: {problem}"):
+            read_columns(path, DTYPES)
+
+    @pytest.mark.parametrize("bad", ["1,a,4.1V", "1,a", "1.0,a,2.0", "1,a,1_0", "1,a,"])
+    @pytest.mark.parametrize("at", [0, 1, 5])
+    def test_first_refused_line_is_named(self, tmp_path, bad, at):
+        rows = ["1,a,2.0"] * 7
+        rows[at] = bad
+        rows[-1] = "x,a,2.0"  # a later refused line is not the one named
+        path = tmp_path / "table.csv"
+        path.write_text("# c\nn,name,x\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValidationError, match=rf"line {at + 3}: .* in '{re.escape(bad)}'$"):
+            read_columns(path, DTYPES)
 
 
 class TestKeys:
