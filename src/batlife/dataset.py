@@ -15,7 +15,9 @@ Ingest is columnar: ``textio.read_columns`` parses the five columns it
 reads in one C pass (``np.loadtxt``), the rows of each phase are grouped
 by one stable sort on (cycle, time), every check runs over whole columns,
 and each cycle's curves are slices of the sorted columns. Rows may come in
-any order; a rejected row is reported with its file line.
+any order; a rejected row is reported with its file line. A rest voltage,
+discharge value or capacity that is not a finite number is rejected, so
+no NaN reaches a circuit fit.
 
 Two bookkeeping quantities are derived, not stored, so that a write/ingest
 round trip is exact:
@@ -132,16 +134,18 @@ class RelaxationCurve:
             raise ValidationError("relaxation curve needs at least 2 samples")
         if t[0] != 0.0:
             raise ValidationError("relaxation curve must start at t = 0")
-        if (t[1:] - t[:-1] <= 0).any():
-            raise ValidationError("relaxation times must be strictly increasing")
-        if (v < VOLTAGE_MIN_V).any() or (v > VOLTAGE_MAX_V).any():
+        # Every comparison below is false for NaN, and increasing times
+        # from 0 up to a finite last time are all finite.
+        if not ((t[1:] - t[:-1] > 0).all() and math.isfinite(t[-1])):
+            raise ValidationError("relaxation times must be finite and strictly increasing")
+        if not ((v >= VOLTAGE_MIN_V) & (v <= VOLTAGE_MAX_V)).all():
             raise ValidationError(
-                f"relaxation voltage outside [{VOLTAGE_MIN_V}, {VOLTAGE_MAX_V}] V"
+                f"relaxation voltage is not a number in [{VOLTAGE_MIN_V}, {VOLTAGE_MAX_V}] V"
             )
-        if self.sampling_interval_s <= 0:
-            raise ValidationError("sampling interval must be positive")
-        if self.cutoff_current_a <= 0:
-            raise ValidationError("cutoff current must be positive")
+        if not 0 < self.sampling_interval_s < math.inf:
+            raise ValidationError("sampling interval must be finite and positive")
+        if not 0 < self.cutoff_current_a < math.inf:
+            raise ValidationError("cutoff current must be finite and positive")
 
     @property
     def n_samples(self) -> int:
@@ -185,12 +189,13 @@ class DischargeCurve:
             raise ValidationError("discharge charges and voltages must be 1-D and equal length")
         if q.size < 2:
             raise ValidationError("discharge curve needs at least 2 points")
-        if (q[1:] - q[:-1] < 0).any():
-            raise ValidationError("discharged charge must be non-decreasing")
-        if (v[1:] - v[:-1] > 0).any():
-            raise ValidationError("discharge voltage must be non-increasing")
-        if self.duration_s <= 0:
-            raise ValidationError("discharge duration must be positive")
+        # A monotone sequence without NaN steps and with finite ends is finite.
+        if not ((q[1:] - q[:-1] >= 0).all() and math.isfinite(q[0]) and math.isfinite(q[-1])):
+            raise ValidationError("discharged charge must be finite and non-decreasing")
+        if not ((v[1:] - v[:-1] <= 0).all() and math.isfinite(v[0]) and math.isfinite(v[-1])):
+            raise ValidationError("discharge voltage must be finite and non-increasing")
+        if not 0 < self.duration_s < math.inf:
+            raise ValidationError("discharge duration must be finite and positive")
 
     @property
     def capacity_ah(self) -> float:
@@ -211,8 +216,8 @@ class CycleRecord:
     def __post_init__(self):
         if self.cycle_index < 1:
             raise ValidationError("cycle index must be a positive integer")
-        if self.capacity_ah <= 0:
-            raise ValidationError("capacity must be positive")
+        if not 0 < self.capacity_ah < math.inf:
+            raise ValidationError("capacity must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -469,8 +474,9 @@ def ingest_cell(path, meta: CellMeta | None = None) -> CellHistory:
     the first rest row's, in file order.
 
     Raises SchemaError when a column or a metadata key is missing or a
-    column duplicated, ValidationError on structural violations (naming the
-    file line), EmptyFileError on a file with no data rows.
+    column duplicated, ValidationError on structural violations or a number
+    that is not finite (naming the file line), EmptyFileError on a file with
+    no data rows.
     """
     path = Path(path)
     if not path.exists():
@@ -501,6 +507,11 @@ def ingest_cell(path, meta: CellMeta | None = None) -> CellHistory:
     if not np.isfinite(rest_t).all():
         i = np.argmin(np.isfinite(rest_t))
         fail(rest[i], f"cycle {rest_c[i]} rest time is not finite")
+    in_range = (rest_v >= VOLTAGE_MIN_V) & (rest_v <= VOLTAGE_MAX_V)  # false for NaN
+    if not in_range.all():
+        i = np.argmin(in_range)
+        fail(rest[i], f"cycle {rest_c[i]} rest voltage {float(rest_v[i])!r} is not a number in "
+             f"[{VOLTAGE_MIN_V}, {VOLTAGE_MAX_V}] V")
     later = np.flatnonzero((rest_t[1:] <= rest_t[:-1]) & (rest_c[1:] == rest_c[:-1])) + 1
     if later.size:
         fail(rest[later[0]], f"cycle {rest_c[later[0]]} rest times not strictly increasing")
@@ -521,6 +532,10 @@ def ingest_cell(path, meta: CellMeta | None = None) -> CellHistory:
     dis, dis_cycles, dis_starts, dis_ends = _phase_rows(cycle, phase, t_s, "discharge")
     dis_spans = dict(zip(dis_cycles.tolist(), zip(dis_starts.tolist(), dis_ends.tolist())))
     dis_t, dis_v, dis_q = t_s[dis], volts[dis], capacity[dis]
+    finite = np.isfinite(dis_t) & np.isfinite(dis_v) & np.isfinite(dis_q)
+    if not finite.all():
+        i = np.argmin(finite)
+        fail(dis[i], f"cycle {cycle[dis[i]]} discharge row holds a number that is not finite")
 
     cycle_data = []
     for k, (index, start, end) in enumerate(zip(cycles.tolist(), starts.tolist(), ends.tolist())):
@@ -538,8 +553,8 @@ def ingest_cell(path, meta: CellMeta | None = None) -> CellHistory:
         cap = float(capacity[first_rest[k]])
         if cap <= 0.0 and discharge is not None:
             cap = discharge.capacity_ah
-        if cap <= 0.0:
-            fail(first_rest[k], f"cycle {index} carries no positive capacity")
+        if not 0.0 < cap < math.inf:
+            fail(first_rest[k], f"cycle {index} carries no finite positive capacity")
         cycle_data.append((index, relaxation, discharge, cap))
 
     return build_history(meta, cycle_data)

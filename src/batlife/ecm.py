@@ -31,6 +31,13 @@ above twice the exact-fit residual norm rules out every model
 (``_cannot_interpolate``). With six t > 0 samples, on a non-uniform grid,
 or when the certificate does not hold, the wide pass runs. A certified skip
 never changes a result: the report is bitwise the one the wide pass gives.
+
+A fit takes hundreds to thousands of damped steps on 5 to ~120 points, so
+each step is kept to a few numpy calls: both branches are evaluated in one
+(2, n) pass (``_evaluate``), their Jacobian columns are filled by two
+strided operations, and each 5 x 5 system is solved by LAPACK ``dgesv``
+called directly. The arithmetic, and its order, is that of the plain
+per-branch formulation, so every ``FitReport`` is bitwise the one it gives.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .dataset import RelaxationCurve
 from .errors import InsufficientDataError, ValidationError
@@ -130,14 +138,17 @@ def predict_relaxation(params: EcmParams, cutoff_current_a: float, times_s) -> n
 
 def _evaluate(theta: np.ndarray, t: np.ndarray, v, current: float):
     """Residual ``ocv - term_e - term_c - v`` of the t > 0 model at ``theta``
-    (log-parameterized), plus the pieces its Jacobian reuses: each branch's
-    term ``current*r*exp(-t/tau)`` and ``t/tau``."""
-    r_e, tau_e, r_c, tau_c = np.exp(theta[1:])
-    scaled_e = t / tau_e
-    scaled_c = t / tau_c
-    term_e = current * r_e * np.exp(-scaled_e)
-    term_c = current * r_c * np.exp(-scaled_c)
-    return theta[0] - term_e - term_c - v, (term_e, scaled_e, term_c, scaled_c)
+    (log-parameterized), plus the pieces its Jacobian reuses: the (2, n)
+    branch terms ``current*r*exp(-t/tau)`` and ``t/tau``, row 0 for the 'e'
+    branch and row 1 for the 'c' branch, both computed in one pass."""
+    r_tau = np.exp(theta[1:])  # r_e, tau_e, r_c, tau_c
+    scaled = t / r_tau[1::2, None]
+    term = np.exp(-scaled)
+    term *= (current * r_tau[0::2])[:, None]
+    residual = theta[0] - term[0]
+    residual -= term[1]
+    residual -= v
+    return residual, (term, scaled)
 
 
 def _fit_bounds(curve: RelaxationCurve, tight: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -181,8 +192,13 @@ def _damped_gauss_newton(theta0, t, v, current, lower, upper):
     onto the feasible box; non-finite trial costs simply reject the step,
     so floating-point overflow in a wild trial is silenced. The Jacobian
     (analytic, wrt ocv, log r_e, log tau_e, log r_c, log tau_c) reuses the
-    accepted candidate's exponentials: ``-current*r*decay`` rounds exactly
-    as ``-(current*r*decay)``.
+    accepted candidate's fused (2, n) evaluation, filling both branches'
+    columns with two strided operations: ``-current*r*decay`` rounds
+    exactly as ``-(current*r*decay)``. Each damped 5 x 5 system is solved
+    by LAPACK ``dgesv`` called directly, without ``np.linalg.solve``'s
+    per-call wrapper; an exactly singular system (``info != 0``) is
+    treated like any rejected step: the damping grows fourfold and the
+    solve is retried.
     """
     theta = np.minimum(np.maximum(np.asarray(theta0, dtype=float), lower), upper)
     residual, terms = _evaluate(theta, t, v, current)
@@ -193,28 +209,29 @@ def _damped_gauss_newton(theta0, t, v, current, lower, upper):
     stagnant = 0
     jac = np.empty((t.size, 5))
     jac[:, 0] = 1.0
+    branch_r = jac[:, 1::2]  # d/d log r_e, d/d log r_c
+    branch_tau = jac[:, 2::2]  # d/d log tau_e, d/d log tau_c
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while iterations < MAX_ITERATIONS:
             iterations += 1
-            term_e, scaled_e, term_c, scaled_c = terms
-            np.negative(term_e, out=jac[:, 1])
-            np.multiply(jac[:, 1], scaled_e, out=jac[:, 2])
-            np.negative(term_c, out=jac[:, 3])
-            np.multiply(jac[:, 3], scaled_c, out=jac[:, 4])
+            term, scaled = terms
+            np.negative(term.T, out=branch_r)
+            np.multiply(branch_r, scaled.T, out=branch_tau)
             grad = jac.T @ residual
+            neg_grad = np.negative(grad, out=grad)
             hess = jac.T @ jac
-            neg_grad = -grad
             diag = hess.diagonal().copy()
             diag[diag <= 0.0] = 1.0
             for _ in range(25):
                 system = hess.copy()
                 system.reshape(-1)[::6] += damping * diag  # the 5x5 diagonal
-                try:
-                    step = np.linalg.solve(system, neg_grad)
-                except np.linalg.LinAlgError:
+                step, info = dgesv(system, neg_grad, overwrite_a=1)[2:]
+                if info != 0:  # exactly singular
                     damping *= 4.0
                     continue
-                candidate = np.minimum(np.maximum(theta + step, lower), upper)
+                candidate = theta + step
+                np.maximum(candidate, lower, out=candidate)
+                np.minimum(candidate, upper, out=candidate)
                 cand_residual, cand_terms = _evaluate(candidate, t, v, current)
                 cand_cost = float(cand_residual @ cand_residual)
                 if math.isfinite(cand_cost) and cand_cost <= cost:

@@ -362,13 +362,6 @@ def predict_binary(model: BinaryGpc, x_star) -> float | np.ndarray:
     return float(probs[0]) if single else probs
 
 
-def mode_stationarity(model: BinaryGpc) -> float:
-    """Max-norm of the posterior-mode optimality residual (should be ~0)."""
-    pi = expit(model.f_hat)
-    t = (model.y_train + 1.0) / 2.0
-    return float(np.max(np.abs((t - pi) - model.grad_at_mode)))
-
-
 # ---------------------------------------------------------------------------
 # Three-way DAG
 # ---------------------------------------------------------------------------

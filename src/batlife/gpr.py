@@ -128,19 +128,6 @@ class GprTrainConfig:
 # Kernel
 # ---------------------------------------------------------------------------
 
-def kernel_eval(x_i, x_j, kernel: KernelParams) -> float:
-    """Covariance between two feature vectors."""
-    x_i = np.asarray(x_i, dtype=float)
-    x_j = np.asarray(x_j, dtype=float)
-    if x_i.shape != x_j.shape or x_i.ndim != 1 or x_i.size != kernel.n_features:
-        raise DimensionMismatchError(
-            f"expected two vectors of length {kernel.n_features}, "
-            f"got shapes {x_i.shape} and {x_j.shape}"
-        )
-    scaled = (x_i - x_j) / kernel.length_scales
-    return float(kernel.sigma_f**2 * math.exp(-math.sqrt(float(scaled @ scaled))))
-
-
 def scaled_distance(Xa: np.ndarray, Xb: np.ndarray, length_scales: np.ndarray) -> np.ndarray:
     """Pairwise r_ij = sqrt(sum_m (x_im - x_jm)^2 / l_m^2); k = sigma_f^2 exp(-r)."""
     if Xa.shape[0] == 0 or Xb.shape[0] == 0:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -61,17 +62,41 @@ def parse_value(text: str):
         return text
 
 
+# Rows that ``write_table`` renders, checks and writes at a time.
+_CHUNK_ROWS = 4096
+
+
 def write_table(path, comments: list[str], columns, rows) -> None:
     """Write a commented CSV: one ``# `` line per comment, the header, the rows.
 
     Row values must already be spelled (``spell``, ``spell_floats``) or be
-    ints; they are written as they are.
+    ints; they are written as they are. A line break in a comment, or a
+    carriage return anywhere in the table, raises ``ValidationError``, since
+    neither would read back (under a ``\\n`` line end the ``csv`` writer does
+    not quote a bare ``\\r``, and the reader ends the row there). The text
+    goes out in chunks of ``_CHUNK_ROWS`` rows, each checked before it is
+    written; a partly written table is removed.
     """
-    with Path(path).open("w", newline="") as fh:
-        fh.writelines(f"# {comment}\n" for comment in comments)
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+    path = Path(path)
+    if any("\n" in comment for comment in comments):
+        raise ValidationError(f"{path}: a line break in a comment would not read back")
+    text = io.StringIO()
+    text.writelines(f"# {comment}\n" for comment in comments)
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    rows = iter(rows)
+    try:
+        with path.open("w", newline="") as fh:
+            while chunk := text.getvalue():
+                if "\r" in chunk:
+                    raise ValidationError(f"{path}: a carriage return would not read back")
+                fh.write(chunk)
+                text.seek(0)
+                text.truncate()
+                writer.writerows(itertools.islice(rows, _CHUNK_ROWS))
+    except ValidationError:
+        path.unlink()
+        raise
 
 
 def _read_head(fh, path):

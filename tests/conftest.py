@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from batlife import simgen
 from batlife.dataset import RelaxationCurve
@@ -34,3 +37,18 @@ def drifting_cell():
     """One noiseless cell with monotone drift, modest horizon."""
     profile = simgen.condition_profile(300.0, seed=5, noise_sigma_v=0.0, cell_spread=0.0)
     return simgen.simulate_cell(profile, simgen.NCA_PROTOCOL, 60, cell_id="drift-00")
+
+
+def kernel_eval(x_i, x_j, kernel) -> float:
+    """Oracle: the ARD-exponential covariance of two feature vectors, one
+    pair at a time (``gpr.kernel_matrix`` computes it for whole matrices)."""
+    scaled = (np.asarray(x_i, dtype=float) - np.asarray(x_j, dtype=float)) / kernel.length_scales
+    return float(kernel.sigma_f**2 * math.exp(-math.sqrt(float(scaled @ scaled))))
+
+
+def mode_stationarity(model) -> float:
+    """Oracle: max-norm of a binary GPC's posterior-mode optimality residual
+    (t - pi(f_hat) - grad_at_mode; ~0 at the mode)."""
+    pi = expit(model.f_hat)
+    t = (model.y_train + 1.0) / 2.0
+    return float(np.max(np.abs((t - pi) - model.grad_at_mode)))

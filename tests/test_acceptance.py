@@ -30,6 +30,8 @@ from batlife.experiments import (
 from batlife.features import FeatureSet
 from batlife.gpc import NCA_POLICY, threshold
 
+from conftest import kernel_eval
+
 RUNTIME_BUDGET_S = 300.0
 
 
@@ -116,9 +118,9 @@ def test_criterion_2_gpr_dense_oracle():
 
     Xs = model.standardizer.transform(X)
     Xss = model.standardizer.transform(X_star)
-    K = np.array([[gpr.kernel_eval(a, b, model.kernel) for b in Xs] for a in Xs])
+    K = np.array([[kernel_eval(a, b, model.kernel) for b in Xs] for a in Xs])
     K_inv = np.linalg.inv(K + (model.kernel.sigma_n**2 + model.jitter) * np.eye(20))
-    K_star = np.array([[gpr.kernel_eval(a, b, model.kernel) for b in Xss] for a in Xs])
+    K_star = np.array([[kernel_eval(a, b, model.kernel) for b in Xss] for a in Xs])
     mean_oracle = K_star.T @ K_inv @ (y - model.y_mean) + model.y_mean
     var_oracle = (model.kernel.sigma_f**2
                   - np.einsum("ij,ji->i", K_star.T, K_inv @ K_star)

@@ -68,6 +68,38 @@ class TestTypes:
             RelaxationCurve(np.array([0.0, 120.0, 120.0]),
                             np.array([4.1, 4.11, 4.12]), 120.0, 0.175)
 
+    @pytest.mark.parametrize("times, volts, interval, current", [
+        pytest.param([0.0, 120.0, 240.0], [4.1, np.nan, 4.13], 120.0, 0.175, id="nan-voltage"),
+        pytest.param([0.0, 120.0, 240.0], [4.1, 4.12, np.inf], 120.0, 0.175, id="inf-voltage"),
+        pytest.param([0.0, np.nan, 240.0], [4.1, 4.12, 4.13], 120.0, 0.175, id="nan-time"),
+        pytest.param([0.0, 120.0, np.inf], [4.1, 4.12, 4.13], 120.0, 0.175, id="inf-time"),
+        pytest.param([0.0, 120.0, 240.0], [4.1, 4.12, 4.13], np.nan, 0.175, id="nan-interval"),
+        pytest.param([0.0, 120.0, 240.0], [4.1, 4.12, 4.13], np.inf, 0.175, id="inf-interval"),
+        pytest.param([0.0, 120.0, 240.0], [4.1, 4.12, 4.13], 120.0, np.nan, id="nan-current"),
+        pytest.param([0.0, 120.0, 240.0], [4.1, 4.12, 4.13], 120.0, np.inf, id="inf-current"),
+    ])
+    def test_relaxation_rejects_non_finite(self, times, volts, interval, current):
+        with pytest.raises(ValidationError):
+            RelaxationCurve(np.array(times), np.array(volts), interval, current)
+
+    @pytest.mark.parametrize("charges, volts, duration", [
+        pytest.param([0.0, np.nan, 2.0], [4.2, 3.8, 3.5], 3600.0, id="nan-charge"),
+        pytest.param([0.0, 1.0, np.inf], [4.2, 3.8, 3.5], 3600.0, id="inf-charge"),
+        pytest.param([-np.inf, 1.0, 2.0], [4.2, 3.8, 3.5], 3600.0, id="minus-inf-charge"),
+        pytest.param([0.0, 1.0, 2.0], [np.inf, 3.8, 3.5], 3600.0, id="inf-voltage"),
+        pytest.param([0.0, 1.0, 2.0], [4.2, np.nan, 3.5], 3600.0, id="nan-voltage"),
+        pytest.param([0.0, 1.0, 2.0], [4.2, 3.8, 3.5], np.nan, id="nan-duration"),
+    ])
+    def test_discharge_rejects_non_finite(self, charges, volts, duration):
+        with pytest.raises(ValidationError):
+            DischargeCurve(np.array(charges), np.array(volts), duration)
+
+    @pytest.mark.parametrize("capacity", [np.nan, np.inf, 0.0])
+    def test_cycle_capacity_must_be_finite_and_positive(self, capacity):
+        relaxation = RelaxationCurve(np.array([0.0, 120.0]), np.array([4.1, 4.11]), 120.0, 0.175)
+        with pytest.raises(ValidationError):
+            CycleRecord(1, relaxation, capacity, 0.0, 0.0)
+
     def test_discharge_monotonicity(self):
         with pytest.raises(ValidationError):
             DischargeCurve(np.array([0.0, 1.0, 0.5]), np.array([4.2, 3.8, 3.5]), 3600.0)
@@ -378,6 +410,13 @@ class TestColumnarIngest:
         pytest.param({2: "1,rest_post_charge,nan,4.13,0.0,3.4"}, 5, id="rest-time-not-finite"),
         pytest.param({8: "3,charge,0.0,3.9,1.75,0.0"}, 11, id="cycle-without-rest-rows"),
         pytest.param({5: "2,rest_post_charge,0.0,4.10,0.175,0.0"}, 8, id="non-positive-capacity"),
+        pytest.param({1: "1,rest_post_charge,120.0,nan,0.0,3.4"}, 4, id="nan-rest-voltage"),
+        pytest.param({2: "1,rest_post_charge,240.0,-inf,0.0,3.4"}, 5, id="inf-rest-voltage"),
+        pytest.param({6: "2,rest_post_charge,120.0,4.6,0.0,3.3"}, 9, id="rest-voltage-range"),
+        pytest.param({0: "1,rest_post_charge,0.0,4.10,0.175,nan"}, 3, id="nan-capacity"),
+        pytest.param({5: "2,rest_post_charge,0.0,4.10,0.175,inf"}, 8, id="inf-capacity"),
+        pytest.param({4: "1,discharge,3600.0,nan,-1.75,3.4"}, 7, id="nan-discharge-voltage"),
+        pytest.param({3: "1,discharge,nan,4.2,-1.75,0.0"}, 6, id="nan-discharge-time"),
         pytest.param({7: "2,rest_post_charge,120.5,4.13,0.0,3.3"}, 8, id="short-rest"),
     ])
     def test_rejection_names_file_and_line(self, tmp_path, capsys, edit, line):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batlife import ecm
-from batlife.dataset import RelaxationCurve
+from batlife.dataset import VOLTAGE_MAX_V, VOLTAGE_MIN_V, RelaxationCurve
 from batlife.errors import InsufficientDataError, ValidationError
 
 from conftest import CUTOFF_A, relaxation_curve
@@ -224,6 +225,160 @@ class TestGolden:
                                                  report.residual_rms_v))
         got = floats + (report.iterations, bool(report.converged), bool(report.ro_clamped))
         assert got == _GOLDEN[name]
+
+
+def _parent_evaluate(theta, t, v, current):
+    """The per-branch model evaluation that the fused ``ecm._evaluate`` replaced."""
+    r_e, tau_e, r_c, tau_c = np.exp(theta[1:])
+    scaled_e = t / tau_e
+    scaled_c = t / tau_c
+    term_e = current * r_e * np.exp(-scaled_e)
+    term_c = current * r_c * np.exp(-scaled_c)
+    return theta[0] - term_e - term_c - v, (term_e, scaled_e, term_c, scaled_c)
+
+
+def _parent_damped_gauss_newton(theta0, t, v, current, lower, upper, solve=np.linalg.solve):
+    """The damped Gauss-Newton loop that ``ecm._damped_gauss_newton`` replaced:
+    one Jacobian column per operation and ``np.linalg.solve``, whose
+    ``LinAlgError`` grows the damping. The lean loop must equal it bit for bit."""
+    theta = np.minimum(np.maximum(np.asarray(theta0, dtype=float), lower), upper)
+    residual, terms = _parent_evaluate(theta, t, v, current)
+    cost = float(residual @ residual)
+    damping = 1e-3
+    iterations = 0
+    converged = False
+    stagnant = 0
+    jac = np.empty((t.size, 5))
+    jac[:, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while iterations < ecm.MAX_ITERATIONS:
+            iterations += 1
+            term_e, scaled_e, term_c, scaled_c = terms
+            np.negative(term_e, out=jac[:, 1])
+            np.multiply(jac[:, 1], scaled_e, out=jac[:, 2])
+            np.negative(term_c, out=jac[:, 3])
+            np.multiply(jac[:, 3], scaled_c, out=jac[:, 4])
+            grad = jac.T @ residual
+            hess = jac.T @ jac
+            neg_grad = -grad
+            diag = hess.diagonal().copy()
+            diag[diag <= 0.0] = 1.0
+            for _ in range(25):
+                system = hess.copy()
+                system.reshape(-1)[::6] += damping * diag
+                try:
+                    step = solve(system, neg_grad)
+                except np.linalg.LinAlgError:
+                    damping *= 4.0
+                    continue
+                candidate = np.minimum(np.maximum(theta + step, lower), upper)
+                cand_residual, cand_terms = _parent_evaluate(candidate, t, v, current)
+                cand_cost = float(cand_residual @ cand_residual)
+                if math.isfinite(cand_cost) and cand_cost <= cost:
+                    break
+                damping *= 4.0
+            else:
+                converged = True
+                break
+            moved = candidate - theta
+            theta, residual, terms = candidate, cand_residual, cand_terms
+            improvement = cost - cand_cost
+            cost = cand_cost
+            damping = max(damping / 3.0, 1e-12)
+            if improvement <= ecm.RESIDUAL_REL_TOL * max(cost, 1e-300):
+                converged = True
+                break
+            if math.sqrt(moved @ moved) <= ecm.STEP_NORM_TOL:
+                converged = True
+                break
+            stagnant = stagnant + 1 if improvement <= 1e-7 * cost else 0
+            if stagnant >= 6:
+                converged = True
+                break
+    return theta, cost, iterations, converged
+
+
+def _bits(result):
+    theta, cost, iterations, converged = result
+    return theta.tobytes(), float(cost).hex(), iterations, converged
+
+
+def _solver_inputs(curve: RelaxationCurve, tight: bool, start: int):
+    positive = curve.times_s > 0
+    lower, upper = ecm._fit_bounds(curve, tight)
+    return (ecm.initial_guesses(curve)[start], curve.times_s[positive],
+            curve.voltages_v[positive], curve.cutoff_current_a, lower, upper)
+
+
+@st.composite
+def _curves(draw):
+    """Relaxation curves of 6-16 samples, noiseless or noisy, on uniform or
+    jittered grids, with time constants from a fifth of the first sampling
+    step up to the length of the rest."""
+    n = draw(st.integers(min_value=6, max_value=16))
+    interval = draw(st.sampled_from([30.0, 60.0, 120.0]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    times = np.arange(n) * interval
+    if draw(st.booleans()):  # non-uniform grid
+        times[1:] += rng.uniform(-0.4, 0.4, n - 1) * interval
+    taus = np.sort(np.exp(rng.uniform(math.log(times[1] / 5.0), math.log(times[-1]), 2)))
+    r_e, r_c = rng.uniform(0.005, 0.3, 2)
+    current = draw(st.sampled_from([0.05, CUTOFF_A, 0.5]))
+    params = ecm.EcmParams(ocv=rng.uniform(4.0, 4.2), r_o=0.1, r_e=r_e, c_e=taus[0] / r_e,
+                           r_c=r_c, c_c=taus[1] / r_c)
+    volts = ecm.predict_relaxation(params, current, times)
+    noise = draw(st.sampled_from([0.0, 1e-5, 2e-4, 2e-3]))
+    volts = np.clip(volts + rng.normal(0.0, noise, n), VOLTAGE_MIN_V, VOLTAGE_MAX_V)
+    return RelaxationCurve(times, volts, interval, current)
+
+
+class TestLeanGaussNewton:
+    """``ecm._damped_gauss_newton`` against the loop it replaced, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(curve=_curves(), tight=st.booleans(), start=st.integers(min_value=0, max_value=3))
+    def test_equals_parent_loop(self, curve, tight, start):
+        inputs = _solver_inputs(curve, tight, start)
+        assert _bits(ecm._damped_gauss_newton(*inputs)) == \
+            _bits(_parent_damped_gauss_newton(*inputs))
+
+    def test_evaluation_equals_parent(self):
+        curve = _golden_curves()["non_uniform_noisy"]
+        theta0, t, v, current, _, _ = _solver_inputs(curve, tight=True, start=1)
+        residual, (term, scaled) = ecm._evaluate(theta0, t, v, current)
+        want, (term_e, scaled_e, term_c, scaled_c) = _parent_evaluate(theta0, t, v, current)
+        assert residual.tobytes() == want.tobytes()
+        assert term.tobytes() == np.vstack((term_e, term_c)).tobytes()
+        assert scaled.tobytes() == np.vstack((scaled_e, scaled_c)).tobytes()
+
+    @pytest.mark.parametrize("singular", [{1}, {2, 3, 4}, {3, 6, 7, 11}, set(range(1, 26))],
+                             ids=["first", "run", "scattered", "every-attempt-of-a-step"])
+    def test_singular_system_grows_the_damping(self, monkeypatch, singular):
+        # dgesv reporting an exactly singular system (info > 0) on chosen
+        # solve attempts must act as np.linalg.solve raising LinAlgError did.
+        inputs = _solver_inputs(_golden_curves()["nca_noisy_120s_a"], tight=True, start=0)
+        lapack_calls = itertools.count(1)
+        real_dgesv = ecm.dgesv
+
+        def dgesv(a, b, overwrite_a=0):
+            lu, piv, x, info = real_dgesv(a, b, overwrite_a=overwrite_a)
+            return lu, piv, x, 1 if next(lapack_calls) in singular else info
+
+        numpy_calls = itertools.count(1)
+
+        def solve(a, b):
+            if next(numpy_calls) in singular:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.linalg.solve(a, b)
+
+        monkeypatch.setattr(ecm, "dgesv", dgesv)
+        got = ecm._damped_gauss_newton(*inputs)
+        want = _parent_damped_gauss_newton(*inputs, solve=solve)
+        assert _bits(got) == _bits(want)
+        assert next(lapack_calls) > max(singular)  # every chosen attempt happened
+        if len(singular) == 25:  # damping exhausted on the first step
+            assert (got[2], got[3]) == (1, True)
+            assert got[0].tobytes() == np.clip(inputs[0], inputs[4], inputs[5]).tobytes()
 
 
 def _exact_cost(t_pos: np.ndarray) -> float:

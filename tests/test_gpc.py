@@ -25,13 +25,14 @@ from batlife.gpc import (
     classify,
     label_sample,
     laplace_evidence,
-    mode_stationarity,
     predict_binary,
     threshold,
     train_binary,
     train_dag,
 )
 from batlife.gpr import KernelParams
+
+from conftest import mode_stationarity
 
 
 class TestThreshold:

@@ -17,6 +17,8 @@ from batlife.errors import (
     ValidationError,
 )
 
+from conftest import kernel_eval
+
 
 def _toy_problem(n=20, d=3, seed=0, noise=0.05):
     rng = np.random.default_rng(seed)
@@ -29,13 +31,13 @@ def _toy_problem(n=20, d=3, seed=0, noise=0.05):
 class TestKernelEval:
     def test_zero_distance(self):
         k = gpr.KernelParams(sigma_f=2.0, length_scales=np.ones(3))
-        x = np.array([0.3, -1.0, 2.0])
-        assert gpr.kernel_eval(x, x, k) == pytest.approx(4.0)
+        x = np.array([[0.3, -1.0, 2.0]])
+        assert gpr.kernel_matrix(x, x, k)[0, 0] == pytest.approx(4.0)
 
     def test_hand_value(self):
         # exp(-sqrt(1/1 + 1/4)) = exp(-sqrt(1.25)) = 0.3269219...
         k = gpr.KernelParams(sigma_f=1.0, length_scales=np.array([1.0, 2.0]))
-        value = gpr.kernel_eval(np.zeros(2), np.ones(2), k)
+        value = gpr.kernel_matrix(np.zeros((1, 2)), np.ones((1, 2)), k)[0, 0]
         assert value == pytest.approx(math.exp(-math.sqrt(1.25)), abs=1e-12)
         assert value == pytest.approx(0.3269219, abs=1e-7)
 
@@ -46,13 +48,20 @@ class TestKernelEval:
         d = rng.integers(1, 6)
         k = gpr.KernelParams(sigma_f=float(rng.uniform(0.1, 5.0)),
                              length_scales=rng.uniform(0.1, 5.0, size=d))
-        a, b = rng.normal(size=d), rng.normal(size=d)
-        assert gpr.kernel_eval(a, b, k) == pytest.approx(gpr.kernel_eval(b, a, k), rel=1e-15)
+        a, b = rng.normal(size=(4, d)), rng.normal(size=(3, d))
+        assert np.allclose(gpr.kernel_matrix(a, b, k), gpr.kernel_matrix(b, a, k).T,
+                           rtol=1e-15, atol=0.0)
 
-    def test_dimension_mismatch(self):
-        k = gpr.KernelParams(sigma_f=1.0, length_scales=np.ones(3))
-        with pytest.raises(DimensionMismatchError):
-            gpr.kernel_eval(np.zeros(2), np.zeros(3), k)
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_matches_pairwise_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        d = rng.integers(1, 6)
+        k = gpr.KernelParams(sigma_f=float(rng.uniform(0.1, 5.0)),
+                             length_scales=rng.uniform(0.1, 5.0, size=d))
+        a, b = rng.normal(size=(4, d)), rng.normal(size=(3, d))
+        oracle = np.array([[kernel_eval(x, y, k) for y in b] for x in a])
+        assert np.allclose(gpr.kernel_matrix(a, b, k), oracle, rtol=1e-12, atol=0.0)
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(ValidationError):
@@ -314,10 +323,10 @@ class TestPredict:
 
         Xs = model.standardizer.transform(X)
         Xss = model.standardizer.transform(X_star)
-        K = np.array([[gpr.kernel_eval(a, b, model.kernel) for b in Xs] for a in Xs])
+        K = np.array([[kernel_eval(a, b, model.kernel) for b in Xs] for a in Xs])
         K_reg = K + (model.kernel.sigma_n**2 + model.jitter) * np.eye(len(y))
         K_inv = np.linalg.inv(K_reg)
-        K_star = np.array([[gpr.kernel_eval(a, b, model.kernel) for b in Xss] for a in Xs])
+        K_star = np.array([[kernel_eval(a, b, model.kernel) for b in Xss] for a in Xs])
         mean_oracle = K_star.T @ K_inv @ (y - model.y_mean) + model.y_mean
         var_oracle = (model.kernel.sigma_f**2
                       - np.einsum("ij,ji->i", K_star.T, K_inv @ K_star)

@@ -4,6 +4,8 @@ import pytest
 from batlife import gpc, gpr, modelio
 from batlife.errors import SchemaError
 
+from conftest import mode_stationarity
+
 
 def _trained_gpr(seed=0):
     rng = np.random.default_rng(seed)
@@ -87,7 +89,7 @@ class TestDagSerialization:
         path = tmp_path / "dag.txt"
         modelio.save_model(dag, path)
         loaded = modelio.load_model(path)
-        assert gpc.mode_stationarity(loaded.stage1) < 1e-8
+        assert mode_stationarity(loaded.stage1) < 1e-8
         assert np.allclose(loaded.stage1.f_hat, dag.stage1.f_hat, atol=1e-9)
 
     def test_truncated_file_rejected(self, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import re
 import struct
 import tempfile
@@ -9,19 +10,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from batlife import textio
 from batlife.errors import EmptyFileError, SchemaError, ValidationError
 from batlife.textio import parse_value, read_columns, read_keys, read_table, spell, write_table
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
                1.7976931348623157e308, 0.1, 1 / 3]
 FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
-TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126))
+# One line of text, now and then with a bare carriage return.
+TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126, include_characters="\r"))
 VALUES = st.one_of(
     FLOATS,
     FLOATS.map(np.float64),
     st.integers(-(10**20), 10**20),
     st.booleans(),
-    st.text(st.characters(min_codepoint=32, max_codepoint=126) | st.sampled_from("\n\"")),
+    st.text(st.characters(min_codepoint=32, max_codepoint=126, include_characters="\r")
+            | st.sampled_from("\n\"")),
 )
 
 
@@ -32,7 +36,8 @@ def _bits(x: float) -> bytes:
 class TestTable:
     @settings(max_examples=200, deadline=None)
     @given(
-        comments=st.lists(TEXT, max_size=3),
+        comments=st.lists(st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                                                include_characters="\r\n")), max_size=3),
         columns=st.lists(TEXT.filter(lambda name: not name.startswith("#")), min_size=1,
                          max_size=4),
         data=st.data(),
@@ -40,9 +45,19 @@ class TestTable:
     def test_round_trip(self, comments, columns, data):
         rows = data.draw(st.lists(st.lists(VALUES, min_size=len(columns), max_size=len(columns)),
                                   max_size=5), label="rows")
+        spelled = [[spell(v) for v in row] for row in rows]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "table.csv"
-            write_table(path, comments, columns, [[spell(v) for v in row] for row in rows])
+            if (any("\n" in comment for comment in comments)
+                    or any("\r" in text for text in [*comments, *columns,
+                                                     *itertools.chain(*spelled)])):
+                # A comment is one line; the csv writer would not quote a
+                # bare carriage return, and the row would end there.
+                with pytest.raises(ValidationError, match="would not read back"):
+                    write_table(path, comments, columns, spelled)
+                assert not path.exists()
+                return
+            write_table(path, comments, columns, spelled)
             back_comments, header, back_rows = read_table(path)
         assert back_comments == comments
         assert header == columns
@@ -57,6 +72,16 @@ class TestTable:
                     assert parse_value(text) == value
                 else:
                     assert text == value
+
+    def test_rows_beyond_one_chunk(self, tmp_path):
+        rows = [[str(i), repr(i / 7)] for i in range(2 * textio._CHUNK_ROWS + 5)]
+        path = tmp_path / "table.csv"
+        write_table(path, ["c"], ["i", "x"], iter(rows))
+        assert path.read_text() == "# c\ni,x\n" + "".join(f"{i},{x}\n" for i, x in rows)
+        rows[textio._CHUNK_ROWS + 3][1] = "1\r2"
+        with pytest.raises(ValidationError, match="carriage return"):
+            write_table(path, ["c"], ["i", "x"], iter(rows))
+        assert not path.exists()
 
     def test_comment_without_a_space(self, tmp_path):
         path = tmp_path / "table.csv"
