@@ -468,10 +468,12 @@ def ingest_cell(path, meta: CellMeta | None = None) -> CellHistory:
     from the file's header line. The columns are parsed once, in bulk
     (``textio.read_columns``); rows are grouped by one stable sort on
     (cycle, time) per phase and checked in bulk, and each cycle's curves are
-    slices of the sorted columns. A rest whose samples are all on the
-    declared grid is kept verbatim, so canonical files round trip exactly;
-    any other rest is linearly interpolated onto the grid. The capacity is
-    the first rest row's, in file order.
+    slices of the sorted columns. A rest's last sample must fall within the
+    last interval of the declared rest, so a rest spans exactly the grid
+    points of ``rest_duration_s``. A rest whose samples are all on the grid
+    is kept verbatim, so canonical files round trip exactly; any other rest
+    is linearly interpolated onto the grid. The capacity is the first rest
+    row's, in file order.
 
     Raises SchemaError when a column or a metadata key is missing or a
     column duplicated, ValidationError on structural violations or a number
@@ -516,17 +518,18 @@ def ingest_cell(path, meta: CellMeta | None = None) -> CellHistory:
     if later.size:
         fail(rest[later[0]], f"cycle {rest_c[later[0]]} rest times not strictly increasing")
     # Samples on the grid, grid points the last sample spans, and the points
-    # the declared rest needs.
+    # the declared rest spans: a rest is resampled onto exactly those.
     position = np.arange(rest.size) - np.repeat(starts, ends - starts)
     on_grid = np.logical_and.reduceat(np.abs(rest_t - position * interval) <= 1e-9, starts)
     spans = np.floor(rest_t[ends - 1] / interval + 1e-9) + 1
     on_grid &= ends - starts == spans
     expected = int(np.floor(meta.rest_duration_s / interval + 1e-9)) + 1
-    short = np.flatnonzero(spans < expected)
-    if short.size:
-        k = short[0]
-        fail(rest[starts[k]], f"cycle {cycles[k]} rest has {int(spans[k])} samples; the declared "
-             f"{meta.rest_duration_s:g} s rest at {interval:g} s spacing requires {expected}")
+    off = np.flatnonzero(spans != expected)
+    if off.size:
+        k = off[0]
+        fail(rest[starts[k]], f"cycle {cycles[k]} rest spans {int(spans[k])} grid points; the "
+             f"declared {meta.rest_duration_s:g} s rest at {interval:g} s spacing spans "
+             f"{expected}")
     first_rest = np.minimum.reduceat(rest, starts)
 
     dis, dis_cycles, dis_starts, dis_ends = _phase_rows(cycle, phase, t_s, "discharge")
@@ -541,7 +544,7 @@ def ingest_cell(path, meta: CellMeta | None = None) -> CellHistory:
     for k, (index, start, end) in enumerate(zip(cycles.tolist(), starts.tolist(), ends.tolist())):
         times, voltages = rest_t[start:end], rest_v[start:end]
         if not on_grid[k]:
-            grid = np.arange(int(spans[k])) * interval
+            grid = np.arange(expected) * interval
             times, voltages = grid, np.interp(grid, times, voltages)
         relaxation = RelaxationCurve(times, voltages, interval, cutoff_current)
 

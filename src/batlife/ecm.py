@@ -124,16 +124,20 @@ class FitReport:
 
 def predict_relaxation(params: EcmParams, cutoff_current_a: float, times_s) -> np.ndarray:
     """Evaluate the relaxation model at the given times (seconds)."""
+    return relaxation_model(params.ocv, params.r_o, params.r_e, params.tau_e,
+                            params.r_c, params.tau_c, cutoff_current_a, times_s)
+
+
+def relaxation_model(ocv, r_o, r_e, tau_e, r_c, tau_c, current: float, times_s) -> np.ndarray:
+    """The relaxation model at the given times (seconds). The circuit
+    quantities broadcast against the times: scalars give one curve, (m, 1)
+    columns an (m, n) block of m curves, each row bitwise the curve its
+    scalars give."""
     t = np.asarray(times_s, dtype=float)
     if np.any(t < 0):
         raise ValidationError("relaxation times must be non-negative")
-    current = cutoff_current_a
-    u = (
-        params.ocv
-        - current * params.r_e * np.exp(-t / params.tau_e)
-        - current * params.r_c * np.exp(-t / params.tau_c)
-    )
-    return np.where(t == 0.0, u - current * params.r_o, u)
+    u = ocv - current * r_e * np.exp(-t / tau_e) - current * r_c * np.exp(-t / tau_c)
+    return np.where(t == 0.0, u - current * r_o, u)
 
 
 def _evaluate(theta: np.ndarray, t: np.ndarray, v, current: float):
@@ -300,6 +304,8 @@ def _multistart(curve: RelaxationCurve, tight: bool):
         result = _damped_gauss_newton(theta0, t_pos, v_pos, curve.cutoff_current_a, lower, upper)
         if best is None or result[1] < best[1]:
             best = result
+        if best[1] == 0.0:  # only a strictly lower cost replaces the best: none can
+            break
     return best
 
 

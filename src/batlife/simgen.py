@@ -20,6 +20,17 @@ m_ref cycles. The discharge curve is a fixed monotone pseudo-OCV template
 stretched horizontally by the current capacity, which gives the
 capacity-vs-voltage difference features a nonzero, fade-correlated
 variance.
+
+The drift law is written once (``_drift``): ``drifted_params`` evaluates it
+at one cycle, as the closed-form oracle, and ``simulate_cell`` at every
+cycle of a cell as one (cycles x 6) array. A cell is built whole: its
+relaxation voltages are one (cycles x samples) block
+(``ecm.relaxation_model``) with the noise drawn in one call, and its
+discharge charges one (cycles x knots) block. Every cycle shares one
+rest-time grid and one discharge template. These arrays are read-only;
+each cycle's curves are rows of them, bitwise the curves a cycle-by-cycle
+loop gives. Capacities stay on ``capacity_at``'s scalar power: an array
+power does not round alike for a non-integer exponent.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ from .dataset import (
     build_history,
     parse_condition,
 )
-from .ecm import EcmParams, predict_relaxation
+from .ecm import EcmParams, relaxation_model
 from .errors import DriftUnderflowError, ValidationError
 
 DISCHARGE_KNOTS = 1000
@@ -112,11 +123,15 @@ class DriftProfile:
             raise ValidationError("noise sigma and cell spread must be non-negative")
 
 
+def _drift(profile: DriftProfile, cycles) -> np.ndarray:
+    """The linear drift law, unchecked: the six circuit quantities (in
+    ``EcmParams.names()`` order, last axis) at each of ``cycles``."""
+    return profile.initial.as_array() * (1.0 + np.multiply.outer(cycles, profile.rates.as_array()))
+
+
 def drifted_params(profile: DriftProfile, cycle: int) -> EcmParams:
     """Circuit parameters at a given cycle under the linear drift law."""
-    base = profile.initial.as_array()
-    factors = 1.0 + profile.rates.as_array() * cycle
-    values = base * factors
+    values = _drift(profile, cycle)
     labels = EcmParams.names()
     for name, value in zip(labels, values):
         if name in ("r_e", "c_e", "r_c", "c_c") and value <= 0:
@@ -140,17 +155,6 @@ def _pseudo_ocv_template(upper_v: float, lower_v: float, n_knots: int = DISCHARG
     return upper_v - (upper_v - lower_v) * shape
 
 
-def make_discharge(
-    protocol: SimProtocol, capacity_ah: float, n_knots: int = DISCHARGE_KNOTS
-) -> DischargeCurve:
-    lower, upper = protocol.voltage_window
-    voltages = _pseudo_ocv_template(upper, lower, n_knots)
-    charges = np.linspace(0.0, capacity_ah, voltages.size)
-    _, _, dis_rate = parse_condition(protocol.condition)
-    duration_s = capacity_ah / (dis_rate * protocol.nominal_capacity_ah) * 3600.0
-    return DischargeCurve(charges, voltages, duration_s)
-
-
 def simulate_cell(
     profile: DriftProfile,
     protocol: SimProtocol,
@@ -161,7 +165,10 @@ def simulate_cell(
     """Simulate one cell for ``horizon_cycles`` full cycles.
 
     Deterministic given ``profile.seed``; two calls with identical arguments
-    produce bit-identical histories.
+    produce bit-identical histories. A cell the drift law or a curve check
+    rejects raises what a cycle-by-cycle loop raises first: per cycle, in
+    order, ``drifted_params``, the relaxation curve, the capacity and the
+    discharge curve.
     """
     if horizon_cycles < 1:
         raise ValidationError("horizon must be at least one cycle")
@@ -170,24 +177,44 @@ def simulate_cell(
     capacity_at(profile, horizon_cycles, protocol.nominal_capacity_ah)
 
     rng = np.random.default_rng(np.random.SeedSequence([profile.seed & 0xFFFFFFFF]))
-    times = protocol.rest_times()
+    current = protocol.cutoff_current_a
+    cycles = range(1, horizon_cycles + 1)
+    times = _read_only(protocol.rest_times())
+    ocv, r_o, r_e, c_e, r_c, c_c = _drift(profile, np.array(cycles)).T[:, :, None]
+    tau_e, tau_c = r_e * c_e, r_c * c_c
+    voltages = relaxation_model(ocv, np.maximum(r_o, 0.0), r_e, tau_e, r_c, tau_c, current, times)
+    if profile.noise_sigma_v > 0:
+        voltages += rng.normal(0.0, profile.noise_sigma_v, size=voltages.shape)
+    # The law is monotone in m, so quantities positive at cycle 0 and at the
+    # horizon are positive in between; but tau_e(m) = r_e(m) * c_e(m) can
+    # cross tau_c(m) (and NaN fails every comparison).
+    suspect = ~(tau_e <= tau_c)[:, 0]
+    # Capacity fades monotonically: none fails before the horizon's.
+    capacities = [capacity_at(profile, m, protocol.nominal_capacity_ah) for m in cycles]
+    lower, upper = protocol.voltage_window
+    template = _read_only(_pseudo_ocv_template(upper, lower, discharge_knots))
+    charges = np.linspace(0.0, capacities, template.size, axis=1)
+    _, _, dis_rate = parse_condition(protocol.condition)
+    discharge_a = dis_rate * protocol.nominal_capacity_ah
+
     cycle_data = []
-    for m in range(1, horizon_cycles + 1):
-        params = drifted_params(profile, m)
-        voltages = predict_relaxation(params, protocol.cutoff_current_a, times)
-        if profile.noise_sigma_v > 0:
-            voltages = voltages + rng.normal(0.0, profile.noise_sigma_v, size=voltages.size)
-        relaxation = RelaxationCurve(
-            times, voltages, protocol.sampling_interval_s, protocol.cutoff_current_a
-        )
-        capacity = capacity_at(profile, m, protocol.nominal_capacity_ah)
-        discharge = make_discharge(protocol, capacity, discharge_knots)
+    for m, bad, volts, charge, capacity in zip(cycles, suspect.tolist(), _read_only(voltages),
+                                               _read_only(charges), capacities):
+        if bad:
+            drifted_params(profile, m)  # raises what cycle m's state violates, if anything
+        relaxation = RelaxationCurve(times, volts, protocol.sampling_interval_s, current)
+        discharge = DischargeCurve(charge, template, capacity / discharge_a * 3600.0)
         cycle_data.append((m, relaxation, discharge, capacity))
 
     meta = CellMeta(cell_id, protocol.chemistry, protocol.condition,
                     protocol.nominal_capacity_ah, protocol.sampling_interval_s,
                     protocol.rest_duration_s)
     return build_history(meta, cycle_data)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def spread_profile(profile: DriftProfile, cell_index: int) -> DriftProfile:

@@ -5,8 +5,11 @@ import pytest
 from scipy.special import expit
 
 from batlife import simgen
-from batlife.dataset import RelaxationCurve
+from batlife.dataset import (
+    CellMeta, DischargeCurve, RelaxationCurve, build_history, parse_condition,
+)
 from batlife.ecm import EcmParams, predict_relaxation
+from batlife.errors import ValidationError
 
 CUTOFF_A = 0.175
 INTERVAL_S = 120.0
@@ -52,3 +55,61 @@ def mode_stationarity(model) -> float:
     pi = expit(model.f_hat)
     t = (model.y_train + 1.0) / 2.0
     return float(np.max(np.abs((t - pi) - model.grad_at_mode)))
+
+
+def make_discharge(protocol: simgen.SimProtocol, capacity_ah: float,
+                   n_knots: int = simgen.DISCHARGE_KNOTS) -> DischargeCurve:
+    """Oracle: one cycle's discharge curve, the pseudo-OCV template stretched
+    to ``capacity_ah`` (``simgen.simulate_cell`` builds a whole cell's at once)."""
+    lower, upper = protocol.voltage_window
+    voltages = simgen._pseudo_ocv_template(upper, lower, n_knots)
+    charges = np.linspace(0.0, capacity_ah, voltages.size)
+    _, _, dis_rate = parse_condition(protocol.condition)
+    duration_s = capacity_ah / (dis_rate * protocol.nominal_capacity_ah) * 3600.0
+    return DischargeCurve(charges, voltages, duration_s)
+
+
+def simulate_cell_per_cycle(profile, protocol, horizon_cycles, cell_id="sim-000",
+                            discharge_knots=simgen.DISCHARGE_KNOTS):
+    """Oracle: ``simgen.simulate_cell`` one cycle at a time, each cycle built
+    from ``drifted_params``, ``predict_relaxation``, ``capacity_at`` and
+    ``make_discharge`` in turn, with fresh arrays and one noise draw per cycle."""
+    if horizon_cycles < 1:
+        raise ValidationError("horizon must be at least one cycle")
+    simgen.drifted_params(profile, horizon_cycles)
+    simgen.capacity_at(profile, horizon_cycles, protocol.nominal_capacity_ah)
+
+    rng = np.random.default_rng(np.random.SeedSequence([profile.seed & 0xFFFFFFFF]))
+    times = protocol.rest_times()
+    cycle_data = []
+    for m in range(1, horizon_cycles + 1):
+        params = simgen.drifted_params(profile, m)
+        voltages = predict_relaxation(params, protocol.cutoff_current_a, times)
+        if profile.noise_sigma_v > 0:
+            voltages = voltages + rng.normal(0.0, profile.noise_sigma_v, size=voltages.size)
+        relaxation = RelaxationCurve(
+            times, voltages, protocol.sampling_interval_s, protocol.cutoff_current_a
+        )
+        capacity = simgen.capacity_at(profile, m, protocol.nominal_capacity_ah)
+        discharge = make_discharge(protocol, capacity, discharge_knots)
+        cycle_data.append((m, relaxation, discharge, capacity))
+
+    meta = CellMeta(cell_id, protocol.chemistry, protocol.condition,
+                    protocol.nominal_capacity_ah, protocol.sampling_interval_s,
+                    protocol.rest_duration_s)
+    return build_history(meta, cycle_data)
+
+
+def history_bits(cell) -> list:
+    """Every field of a cell history, arrays as bytes: equal lists mean
+    bit-identical histories."""
+    out = [cell.cell_id, cell.chemistry, cell.condition, cell.nominal_capacity_ah,
+           cell.eol_cycle]
+    for rec in cell.cycles:
+        rel, dis = rec.relaxation, rec.discharge
+        out += [rec.cycle_index, rec.capacity_ah, rec.cumulative_ah, rec.calendar_days,
+                rel.times_s.tobytes(), rel.voltages_v.tobytes(), rel.sampling_interval_s,
+                rel.cutoff_current_a, dis is None]
+        if dis is not None:
+            out += [dis.charges_ah.tobytes(), dis.voltages_v.tobytes(), dis.duration_s]
+    return out

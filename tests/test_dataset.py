@@ -43,6 +43,8 @@ from batlife.errors import (
     ValidationError,
 )
 
+from conftest import history_bits
+
 
 def _simulated_cell(seed=4, horizon=30, noise=5e-4, cell_id="rt-00"):
     profile = simgen.DriftProfile(
@@ -262,21 +264,20 @@ class TestRoundTrip:
         with pytest.raises(ValidationError):
             ingest_cell(path)
 
-
-def _same_history(a: CellHistory, b: CellHistory) -> bool:
-    """Every scalar equal and every array equal byte for byte."""
-    def flat(cell):
-        out = [cell.cell_id, cell.chemistry, cell.condition, cell.nominal_capacity_ah,
-               cell.eol_cycle]
-        for rec in cell.cycles:
-            rel, dis = rec.relaxation, rec.discharge
-            out += [rec.cycle_index, rec.capacity_ah, rec.cumulative_ah, rec.calendar_days,
-                    rel.times_s.tobytes(), rel.voltages_v.tobytes(), rel.sampling_interval_s,
-                    rel.cutoff_current_a, dis is None]
-            if dis is not None:
-                out += [dis.charges_ah.tobytes(), dis.voltages_v.tobytes(), dis.duration_s]
-        return out
-    return flat(a) == flat(b)
+    @pytest.mark.parametrize("last_t, spans", [(1.2e7, 100001), (1920.0, 17)])
+    def test_long_rest_rejected(self, tmp_path, last_t, spans):
+        # A rest is never resampled onto more grid points than the declared
+        # rest spans, however far its last sample lies.
+        path = tmp_path / "long.csv"
+        rows = ["# kind=cell cell_id=x chemistry=NCA condition=CY25-0.5/1 "
+                "nominal_capacity_ah=3.5 sampling_interval_s=120.0 rest_duration_s=1800.0",
+                "cycle,phase,t_s,voltage_v,current_a,capacity_ah"]
+        for t in [*(np.arange(16) * 120.0).tolist(), last_t]:
+            rows.append(f"1,rest_post_charge,{t!r},4.1,0.0,3.5")
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValidationError, match=f"line 3: cycle 1 rest spans {spans} grid "
+                           "points; the declared 1800 s rest at 120 s spacing spans 16"):
+            ingest_cell(path)
 
 
 def _parent_resample(times, voltages, interval_s):
@@ -347,7 +348,7 @@ class TestColumnarIngest:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cell.csv"
             write_cell(cell, path)
-            assert _same_history(ingest_cell(path), cell)
+            assert history_bits(ingest_cell(path)) == history_bits(cell)
             # Shuffled rows, and the phases ingest skips interleaved, read the same.
             lines = path.read_text().splitlines()
             head, rows = lines[:2], lines[2:]
@@ -356,7 +357,7 @@ class TestColumnarIngest:
                     rows.append(f"{rec.cycle_index},{phase},{rng.uniform(0, 1e4)},3.9,1.0,0.0")
             rng.shuffle(rows)
             path.write_text("\n".join(head + rows) + "\n")
-            assert _same_history(ingest_cell(path), cell)
+            assert history_bits(ingest_cell(path)) == history_bits(cell)
 
     @settings(max_examples=100, deadline=None)
     @given(interval=st.sampled_from([7.3, 30.0, 120.0]), n=st.integers(3, 12),
@@ -418,6 +419,8 @@ class TestColumnarIngest:
         pytest.param({4: "1,discharge,3600.0,nan,-1.75,3.4"}, 7, id="nan-discharge-voltage"),
         pytest.param({3: "1,discharge,nan,4.2,-1.75,0.0"}, 6, id="nan-discharge-time"),
         pytest.param({7: "2,rest_post_charge,120.5,4.13,0.0,3.3"}, 8, id="short-rest"),
+        pytest.param({8: "2,rest_post_charge,360.0,4.14,0.0,3.3"}, 8, id="rest-one-interval-long"),
+        pytest.param({2: "1,rest_post_charge,1.2e7,4.13,0.0,3.4"}, 3, id="rest-1.2e7-s-long"),
     ])
     def test_rejection_names_file_and_line(self, tmp_path, capsys, edit, line):
         rows = [edit.get(i, row) for i, row in enumerate(GOOD_ROWS)]

@@ -451,3 +451,65 @@ class TestWidePassCertificate:
         assert ecm._cannot_interpolate(uniform, v_pos, _exact_cost(uniform))
         assert not ecm._cannot_interpolate(non_uniform, v_pos, _exact_cost(non_uniform))
         assert not ecm._cannot_interpolate(uniform[:6], v_pos[:6], _exact_cost(uniform[:6]))
+
+
+def _four_start_multistart(curve: RelaxationCurve, tight: bool):
+    """The multi-start without the exact-zero exit: every start runs."""
+    positive = curve.times_s > 0
+    lower, upper = ecm._fit_bounds(curve, tight)
+    best = None
+    for theta0 in ecm.initial_guesses(curve):
+        result = ecm._damped_gauss_newton(theta0, curve.times_s[positive],
+                                          curve.voltages_v[positive], curve.cutoff_current_a,
+                                          lower, upper)
+        if best is None or result[1] < best[1]:
+            best = result
+    return best
+
+
+def _report_bits(report: ecm.FitReport):
+    p = report.params
+    return (tuple(float(x).hex() for x in (*p.as_array(), report.residual_rms_v)),
+            report.iterations, report.converged, report.ro_clamped)
+
+
+def _noiseless_curve(seed: int, n_samples: int) -> RelaxationCurve:
+    rng = np.random.default_rng(seed)
+    tau_e = rng.uniform(60.0, 300.0)
+    tau_c = rng.uniform(tau_e, 2000.0)
+    r_e, r_c = rng.uniform(0.02, 0.3, size=2)
+    truth = ecm.EcmParams(ocv=rng.uniform(4.0, 4.3), r_o=rng.uniform(0.02, 0.3),
+                          r_e=r_e, c_e=tau_e / r_e, r_c=r_c, c_c=tau_c / r_c)
+    return relaxation_curve(truth, n_samples=n_samples)
+
+
+class TestExactZeroExit:
+    """Once a start fits exactly (cost 0.0) no later start can replace it,
+    so ``_multistart`` stops there and every report stays bitwise the same."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000), n_samples=st.sampled_from([6, 16]),
+           tight=st.booleans())
+    def test_equals_four_start_loop(self, seed, n_samples, tight):
+        curve = _noiseless_curve(seed, n_samples)
+        assert _bits(ecm._multistart(curve, tight)) == _bits(_four_start_multistart(curve, tight))
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("n_samples", [6, 16])
+    def test_fit_report_equals_four_start_loop(self, monkeypatch, seed, n_samples):
+        curve = _noiseless_curve(seed, n_samples)
+        report = ecm.fit(curve)
+        monkeypatch.setattr(ecm, "_multistart", _four_start_multistart)
+        assert _report_bits(report) == _report_bits(ecm.fit(curve))
+
+    def test_exit_skips_the_remaining_starts(self, monkeypatch):
+        # The golden noiseless 6-sample curve fits exactly on its first start.
+        curve = _golden_curves()["noiseless_6"]
+        calls = []
+        solve = ecm._damped_gauss_newton
+        monkeypatch.setattr(ecm, "_damped_gauss_newton",
+                            lambda *args: calls.append(solve(*args)) or calls[-1])
+        best = ecm._multistart(curve, tight=True)
+        assert best[1] == 0.0
+        assert len(calls) < len(ecm.initial_guesses(curve))
+        assert all(result[1] > 0.0 for result in calls[:-1])

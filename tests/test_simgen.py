@@ -1,8 +1,15 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from batlife import ecm, simgen
 from batlife.errors import DriftUnderflowError, ValidationError
+
+from conftest import history_bits, make_discharge, simulate_cell_per_cycle
 
 
 def _profile(**kwargs):
@@ -100,7 +107,7 @@ class TestRoundTripOracle:
 
 class TestDischarge:
     def test_template_monotone(self):
-        disc = simgen.make_discharge(simgen.NCA_PROTOCOL, 3.5)
+        disc = make_discharge(simgen.NCA_PROTOCOL, 3.5)
         assert np.all(np.diff(disc.charges_ah) >= 0)
         assert np.all(np.diff(disc.voltages_v) <= 0)
         assert disc.capacity_ah == 3.5
@@ -109,12 +116,163 @@ class TestDischarge:
         assert disc.voltages_v[-1] == lower
 
     def test_duration_tracks_capacity(self):
-        full = simgen.make_discharge(simgen.NCA_PROTOCOL, 3.5)
-        faded = simgen.make_discharge(simgen.NCA_PROTOCOL, 2.8)
+        full = make_discharge(simgen.NCA_PROTOCOL, 3.5)
+        faded = make_discharge(simgen.NCA_PROTOCOL, 2.8)
         assert faded.duration_s < full.duration_s
         # CC discharge at 1C of a 3.5 Ah nominal: duration = cap / 3.5 * 3600
         assert full.duration_s == pytest.approx(3600.0)
         assert faded.duration_s == pytest.approx(2.8 / 3.5 * 3600.0)
+
+
+def _outcome(simulate, *args, **kwargs):
+    """What a simulator gives: the history's bits, or the error it raises."""
+    try:
+        return history_bits(simulate(*args, **kwargs))
+    except (ValidationError, DriftUnderflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _quiet_outcome(*args, **kwargs):
+    """``simulate_cell``'s outcome, with any warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _outcome(simgen.simulate_cell, *args, **kwargs)
+
+
+@st.composite
+def _cells(draw):
+    """Arguments of ``simulate_cell``: a benchmark-condition profile, with
+    or without noise and per-cell spread, an integer or non-integer fade
+    exponent, either sampling protocol, and a few discharge knot counts."""
+    profile = simgen.condition_profile(
+        draw(st.sampled_from([150.0, 300.0, 800.0])), seed=draw(st.integers(0, 2**40)),
+        signature=draw(st.integers(0, 2)),
+        noise_sigma_v=draw(st.sampled_from([0.0, 2e-4, 1e-3])),
+        cell_spread=draw(st.sampled_from([0.0, 0.02, 0.05])),
+    )
+    profile = simgen.spread_profile(
+        replace(profile, fade_b=draw(st.sampled_from([0.7, 1.0, 1.3, 2.0]))),
+        draw(st.integers(0, 5)),
+    )
+    protocol = draw(st.sampled_from([simgen.NCA_PROTOCOL, simgen.NCM_NCA_PROTOCOL]))
+    return profile, protocol, draw(st.integers(1, 60)), draw(st.sampled_from([2, 7, 50, 1000]))
+
+
+# A fast branch whose time constant (480 s at cycle 0) rises above the slow
+# branch's 500 s from cycle 10 to 90 and falls back below it by cycle 150.
+_CROSSING = simgen.DriftProfile(
+    initial=ecm.EcmParams(ocv=4.19, r_o=0.135, r_e=0.15, c_e=3200.0, r_c=0.3, c_c=5000.0 / 3.0),
+    rates=simgen.DriftRates(r_e=0.01, c_e=-0.005), fade_ref_cycles=1000.0, seed=3,
+)
+
+
+def _violates(profile, cycle: int) -> bool:
+    try:
+        simgen.drifted_params(profile, cycle)
+    except ValidationError:
+        return True
+    return False
+
+
+class TestWholeCell:
+    """``simulate_cell`` against the cycle-by-cycle oracle, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(args=_cells())
+    def test_equals_per_cycle_oracle(self, args):
+        profile, protocol, horizon, knots = args
+        want = _outcome(simulate_cell_per_cycle, profile, protocol, horizon,
+                        discharge_knots=knots)
+        assert _quiet_outcome(profile, protocol, horizon, discharge_knots=knots) == want
+        assert isinstance(want, list)
+
+    def test_shared_arrays_are_one_read_only_object(self):
+        cell = simgen.simulate_cell(_profile(noise_sigma_v=1e-3), simgen.NCA_PROTOCOL, 5,
+                                    discharge_knots=50)
+        first = cell.cycles[0]
+        for record in cell.cycles:
+            assert record.relaxation.times_s is first.relaxation.times_s
+            assert record.discharge.voltages_v is first.discharge.voltages_v
+        for array in (first.relaxation.times_s, first.relaxation.voltages_v,
+                      first.discharge.charges_ah, first.discharge.voltages_v,
+                      first.relaxation.truncated(6).voltages_v):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_underflow_at_the_horizon(self):
+        profile = _profile(rates=simgen.DriftRates(c_e=-0.01))
+        with pytest.raises(DriftUnderflowError, match="c_e becomes non-positive at cycle 150"):
+            simgen.drifted_params(profile, 150)
+        got = _quiet_outcome(profile, simgen.NCA_PROTOCOL, 150, discharge_knots=50)
+        assert got == (DriftUnderflowError, "c_e becomes non-positive at cycle 150")
+        assert got == _outcome(simulate_cell_per_cycle, profile, simgen.NCA_PROTOCOL, 150,
+                               discharge_knots=50)
+
+    def test_canonical_violation_in_mid_horizon(self):
+        bad = [m for m in range(1, 151) if _violates(_CROSSING, m)]
+        assert bad == list(range(10, 91))
+        with pytest.raises(ValidationError) as first:
+            simgen.drifted_params(_CROSSING, 10)
+        assert "tau_e must not exceed tau_c" in str(first.value)
+        got = _quiet_outcome(_CROSSING, simgen.NCA_PROTOCOL, 150, discharge_knots=50)
+        assert got == (ValidationError, str(first.value))
+        assert got == _outcome(simulate_cell_per_cycle, _CROSSING, simgen.NCA_PROTOCOL, 150,
+                               discharge_knots=50)
+
+    def test_drift_check_precedes_the_curve_check_of_its_cycle(self):
+        # A rising asymptote leaves the voltage range at cycle 10, the
+        # cycle at which the fast branch overtakes the slow one.
+        initial = replace(_CROSSING.initial, ocv=4.4)
+        profile = replace(_CROSSING, initial=initial,
+                          rates=replace(_CROSSING.rates, ocv=0.0024))
+        ocv, r_o, r_e, c_e, r_c, c_c = simgen._drift(profile, 10)
+        volts = ecm.relaxation_model(ocv, r_o, r_e, r_e * c_e, r_c, r_c * c_c,
+                                     simgen.NCA_PROTOCOL.cutoff_current_a,
+                                     simgen.NCA_PROTOCOL.rest_times())
+        assert volts.max() > 4.5
+        assert isinstance(_quiet_outcome(profile, simgen.NCA_PROTOCOL, 9, discharge_knots=7),
+                          list)
+        with pytest.raises(ValidationError) as drift:
+            simgen.drifted_params(profile, 10)
+        got = _quiet_outcome(profile, simgen.NCA_PROTOCOL, 150, discharge_knots=7)
+        assert got == (ValidationError, str(drift.value))
+        assert got == _outcome(simulate_cell_per_cycle, profile, simgen.NCA_PROTOCOL, 150,
+                               discharge_knots=7)
+
+    def test_ohmic_resistance_clamps_at_zero(self):
+        # r_o drifts below zero from cycle 50; the t = 0 sample then carries
+        # no ohmic drop, as drifted_params clamps it.
+        profile = _profile(rates=simgen.DriftRates(r_o=-0.02), noise_sigma_v=1e-4)
+        assert simgen.drifted_params(profile, 80).r_o == 0.0
+        got = _quiet_outcome(profile, simgen.NCA_PROTOCOL, 80, discharge_knots=7)
+        assert got == _outcome(simulate_cell_per_cycle, profile, simgen.NCA_PROTOCOL, 80,
+                               discharge_knots=7)
+        assert isinstance(got, list)
+
+    @pytest.mark.parametrize("ocv, sigma", [(4.49, 0.01), (4.47, 0.02), (2.1, 0.02)])
+    def test_noise_leaves_the_voltage_range(self, ocv, sigma):
+        initial = replace(simgen.DEFAULT_INITIAL, ocv=ocv, r_o=0.0)
+        quiet = _profile(initial=initial)
+        assert isinstance(_quiet_outcome(quiet, simgen.NCA_PROTOCOL, 40, discharge_knots=50), list)
+        profile = replace(quiet, noise_sigma_v=sigma)
+        got = _quiet_outcome(profile, simgen.NCA_PROTOCOL, 40, discharge_knots=50)
+        assert got == (ValidationError, "relaxation voltage is not a number in [2.0, 4.5] V")
+        assert got == _outcome(simulate_cell_per_cycle, profile, simgen.NCA_PROTOCOL, 40,
+                               discharge_knots=50)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sigma=st.sampled_from([0.0, 0.002, 0.01]), margin=st.floats(0.0, 3.0),
+           seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 150))
+    def test_first_failing_check_in_cycle_order(self, sigma, margin, seed, horizon):
+        # Noise on an asymptote `margin` sigmas below 4.5 V leaves the range
+        # at a random cycle, racing the fast branch overtaking the slow one
+        # at cycle 10: the first failure wins.
+        initial = replace(_CROSSING.initial, ocv=4.5 - margin * max(sigma, 0.002))
+        profile = replace(_CROSSING, initial=initial, noise_sigma_v=sigma, seed=seed)
+        assert _quiet_outcome(profile, simgen.NCA_PROTOCOL, horizon, discharge_knots=7) == \
+            _outcome(simulate_cell_per_cycle, profile, simgen.NCA_PROTOCOL, horizon,
+                     discharge_knots=7)
 
 
 class TestBenchmarkFleet:
