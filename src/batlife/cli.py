@@ -228,7 +228,8 @@ def cmd_fit_ecm(args) -> int:
     for cell in cells:
         for record in cell.cycles:
             report = ecm.fit(relaxation_curve(cell, record.cycle_index, args.truncate))
-            rows.append([cell.cell_id, record.cycle_index, *map(spell, report.params.as_array()),
+            rows.append([cell.cell_id, spell(record.cycle_index),
+                         *map(spell, report.params.as_array()),
                          spell(report.residual_rms_v), spell(report.converged)])
     _write_csv(args, out, "ecm-params",
                ["cell_id", "cycle", "ocv_v", "r_o_ohm", "r_e_ohm", "c_e_farad",
@@ -251,7 +252,7 @@ def cmd_features(args) -> int:
         for m in feature_cycles(cell, window, args.stride):
             fv = assemble(cell, m, window, feature_set, truncate=args.truncate, fit_cache=cache)
             for name, value in fv.values.items():
-                rows.append([cell.cell_id, m, name, spell(value)])
+                rows.append([cell.cell_id, spell(m), name, spell(value)])
     _write_csv(args, out, "features", ["cell_id", "cycle", "feature", "value"], rows, "values")
     return 0
 
@@ -302,7 +303,8 @@ def cmd_predict_rul(args) -> int:
         for m in feature_cycles(cell, window, args.stride):
             fv = assemble(cell, m, window, feature_set, truncate=config.truncate, fit_cache=cache)
             mean, variance = gpr_predict(model, fv.as_array())
-            rows.append([cell.cell_id, m, spell(cell.soh(m)), spell(mean[0]), spell(variance[0])])
+            rows.append([cell.cell_id, spell(m), spell(cell.soh(m)), spell(mean[0]),
+                         spell(variance[0])])
     _write_csv(args, out, "rul-predictions",
                ["cell_id", "cycle", "soh", "rul_predicted_cycles", "predictive_variance"],
                rows, "predictions")
@@ -350,7 +352,8 @@ def cmd_classify(args) -> int:
         for m in feature_cycles(cell, window, first=args.cycle, last=args.cycle):
             fv = assemble(cell, m, window, feature_set, fit_cache={})
             label, probability = dag_classify(dag, fv.as_array())
-            rows.append([cell.cell_id, m, spell(cell.soh(m)), label.value, spell(probability)])
+            rows.append([cell.cell_id, spell(m), spell(cell.soh(m)), label.value,
+                         spell(probability)])
     _write_csv(args, out, "classification",
                ["cell_id", "cycle", "soh", "label", "probability"], rows, "cells")
     return 0

@@ -567,7 +567,9 @@ def write_cell(history: CellHistory, path, header_comment: str | None = None) ->
     """Serialize a CellHistory in the canonical CSV layout.
 
     Floats are spelled by ``textio`` so a write/ingest round trip
-    reproduces every field bit for bit. The first-line comment opens with
+    reproduces every field bit for bit. An array that a cycle shares with
+    the cycle before it (a simulated cell's rest-time grid and discharge
+    template) is spelled once. The first-line comment opens with
     ``header_comment`` (callers pass ``textio.header_comment(fp,
     kind="cell")``, which already names the kind; without one it opens
     ``kind=cell``) and goes on with the cell's ``CellMeta`` fields as
@@ -576,26 +578,48 @@ def write_cell(history: CellHistory, path, header_comment: str | None = None) ->
     meta = " ".join(f"{key}={value}" for key, value in CellMeta.of(history).fields())
     cutoff = spell(history.cycles[0].relaxation.cutoff_current_a)
     _, _, dis_rate = parse_condition(history.condition)
-    discharge_current = spell(-dis_rate * history.nominal_capacity_ah)
+    discharge_current = itertools.repeat(spell(-dis_rate * history.nominal_capacity_ah))
+    rest, discharge = itertools.repeat("rest_post_charge"), itertools.repeat("discharge")
 
-    def rows():
+    def rest_columns(times):
+        return spell_floats(times), [cutoff if t == 0.0 else "0.0" for t in times.tolist()]
+
+    rest_times = _cache_of_one(rest_columns)
+    discharge_voltages = _cache_of_one(spell_floats)
+    ramps: dict[int, np.ndarray] = {}
+
+    def phases():
         # Whole columns are spelled at once: per-value formatting dominates the write.
         for rec in history.cycles:
             rel = rec.relaxation
-            cycle = itertools.repeat(rec.cycle_index)
-            capacity = itertools.repeat(spell(rec.capacity_ah))
-            currents = [cutoff if t == 0.0 else "0.0" for t in rel.times_s.tolist()]
-            yield from zip(cycle, itertools.repeat("rest_post_charge"), spell_floats(rel.times_s),
-                           spell_floats(rel.voltages_v), currents, capacity)
+            cycle = itertools.repeat(spell(rec.cycle_index))
+            times, currents = rest_times(rel.times_s)
+            yield zip(cycle, rest, times, spell_floats(rel.voltages_v), currents,
+                      itertools.repeat(spell(rec.capacity_ah)))
             if rec.discharge is not None:
                 dis = rec.discharge
                 n = dis.charges_ah.size
-                times = dis.duration_s * (np.arange(n) / (n - 1))
-                yield from zip(cycle, itertools.repeat("discharge"), spell_floats(times),
-                               spell_floats(dis.voltages_v), itertools.repeat(discharge_current),
-                               spell_floats(dis.charges_ah))
+                if n not in ramps:
+                    ramps[n] = np.arange(n) / (n - 1)
+                yield zip(cycle, discharge, spell_floats(dis.duration_s * ramps[n]),
+                          discharge_voltages(dis.voltages_v), discharge_current,
+                          spell_floats(dis.charges_ah))
 
-    write_table(path, [f"{header_comment or 'kind=cell'} {meta}"], CANONICAL_COLUMNS, rows())
+    write_table(path, [f"{header_comment or 'kind=cell'} {meta}"], CANONICAL_COLUMNS,
+                itertools.chain.from_iterable(phases()))
+
+
+def _cache_of_one(compute):
+    """``compute`` with a cache of one: passed the same object as last time
+    (by identity, not value), it returns the last result."""
+    last = [None, None]
+
+    def cached(array):
+        if array is not last[0]:
+            last[:] = array, compute(array)
+        return last[1]
+
+    return cached
 
 
 # ---------------------------------------------------------------------------

@@ -115,11 +115,12 @@ class DriftProfile:
     seed: int = 0
 
     def __post_init__(self):
-        if self.fade_a <= 0 or self.fade_b <= 0:
+        # Written so that NaN fails every check.
+        if not (self.fade_a > 0 and self.fade_b > 0):
             raise ValidationError("fade coefficients a and b must be positive")
-        if self.fade_ref_cycles <= 0:
+        if not self.fade_ref_cycles > 0:
             raise ValidationError("fade reference cycle count must be positive")
-        if self.noise_sigma_v < 0 or self.cell_spread < 0:
+        if not (self.noise_sigma_v >= 0 and self.cell_spread >= 0):
             raise ValidationError("noise sigma and cell spread must be non-negative")
 
 

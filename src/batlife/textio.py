@@ -5,7 +5,10 @@ CLI outputs) and plain ``key = value`` files (manifests, report summaries,
 ``--config`` files). Both open with ``# `` comment lines; the first carries
 the provenance header (tool version, configuration fingerprint, kind).
 Every float is spelled as ``repr`` of a Python float, the shortest text
-that reads back bit for bit, and booleans as 0/1. ``read_table`` reads a
+that reads back bit for bit, and booleans as 0/1. ``write_table`` takes
+rows of spelled strings and renders them a chunk at a time with
+``",".join``; a chunk with a field that needs quoting goes through the
+``csv`` writer, the one definition of quoting. ``read_table`` reads a
 table as text rows; ``read_columns`` parses chosen columns of a large
 table to typed arrays in one C pass (``np.loadtxt``).
 """
@@ -69,34 +72,56 @@ _CHUNK_ROWS = 4096
 def write_table(path, comments: list[str], columns, rows) -> None:
     """Write a commented CSV: one ``# `` line per comment, the header, the rows.
 
-    Row values must already be spelled (``spell``, ``spell_floats``) or be
-    ints; they are written as they are. A line break in a comment, or a
-    carriage return anywhere in the table, raises ``ValidationError``, since
-    neither would read back (under a ``\\n`` line end the ``csv`` writer does
-    not quote a bare ``\\r``, and the reader ends the row there). The text
-    goes out in chunks of ``_CHUNK_ROWS`` rows, each checked before it is
-    written; a partly written table is removed.
+    Every row value must be a spelled string (``spell``, ``spell_floats``);
+    it is written as it is. A line break in a comment, or a carriage return
+    anywhere in the table, raises ``ValidationError``, since neither would
+    read back (under a ``\\n`` line end the ``csv`` writer does not quote a
+    bare ``\\r``, and the reader ends the row there). The header goes through
+    the ``csv`` writer; the rows go out in chunks of ``_CHUNK_ROWS``, each
+    rendered by ``_render_rows``, checked, then written. A partly written
+    table is removed.
     """
     path = Path(path)
     if any("\n" in comment for comment in comments):
         raise ValidationError(f"{path}: a line break in a comment would not read back")
-    text = io.StringIO()
-    text.writelines(f"# {comment}\n" for comment in comments)
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(columns)
+    head = io.StringIO()
+    head.writelines(f"# {comment}\n" for comment in comments)
+    csv.writer(head, lineterminator="\n").writerow(columns)
     rows = iter(rows)
     try:
         with path.open("w", newline="") as fh:
-            while chunk := text.getvalue():
+            chunk = head.getvalue()
+            while chunk:
                 if "\r" in chunk:
                     raise ValidationError(f"{path}: a carriage return would not read back")
                 fh.write(chunk)
-                text.seek(0)
-                text.truncate()
-                writer.writerows(itertools.islice(rows, _CHUNK_ROWS))
+                chunk = _render_rows(list(itertools.islice(rows, _CHUNK_ROWS)), len(columns))
     except ValidationError:
         path.unlink()
         raise
+
+
+def _render_rows(rows: list, width: int) -> str:
+    """The text the ``csv`` writer gives ``rows`` (``\\n`` line ends), the cheap way when it can.
+
+    The rows are joined with ``,`` and ``\\n`` when that gives the same text,
+    that is when no field needs quoting: every row has ``width`` fields, and
+    the joined text holds no ``"``, exactly ``width - 1`` commas and one
+    ``\\n`` per row, and, in a one-column table, no empty field (the writer
+    quotes a lone empty field, which would otherwise read as a blank line).
+    Any other chunk goes through the ``csv`` writer.
+    """
+    if not rows:
+        return ""
+    text = "\n".join(map(",".join, rows)) + "\n"
+    count = len(rows)
+    if ('"' not in text and text.count("\n") == count and text.count(",") == (width - 1) * count
+            and set(map(len, rows)) == {width}
+            and (width > 1 or not (text.startswith("\n") or "\n\n" in text))):
+        return text
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def _read_head(fh, path):

@@ -1,4 +1,8 @@
+import csv
+import io
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +10,11 @@ from scipy.special import expit
 
 from batlife import simgen
 from batlife.dataset import (
-    CellMeta, DischargeCurve, RelaxationCurve, build_history, parse_condition,
+    CANONICAL_COLUMNS, CellMeta, DischargeCurve, RelaxationCurve, build_history, parse_condition,
 )
 from batlife.ecm import EcmParams, predict_relaxation
 from batlife.errors import ValidationError
+from batlife.textio import spell, spell_floats
 
 CUTOFF_A = 0.175
 INTERVAL_S = 120.0
@@ -113,3 +118,56 @@ def history_bits(cell) -> list:
         if dis is not None:
             out += [dis.charges_ah.tobytes(), dis.voltages_v.tobytes(), dis.duration_s]
     return out
+
+
+def write_table_per_row(path, comments, columns, rows) -> None:
+    """Oracle: ``textio.write_table`` with every row rendered by the ``csv``
+    writer, ints spelled as ``str`` spells them."""
+    path = Path(path)
+    if any("\n" in comment for comment in comments):
+        raise ValidationError(f"{path}: a line break in a comment would not read back")
+    text = io.StringIO()
+    text.writelines(f"# {comment}\n" for comment in comments)
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    rows = iter(rows)
+    try:
+        with path.open("w", newline="") as fh:
+            while chunk := text.getvalue():
+                if "\r" in chunk:
+                    raise ValidationError(f"{path}: a carriage return would not read back")
+                fh.write(chunk)
+                text.seek(0)
+                text.truncate()
+                writer.writerows(itertools.islice(rows, 4096))
+    except ValidationError:
+        path.unlink()
+        raise
+
+
+def write_cell_per_cycle(history, path, header_comment=None) -> None:
+    """Oracle: ``dataset.write_cell`` spelling every array of every cycle
+    afresh and rendering rows through ``write_table_per_row``."""
+    meta = " ".join(f"{key}={value}" for key, value in CellMeta.of(history).fields())
+    cutoff = spell(history.cycles[0].relaxation.cutoff_current_a)
+    _, _, dis_rate = parse_condition(history.condition)
+    discharge_current = spell(-dis_rate * history.nominal_capacity_ah)
+
+    def rows():
+        for rec in history.cycles:
+            rel = rec.relaxation
+            cycle = itertools.repeat(rec.cycle_index)
+            capacity = itertools.repeat(spell(rec.capacity_ah))
+            currents = [cutoff if t == 0.0 else "0.0" for t in rel.times_s.tolist()]
+            yield from zip(cycle, itertools.repeat("rest_post_charge"), spell_floats(rel.times_s),
+                           spell_floats(rel.voltages_v), currents, capacity)
+            if rec.discharge is not None:
+                dis = rec.discharge
+                n = dis.charges_ah.size
+                times = dis.duration_s * (np.arange(n) / (n - 1))
+                yield from zip(cycle, itertools.repeat("discharge"), spell_floats(times),
+                               spell_floats(dis.voltages_v), itertools.repeat(discharge_current),
+                               spell_floats(dis.charges_ah))
+
+    write_table_per_row(path, [f"{header_comment or 'kind=cell'} {meta}"], CANONICAL_COLUMNS,
+                        rows())

@@ -20,6 +20,7 @@ from batlife.dataset import (
     write_manifest,
 )
 from batlife.errors import ValidationError
+from batlife.textio import read_table
 from batlife.experiments import build_classification_samples
 from batlife.features import FeatureSet
 from batlife.gpc import NCA_POLICY
@@ -114,6 +115,13 @@ class TestSimulateIngest:
         assert main(["ingest", "--manifest", _manifest(dataset_dir)]) == 0
         out = capsys.readouterr().out
         assert "6 cells validated" in out
+
+    @pytest.mark.parametrize("flag", ["--noise-mv", "--spread"])
+    def test_nan_drift_setting_exits_3(self, tmp_path, capsys, flag):
+        code = main(["simulate", "--cells", "1", "--conditions", "1", flag, "nan",
+                     "--discharge-knots", "2", "--out", str(tmp_path / "nan")])
+        assert code == 3
+        assert "noise sigma and cell spread must be non-negative" in capsys.readouterr().err
 
     def test_simulate_deterministic(self, tmp_path):
         # identical configuration (including the output path) twice over
@@ -355,6 +363,47 @@ def _written_cycles(path) -> dict[str, list[int]]:
         if not found or found[-1] != int(row[1]):
             found.append(int(row[1]))
     return cycles
+
+
+class TestQuotedCellId:
+    """A cell id may hold ',' and '"' (``CellMeta`` refuses only whitespace
+    and '='), so every table that carries it must quote it."""
+
+    def test_id_reads_back_verbatim(self, dataset_dir, tmp_path, capsys):
+        cells = ingest_manifest(_manifest(dataset_dir))
+        renamed = {c.cell_id: f'q,"{i}' for i, c in enumerate(cells, start=1)}
+        manifest = _write_fleet(
+            [dataclasses.replace(c, cell_id=renamed[c.cell_id]) for c in cells],
+            [dataclasses.replace(e, cell_id=renamed[e.cell_id])
+             for e in read_manifest(_manifest(dataset_dir))],
+            tmp_path / "quoted")
+        ids = set(renamed.values())
+
+        def written_ids(path) -> set[str]:
+            _, header, rows = read_table(path)
+            return {row[header.index("cell_id")] for row in rows}
+
+        features = tmp_path / "features.csv"
+        assert main(["features", "--manifest", manifest, "--feature-set", "NOVEL_PRED",
+                     "--stride", "10", "--out", str(features)]) == 0
+        assert written_ids(features) == ids
+        assert '\n"q,""1",' in features.read_text()
+        model, predictions = tmp_path / "model.txt", tmp_path / "pred.csv"
+        assert main(["train-rul", "--manifest", manifest, "--stride", "10", "--restarts", "1",
+                     "--max-iters", "50", "--out", str(model)]) == 0
+        assert main(["predict-rul", "--manifest", manifest, "--model", str(model),
+                     "--stride", "10", "--out", str(predictions)]) == 0
+        predicted = written_ids(predictions)
+        assert 'q,"1' in predicted and predicted <= ids
+        report = tmp_path / "report"
+        assert main(["evaluate", "--manifest", manifest, "--experiment", "rul",
+                     "--feature-sets", "NOVEL_PRED", "--stride", "8", "--restarts", "2",
+                     "--max-iters", "100", "--split", "1/1", "--seed", "3",
+                     "--out", str(report)]) == 0
+        tested = written_ids(report / "predictions.csv")
+        assert tested and tested <= ids
+        assert main(["report", "--in", str(report)]) == 0
+        assert "metrics verified" in capsys.readouterr().out
 
 
 # Header fingerprint and sha256 of each output, recorded with the CLI that

@@ -43,7 +43,7 @@ from batlife.errors import (
     ValidationError,
 )
 
-from conftest import history_bits
+from conftest import history_bits, write_cell_per_cycle
 
 
 def _simulated_cell(seed=4, horizon=30, noise=5e-4, cell_id="rt-00"):
@@ -447,6 +447,58 @@ class TestColumnarIngest:
         assert [rec.cycle_index for rec in cell.cycles] == [1, 2]
         assert cell.cycles[0].discharge.duration_s == 3600.0
         assert cell.cycles[1].discharge is None
+
+
+def _same_as_oracle(cell, directory: Path) -> None:
+    """``write_cell`` writes the bytes of the cycle-by-cycle oracle."""
+    got, want = directory / "got.csv", directory / "want.csv"
+    write_cell(cell, got, header_comment="kind=cell x=1")
+    write_cell_per_cycle(cell, want, header_comment="kind=cell x=1")
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def patchwork_sources():
+    """Six-cycle cells whose shared arrays differ: templates of three knot
+    counts and two voltage windows, and a 30 s rest grid."""
+    profile = simgen.DriftProfile(initial=simgen.DEFAULT_INITIAL, noise_sigma_v=5e-4, seed=3)
+    return [simgen.simulate_cell(profile, protocol, 6, discharge_knots=knots)
+            for protocol, knots in [(simgen.NCA_PROTOCOL, 2), (simgen.NCA_PROTOCOL, 50),
+                                    (simgen.NCA_PROTOCOL, 1000), (simgen.NCM_PROTOCOL, 50),
+                                    (simgen.NCM_NCA_PROTOCOL, 50)]]
+
+
+class TestWriteCellOracle:
+    @pytest.mark.parametrize("knots", [2, 50, 1000])
+    def test_simulated_then_ingested(self, tmp_path, knots):
+        cell = simgen.simulate_cell(simgen.condition_profile(300.0, seed=5, noise_sigma_v=2e-4),
+                                    simgen.NCA_PROTOCOL, 12, discharge_knots=knots)
+        first, second = cell.cycles[0], cell.cycles[1]
+        assert first.relaxation.times_s is second.relaxation.times_s
+        assert first.discharge.voltages_v is second.discharge.voltages_v
+        _same_as_oracle(cell, tmp_path)
+        back = ingest_cell(tmp_path / "want.csv")
+        assert back.cycles[0].discharge.voltages_v is not back.cycles[1].discharge.voltages_v
+        _same_as_oracle(back, tmp_path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(picks=st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=1, max_size=6))
+    def test_cycles_of_mixed_cells(self, patchwork_sources, picks):
+        # Cycle m comes from source cell i, without its discharge when asked.
+        cycle_data = []
+        for m, (i, drop) in enumerate(picks, start=1):
+            rec = patchwork_sources[i].cycles[m - 1]
+            cycle_data.append((m, rec.relaxation, None if drop else rec.discharge,
+                               rec.capacity_ah))
+        cell = build_history(CellMeta.of(patchwork_sources[0]), cycle_data)
+        with tempfile.TemporaryDirectory() as tmp:
+            _same_as_oracle(cell, Path(tmp))
+
+    @settings(max_examples=60, deadline=None)
+    @given(cell=_histories())
+    def test_unshared_arrays(self, cell):
+        with tempfile.TemporaryDirectory() as tmp:
+            _same_as_oracle(cell, Path(tmp))
 
 
 class TestManifest:

@@ -51,6 +51,17 @@ class TestDrift:
         with pytest.raises(ValidationError):
             _profile(fade_b=-1.0)
 
+    @pytest.mark.parametrize("name, message", [
+        ("fade_a", "fade coefficients a and b must be positive"),
+        ("fade_b", "fade coefficients a and b must be positive"),
+        ("fade_ref_cycles", "fade reference cycle count must be positive"),
+        ("noise_sigma_v", "noise sigma and cell spread must be non-negative"),
+        ("cell_spread", "noise sigma and cell spread must be non-negative"),
+    ])
+    def test_nan_rejected(self, name, message):
+        with pytest.raises(ValidationError, match=message):
+            _profile(**{name: float("nan")})
+
 
 class TestDeterminism:
     def test_identical_seed_bit_identical(self):

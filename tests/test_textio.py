@@ -14,6 +14,8 @@ from batlife import textio
 from batlife.errors import EmptyFileError, SchemaError, ValidationError
 from batlife.textio import parse_value, read_columns, read_keys, read_table, spell, write_table
 
+from conftest import write_table_per_row
+
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
                1.7976931348623157e308, 0.1, 1 / 3]
 FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
@@ -93,6 +95,79 @@ class TestTable:
         path.write_text("# only a comment\n")
         with pytest.raises(EmptyFileError):
             read_table(path)
+
+
+# Fields of every kind a table holds: spelled floats and ints, empty
+# fields, and text that needs quoting (or, with a carriage return, refusal).
+FIELDS = st.one_of(
+    FLOATS.map(spell),
+    st.integers(-(10**6), 10**6).map(spell),
+    st.just(""),
+    st.text(st.sampled_from(["a", " ", "#", ",", '"', "\n", "\r", "\u00e9"]), max_size=4),
+)
+# Row counts around the chunk boundary of ``write_table``.
+ROW_COUNTS = st.sampled_from([0, 1, 2, textio._CHUNK_ROWS - 1, textio._CHUNK_ROWS,
+                              textio._CHUNK_ROWS + 1, 2 * textio._CHUNK_ROWS + 3])
+
+
+def _same_as_csv_writer(tmp, comments, columns, rows) -> None:
+    """``write_table`` writes the bytes of the csv-writer oracle, or both
+    refuse and leave no file."""
+    got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+    try:
+        write_table_per_row(want, comments, columns, rows)
+    except ValidationError as refused:
+        with pytest.raises(ValidationError, match=re.escape(str(refused).partition(": ")[2])):
+            write_table(got, comments, columns, rows)
+        assert not got.exists() and not want.exists()
+        return
+    write_table(got, comments, columns, rows)
+    assert got.read_bytes() == want.read_bytes()
+
+
+class TestJoinedRows:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        comments=st.lists(st.text(st.sampled_from(["c", " ", "=", "\n", "\r"]), max_size=3),
+                          max_size=2),
+        width=st.integers(1, 6),
+        count=ROW_COUNTS,
+        data=st.data(),
+    )
+    def test_bytes_equal_the_csv_writer(self, comments, width, count, data):
+        row = st.lists(FIELDS, min_size=width, max_size=width)
+        columns = data.draw(row, label="columns")
+        plain = data.draw(row, label="plain row")
+        # A few drawn rows at drawn places in a table of one repeated row.
+        rows = [plain] * count
+        for _ in range(data.draw(st.integers(0, 3), label="placed") if count else 0):
+            rows[data.draw(st.integers(0, count - 1), label="at")] = data.draw(row, label="row")
+        with tempfile.TemporaryDirectory() as tmp:
+            _same_as_csv_writer(tmp, comments, columns, rows)
+
+    @pytest.mark.parametrize("columns, rows", [
+        (["x"], [[""]]),
+        (["x"], [["1"], [""], ["2"]]),
+        (["x"], [[], ["1"]]),
+        (["x", "y"], [["a,b", "c"]]),
+        (["x", "y"], [["a", 'b"c']]),
+        (["x", "y"], [["a\nb", "c"]]),
+        (["x", "y"], [["", ""]]),
+        (["x", "y"], [[], ["a,b", "c"]]),
+        (["x", "y"], [["a", "b", "c"], ["d"]]),
+        (["x", "y"], [["a", "b", "c,d"], ["e"]]),
+        (["x", "y"], [["1\r2", "3"]]),
+    ], ids=["lone-empty", "empty-among-rows", "no-field", "comma", "quote", "line-break",
+            "two-empty", "no-field-and-comma", "ragged", "ragged-and-comma", "carriage-return"])
+    def test_edge_rows(self, tmp_path, columns, rows):
+        _same_as_csv_writer(tmp_path, ["c"], columns, rows)
+
+    def test_quoting_chunk_between_joined_ones(self, tmp_path):
+        rows = [[str(i), repr(i / 7)] for i in range(3 * textio._CHUNK_ROWS)]
+        rows[textio._CHUNK_ROWS + 5][1] = 'q,"1'
+        write_table(tmp_path / "t.csv", ["c"], ["i", "x"], rows)
+        assert read_table(tmp_path / "t.csv")[2] == rows
+        _same_as_csv_writer(tmp_path, ["c"], ["i", "x"], rows)
 
 
 DTYPES = {"n": np.int64, "name": "U8", "x": np.float64}
