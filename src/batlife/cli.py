@@ -67,6 +67,13 @@ OUTPUT_DIR_ENV = "BATLIFE_OUT"
 FLEET = {k: p.default for k, p in inspect.signature(simgen.benchmark_fleet).parameters.items()}
 FADE_REFS = FLEET["fade_refs"] + (400.0, 650.0, 950.0)
 TEMPERATURES = FLEET["temperatures"] + (30, 40, 50)
+# The flags (by dest) each subcommand cannot run without, by flag or by config file.
+REQUIRED = {
+    "ingest": ("manifest",), "fit-ecm": ("manifest",), "features": ("manifest",),
+    "train-rul": ("manifest",), "predict-rul": ("manifest", "model"),
+    "train-class": ("manifest",), "classify": ("manifest", "model", "cycle"),
+    "evaluate": ("manifest",), "report": ("in_dir",),
+}
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
@@ -74,19 +81,25 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
 
     argparse then converts them through each flag's ``type`` (a bad value
     exits 2), and explicit flags still win. Keys that name no flag of the
-    subcommand are ignored; boolean flags are on for 1, true or yes.
+    subcommand are ignored; boolean flags are on for 1, true or yes. A
+    ``REQUIRED`` flag that neither sets is a usage error (exit 2).
     """
     args = parser.parse_args(argv)
-    if not args.config:
-        return args
-    values = {key.replace("-", "_"): value
-              for key, value in read_keys(args.config, ValidationError).items()}
     command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
-    command.set_defaults(**{
-        a.dest: values[a.dest].lower() in ("1", "true", "yes") if a.nargs == 0 else values[a.dest]
-        for a in command._actions if a.dest in values and a.dest not in ("help", "config")
-    })
-    return parser.parse_args(argv)
+    if args.config:
+        values = {key.replace("-", "_"): value
+                  for key, value in read_keys(args.config, ValidationError).items()}
+        command.set_defaults(**{
+            a.dest: values[a.dest].lower() in ("1", "true", "yes") if a.nargs == 0
+            else values[a.dest]
+            for a in command._actions if a.dest in values and a.dest not in ("help", "config")
+        })
+        args = parser.parse_args(argv)
+    missing = [a.option_strings[0] for a in command._actions
+               if a.dest in REQUIRED.get(args.command, ()) and getattr(args, a.dest) is None]
+    if missing:
+        command.error(f"the following arguments are required: {', '.join(missing)}")
+    return args
 
 
 def _fingerprint(args: argparse.Namespace) -> str:
@@ -204,8 +217,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    if args.manifest is None:
-        raise ValidationError("--manifest is required")
     cells = ingest_manifest(args.manifest)
     for cell in cells:
         eol = cell.eol_cycle if cell.eol_cycle is not None else "never"
@@ -217,8 +228,6 @@ def cmd_ingest(args) -> int:
 
 def cmd_fit_ecm(args) -> int:
     out = _out_path(args.out, "ecm_params.csv")
-    if args.manifest is None:
-        raise ValidationError("--manifest is required")
     cells = ingest_manifest(args.manifest)
     if args.cell is not None:
         cells = [c for c in cells if c.cell_id == args.cell]
@@ -240,8 +249,6 @@ def cmd_fit_ecm(args) -> int:
 def cmd_features(args) -> int:
     feature_set = FeatureSet.parse(args.feature_set)
     out = _out_path(args.out, "features.csv")
-    if args.manifest is None:
-        raise ValidationError("--manifest is required")
     if feature_set in DISCHARGE_SETS:
         window = WindowSpec(mode=WindowMode.ADJACENT)
     else:
@@ -261,9 +268,6 @@ def cmd_train_rul(args) -> int:
     out = _out_path(args.out, "rul_model.txt")
     config = _rul_config(args)
     feature_set = config.feature_sets[0]
-    if args.manifest is None:
-        raise ValidationError("--manifest is required")
-
     cells = ingest_manifest(args.manifest)
     if len({c.chemistry for c in cells}) > 1:
         raise ValidationError(
@@ -286,9 +290,6 @@ def cmd_train_rul(args) -> int:
 
 def cmd_predict_rul(args) -> int:
     out = _out_path(args.out, "rul_predictions.csv")
-    if args.manifest is None or args.model is None:
-        raise ValidationError("--manifest and --model are required")
-
     model = modelio.load_model(args.model)
     meta = modelio.read_model_meta(args.model)
     config = RulExperimentConfig(
@@ -315,9 +316,6 @@ def cmd_train_class(args) -> int:
     out = _out_path(args.out, "class_model.txt")
     feature_set = FeatureSet.parse(args.feature_set)
     config = _class_config(args, (feature_set,))
-    if args.manifest is None:
-        raise ValidationError("--manifest is required")
-
     cells = [c for c in ingest_manifest(args.manifest) if c.chemistry is config.chemistry]
     if not cells:
         raise ValidationError(f"manifest has no {config.chemistry.value} cells")
@@ -339,9 +337,6 @@ def cmd_train_class(args) -> int:
 
 def cmd_classify(args) -> int:
     out = _out_path(args.out, "classification.csv")
-    if args.manifest is None or args.model is None or args.cycle is None:
-        raise ValidationError("--manifest, --model, and --cycle are required")
-
     dag = modelio.load_model(args.model)
     meta = modelio.read_model_meta(args.model)
     feature_set = FeatureSet.parse(
@@ -361,9 +356,6 @@ def cmd_classify(args) -> int:
 
 def cmd_evaluate(args) -> int:
     outdir = Path(args.out if args.out is not None else _out_path(None, "report"))
-    if args.manifest is None:
-        raise ValidationError("--manifest is required")
-
     cells = ingest_manifest(args.manifest)
     split = split_dataset(cells, _parse_split(args.split, cells), seed=args.seed)
 
@@ -397,8 +389,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if args.in_dir is None:
-        raise ValidationError("--in is required")
     report = read_report(args.in_dir)
     if not verify_report(report):
         raise ValidationError(

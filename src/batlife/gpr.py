@@ -68,11 +68,12 @@ class KernelParams:
     def __post_init__(self):
         ls = np.atleast_1d(np.asarray(self.length_scales, dtype=float))
         object.__setattr__(self, "length_scales", ls)
-        if self.sigma_f <= 0:
+        # Written so that NaN fails every check.
+        if not self.sigma_f > 0:
             raise ValidationError("sigma_f must be positive")
-        if np.any(ls <= 0):
+        if not np.all(ls > 0):
             raise ValidationError("all length scales must be positive")
-        if self.sigma_n < 0:
+        if not self.sigma_n >= 0:
             raise ValidationError("sigma_n cannot be negative")
 
     @property
@@ -84,6 +85,11 @@ class KernelParams:
 class Standardizer:
     mean: np.ndarray
     scale: np.ndarray
+
+    def __post_init__(self):
+        # Written so that NaN fails it; ``fit`` gives a constant column scale 1.0.
+        if not np.all(np.asarray(self.scale) > 0):
+            raise ValidationError("every scale entry must be positive")
 
     @staticmethod
     def fit(X: np.ndarray) -> "Standardizer":

@@ -2,15 +2,16 @@
 
 Two layouts cover them all: commented CSV tables (cell data, reports,
 CLI outputs) and plain ``key = value`` files (manifests, report summaries,
-``--config`` files). Both open with ``# `` comment lines; the first carries
-the provenance header (tool version, configuration fingerprint, kind).
-Every float is spelled as ``repr`` of a Python float, the shortest text
-that reads back bit for bit, and booleans as 0/1. ``write_table`` takes
-rows of spelled strings and renders them a chunk at a time with
-``",".join``; a chunk with a field that needs quoting goes through the
-``csv`` writer, the one definition of quoting. ``read_table`` reads a
-table as text rows; ``read_columns`` parses chosen columns of a large
-table to typed arrays in one C pass (``np.loadtxt``).
+model files, ``--config`` files). Both open with ``# `` comment lines; the
+first carries the provenance header (tool version, configuration
+fingerprint, kind). Every float is spelled as ``repr`` of a Python float,
+the shortest text that reads back bit for bit, and booleans as 0/1; a
+comma-joined list of floats reads back through ``parse_floats``.
+``write_table`` takes rows of spelled strings and renders them a chunk at a
+time with ``",".join``; a chunk with a field that needs quoting goes
+through the ``csv`` writer, the one definition of quoting. ``read_table``
+reads a table as text rows; ``read_columns`` parses chosen columns of a
+large table to typed arrays in one C pass (``np.loadtxt``).
 """
 
 from __future__ import annotations
@@ -53,6 +54,25 @@ def spell_floats(values) -> list[str]:
     return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
 
 
+def parse_floats(text: str, where: str) -> np.ndarray:
+    """The floats of a comma-joined ``spell_floats`` list, by the rules of a table column.
+
+    ``np.loadtxt`` reads them, so spellings that Python's ``float`` takes and
+    a cell CSV refuses (``1_0``, non-ASCII digits) are refused here too. An
+    empty list, a field that does not parse or a value that is not finite
+    raises ``ValidationError`` naming ``where``.
+    """
+    if not text:
+        raise ValidationError(f"{where}: no numbers")
+    try:
+        values = np.loadtxt([text], delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        raise ValidationError(f"{where}: {str(exc).partition(' at row')[0]}") from None
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{where}: {values[~np.isfinite(values)][0]} is not a finite number")
+    return values
+
+
 def parse_value(text: str):
     """Read back a spelled value: an int, else a float, else the text itself."""
     try:
@@ -78,8 +98,8 @@ def write_table(path, comments: list[str], columns, rows) -> None:
     read back (under a ``\\n`` line end the ``csv`` writer does not quote a
     bare ``\\r``, and the reader ends the row there). The header goes through
     the ``csv`` writer; the rows go out in chunks of ``_CHUNK_ROWS``, each
-    rendered by ``_render_rows``, checked, then written. A partly written
-    table is removed.
+    rendered by ``_render_rows``, checked, then written. Whatever goes wrong
+    once the file is open, the partly written table is removed.
     """
     path = Path(path)
     if any("\n" in comment for comment in comments):
@@ -88,15 +108,16 @@ def write_table(path, comments: list[str], columns, rows) -> None:
     head.writelines(f"# {comment}\n" for comment in comments)
     csv.writer(head, lineterminator="\n").writerow(columns)
     rows = iter(rows)
+    fh = path.open("w", newline="")
     try:
-        with path.open("w", newline="") as fh:
+        with fh:
             chunk = head.getvalue()
             while chunk:
                 if "\r" in chunk:
                     raise ValidationError(f"{path}: a carriage return would not read back")
                 fh.write(chunk)
                 chunk = _render_rows(list(itertools.islice(rows, _CHUNK_ROWS)), len(columns))
-    except ValidationError:
+    except BaseException:
         path.unlink()
         raise
 

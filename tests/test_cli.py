@@ -411,7 +411,8 @@ class TestQuotedCellId:
 # manifest and the two models were re-recorded when the manifest header
 # stopped repeating its kind and the GP gradients moved to the shared
 # length-scale contraction and the trtri inverse, the cell file when its
-# header stopped repeating its kind.
+# header stopped repeating its kind, and the two models when model files
+# became plain ``key = value`` files (format v2; the same numbers).
 GOLDEN = {
     "small/manifest.txt": (
         "3f665b729229", "36752dd343d66ef5673b0cd13a50b01d392cb0cb832a06f6d90c7af9c55eba41"),
@@ -422,9 +423,9 @@ GOLDEN = {
     "by_config/features.csv": (
         "672c53d2fc2a", "49ab5977a50f5da26b4be2c13b5a38781149d2dbd05ce9707b7d9b038fe961b9"),
     "rul_model.txt": (
-        "efefeadd9222", "384f5ef50778027bc2d628ce72160a5de55c5758d8f01a0f0005c420b24a6a54"),
+        "efefeadd9222", "daa8aefac6accfe4c9c27ab02d037d417e07723baf7755fca936d50d31cac29c"),
     "class_model.txt": (
-        "c861099b7e8e", "2ac20d9b9bcfa0ae61e6f083c4ea01baa90c100fd4ea4a504a143254eba5baa1"),
+        "c861099b7e8e", "0483b82a1807a7c8ba467217cc4ff00b8a978f3b5852e1ac10ed111437c5bd80"),
 }
 
 
@@ -499,7 +500,11 @@ def dag_model(dataset_dir, tmp_path_factory):
 
 
 class TestModelSchema:
-    @pytest.mark.parametrize("field", ["sigma_f", "length_scales", "y", "n", "x_mean", "x_scale"])
+    @pytest.mark.parametrize("field", [
+        pytest.param("stage1.sigma_f", id="sigma_f"),
+        pytest.param("stage1.length_scales", id="length_scales"),
+        pytest.param("stage1.y", id="y"), "x_mean", "x_scale",
+    ])
     def test_missing_dag_field_exits_3(self, dataset_dir, dag_model, tmp_path, capsys, field):
         lines = dag_model.read_text().splitlines()
         first = next(i for i, line in enumerate(lines) if line.startswith(f"{field} ="))
@@ -510,6 +515,121 @@ class TestModelSchema:
         assert code == 3
         err = capsys.readouterr().err
         assert "SchemaError" in err and f"missing model field '{field}'" in err
+
+
+@pytest.fixture(scope="module")
+def rul_model(dataset_dir, tmp_path_factory):
+    model = tmp_path_factory.mktemp("rul") / "model.txt"
+    assert main(["train-rul", "--manifest", _manifest(dataset_dir), "--stride", "10",
+                 "--restarts", "1", "--max-iters", "50", "--out", str(model)]) == 0
+    return model
+
+
+def _first_dropped(value: str) -> str:
+    return value.partition(",")[2]
+
+
+def _last_dropped(value: str) -> str:
+    return value.rpartition(",")[0]
+
+
+V1_GPR = ("# kind=model\nbatlife-model v1 kind=gpr\nsigma_f = 1.0\nsigma_n = 0.1\n"
+          "length_scales = 1.0\nx_mean = 0.0\nx_scale = 1.0\ny_mean = 0.0\nn = 1\nX 0.5\n"
+          "y = 1.0\n")
+V1_DAG = ("# kind=model\nbatlife-model v1 kind=life-dag\nx_mean = 0.0\nx_scale = 1.0\n"
+          "begin binary stage1\nsigma_f = 1.0\nlength_scales = 1.0\nn = 1\nX 0.5\ny = 1.0\n"
+          "end binary\n")
+
+
+class TestMalformedModel:
+    """A model file that does not hold a sound model exits 3, naming the file and the field."""
+
+    @pytest.mark.parametrize("model, key, edit, error, named", [
+        ("rul", "sigma_f", lambda v: "nan", "ValidationError", "field 'sigma_f'"),
+        ("rul", "sigma_n", lambda v: "inf", "ValidationError", "field 'sigma_n'"),
+        ("rul", "y_mean", lambda v: "1_0", "ValidationError", "field 'y_mean'"),
+        ("rul", "length_scales", lambda v: "x," + _first_dropped(v), "ValidationError",
+         "field 'length_scales'"),
+        ("rul", "y", lambda v: "", "ValidationError", "field 'y': no numbers"),
+        ("rul", "x_scale", lambda v: "0.0," + _first_dropped(v), "ValidationError",
+         "field 'x_scale'"),
+        ("rul", "x_mean", _last_dropped, "ValidationError", "field 'x_mean'"),
+        ("rul", "y", _last_dropped, "ValidationError", "field 'X'"),
+        ("rul", "y_mean", None, "SchemaError", "missing model field 'y_mean'"),
+        ("rul", "v1", None, "SchemaError", "not a batlife-model v2 file"),
+        ("dag", "stage2_long.sigma_f", lambda v: "nan", "ValidationError",
+         "field 'stage2_long.sigma_f'"),
+        ("dag", "x_mean", _last_dropped, "ValidationError", "field 'x_mean'"),
+        ("dag", "x_scale", lambda v: "-1.0," + _first_dropped(v), "ValidationError",
+         "field 'x_scale'"),
+        ("dag", "stage2_short.length_scales", _last_dropped, "ValidationError",
+         "field 'stage2_short.length_scales'"),
+        ("dag", "stage1.y", _last_dropped, "ValidationError", "field 'stage1.X'"),
+        ("dag", "stage1.y", lambda v: "0.5," + _first_dropped(v), "ValidationError",
+         "field 'stage1.y': labels must be -1 or +1"),
+        ("dag", "stage2_short.y", None, "SchemaError", "missing model field 'stage2_short.y'"),
+        ("dag", "v1", None, "SchemaError", "not a batlife-model v2 file"),
+    ], ids=["nan", "inf", "underscore", "not-a-number", "empty-list", "zero-x_scale",
+            "short-x_mean", "X-y-mismatch", "missing-key", "v1", "dag-nan", "dag-short-x_mean",
+            "dag-negative-x_scale", "dag-short-length_scales", "dag-X-y-mismatch",
+            "dag-soft-label", "dag-missing-key", "dag-v1"])
+    def test_exits_3(self, dataset_dir, rul_model, dag_model, tmp_path, capsys,
+                     model, key, edit, error, named):
+        source = rul_model if model == "rul" else dag_model
+        broken = tmp_path / "broken.txt"
+        if key == "v1":
+            broken.write_text(V1_GPR if model == "rul" else V1_DAG)
+        else:
+            lines = source.read_text().splitlines()
+            at = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
+            value = lines[at].partition(" = ")[2]
+            lines[at:at + 1] = [] if edit is None else [f"{key} = {edit(value)}"]
+            broken.write_text("\n".join(lines) + "\n")
+        if model == "rul":
+            command = ["predict-rul", "--manifest", _manifest(dataset_dir), "--stride", "10"]
+        else:
+            command = ["classify", "--manifest", _manifest(dataset_dir), "--cycle", "24"]
+        out = tmp_path / "out.csv"
+        assert main([*command, "--model", str(broken), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"error ({error}): " in err and str(broken) in err and named in err
+        assert not out.exists()
+
+
+class TestRequiredFlags:
+    @pytest.mark.parametrize("argv, flags", [
+        (["ingest"], "--manifest"),
+        (["fit-ecm"], "--manifest"),
+        (["features"], "--manifest"),
+        (["train-rul"], "--manifest"),
+        (["predict-rul"], "--manifest, --model"),
+        (["train-class"], "--manifest"),
+        (["classify", "--cycle", "24"], "--manifest, --model"),
+        (["classify", "--manifest", "m.txt", "--model", "x.txt"], "--cycle"),
+        (["evaluate"], "--manifest"),
+        (["report"], "--in"),
+    ], ids=["ingest", "fit-ecm", "features", "train-rul", "predict-rul", "train-class",
+            "classify", "classify-cycle", "evaluate", "report"])
+    def test_missing_flag_is_usage_error(self, tmp_path, monkeypatch, capsys, argv, flags):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"batlife {argv[0]}: error: the following arguments are required: {flags}" in err
+
+    def test_config_file_supplies_them(self, dataset_dir, rul_model, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"manifest = {_manifest(dataset_dir)}\n")
+        out = tmp_path / "pred.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["predict-rul", "--config", str(config), "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "the following arguments are required: --model" in capsys.readouterr().err
+        config.write_text(f"manifest = {_manifest(dataset_dir)}\nmodel = {rul_model}\n"
+                          "stride = 10\n")
+        assert main(["predict-rul", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["ingest", "--config", str(config)]) == 0
 
 
 class TestMissingCycles:

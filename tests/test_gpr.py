@@ -69,6 +69,20 @@ class TestKernelEval:
         with pytest.raises(ValidationError):
             gpr.KernelParams(sigma_f=1.0, length_scales=np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"sigma_f": math.nan, "length_scales": np.ones(2)},
+        {"sigma_f": 1.0, "length_scales": np.array([1.0, math.nan])},
+        {"sigma_f": 1.0, "length_scales": np.ones(2), "sigma_n": math.nan},
+    ])
+    def test_nan_hyperparameters(self, kwargs):
+        with pytest.raises(ValidationError):
+            gpr.KernelParams(**kwargs)
+
+    @pytest.mark.parametrize("scale", [[1.0, 0.0], [1.0, -2.0], [math.nan, 1.0]])
+    def test_standardizer_scale_must_be_positive(self, scale):
+        with pytest.raises(ValidationError, match="scale entry must be positive"):
+            gpr.Standardizer(mean=np.zeros(2), scale=np.array(scale))
+
 
 class TestLogMarginalLikelihood:
     def test_gradient_matches_central_differences(self):

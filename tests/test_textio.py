@@ -12,7 +12,16 @@ from hypothesis import strategies as st
 
 from batlife import textio
 from batlife.errors import EmptyFileError, SchemaError, ValidationError
-from batlife.textio import parse_value, read_columns, read_keys, read_table, spell, write_table
+from batlife.textio import (
+    parse_floats,
+    parse_value,
+    read_columns,
+    read_keys,
+    read_table,
+    spell,
+    spell_floats,
+    write_table,
+)
 
 from conftest import write_table_per_row
 
@@ -84,6 +93,33 @@ class TestTable:
         with pytest.raises(ValidationError, match="carriage return"):
             write_table(path, ["c"], ["i", "x"], iter(rows))
         assert not path.exists()
+
+    def test_partial_file_removed_on_any_error(self, tmp_path):
+        path = tmp_path / "table.csv"
+        with pytest.raises(TypeError):
+            write_table(path, ["c"], ["cycle"], [["1"], [2]])
+        assert not path.exists()
+
+        def rows():
+            yield ["1"]
+            raise RuntimeError("lazy row failed")
+
+        with pytest.raises(RuntimeError, match="lazy row failed"):
+            write_table(path, ["c"], ["cycle"], rows())
+        assert not path.exists()
+
+    def test_failed_open_keeps_an_existing_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "table.csv"
+        path.write_text("kept\n")
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(f"cannot open {self}")
+
+        monkeypatch.setattr(Path, "open", refuse)
+        with pytest.raises(PermissionError):
+            write_table(path, ["c"], ["cycle"], [["1"]])
+        monkeypatch.undo()
+        assert path.read_text() == "kept\n"
 
     def test_comment_without_a_space(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -210,6 +246,29 @@ class TestColumns:
         path.write_text("# c\nn,name,x\n" + "\n".join(rows) + "\n")
         with pytest.raises(ValidationError, match=rf"line {at + 3}: .* in '{re.escape(bad)}'$"):
             read_columns(path, DTYPES)
+
+
+class TestFloats:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(FLOATS, min_size=1, max_size=20))
+    def test_inverse_of_spell_floats(self, values):
+        back = parse_floats(",".join(spell_floats(values)), "here")
+        assert back.tobytes() == np.array(values, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("text, reason", [
+        ("nan", "nan is not a finite number"),
+        ("1.0,-inf", "-inf is not a finite number"),
+        ("1_0", "'1_0'"),
+        ("\u0661", "'\u0661'"),
+        ("1.0,x", "'x'"),
+        ("1.0,,2.0", "''"),
+        ("1.0 2.0", "'1.0 2.0'"),
+        ("", "no numbers"),
+    ])
+    def test_refusals_name_the_place(self, text, reason):
+        with pytest.raises(ValidationError, match=r"^m\.txt field 'y': ") as excinfo:
+            parse_floats(text, "m.txt field 'y'")
+        assert reason in str(excinfo.value)
 
 
 class TestKeys:
