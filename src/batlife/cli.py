@@ -60,6 +60,7 @@ from .features import (
 )
 from .gpc import classify as dag_classify, train_dag
 from .gpr import predict as gpr_predict, train as gpr_train
+from .plots import emit_plots
 from .textio import fingerprint, header_comment, read_keys, spell, write_table
 
 OUTPUT_DIR_ENV = "BATLIFE_OUT"
@@ -378,9 +379,9 @@ def cmd_evaluate(args) -> int:
 
     report.config["split"] = args.split
     report.config["split_seed"] = str(args.seed)
+    report.fingerprint = fingerprint(report.config)
     report.write(outdir)
     if args.plots:
-        from .plots import emit_plots
         emit_plots(report, outdir)
     for row in report.tables["metrics"]:
         print(row)
@@ -400,7 +401,6 @@ def cmd_report(args) -> int:
     for row in derived["metrics"]:
         print(row)
     if args.plots:
-        from .plots import emit_plots
         emit_plots(report, Path(args.in_dir))
     return 0
 

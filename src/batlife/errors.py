@@ -67,10 +67,6 @@ class TimeGridMismatchError(DataError):
     """Two curves do not share an identical sampling grid."""
 
 
-class HorizonExceedsDataError(DataError):
-    """A requested horizon extends past the recorded samples."""
-
-
 class NoVoltageOverlapError(DataError):
     """Two discharge curves share no voltage range."""
 

@@ -26,7 +26,6 @@ import numpy as np
 from . import ecm
 from .dataset import CellHistory, DischargeCurve, RelaxationCurve
 from .errors import (
-    HorizonExceedsDataError,
     MissingDischargeDataError,
     NoVoltageOverlapError,
     TimeGridMismatchError,
@@ -161,29 +160,22 @@ def delta_v(curve_m: RelaxationCurve, curve_n: RelaxationCurve) -> np.ndarray:
     return curve_m.voltages_v - curve_n.voltages_v
 
 
-def delta_v_features(dv: np.ndarray, sampling_s: float, horizon_s: float) -> tuple[float, float]:
-    """Summation and last value of the voltage difference over (0, horizon].
+def delta_v_features(dv: np.ndarray) -> tuple[float, float]:
+    """Summation over t > 0 and last value of a voltage difference.
 
     The t = 0 sample is excluded: it still carries the ohmic step under the
     cutoff current, not pure polarization decay.
     """
     dv = np.asarray(dv, dtype=float)
-    n_points = int(round(horizon_s / sampling_s)) + 1
-    if n_points > dv.size:
-        raise HorizonExceedsDataError(
-            f"horizon {horizon_s:g} s needs {n_points} samples, curve has {dv.size}"
-        )
-    window = dv[1:n_points]
-    return float(window.sum()), float(dv[n_points - 1])
+    return float(dv[1:].sum()), float(dv[-1])
 
 
-def stats_features(dv: np.ndarray) -> tuple[dict[str, float], bool]:
+def stats_features(dv: np.ndarray) -> dict[str, float]:
     """Eight summary statistics of a voltage-difference sequence.
 
     Variance uses the n-1 normalization; skewness and kurtosis are the
     third and fourth standardized central moments. A constant sequence has
-    undefined shape moments: both are reported as 0 and the degenerate flag
-    is set.
+    undefined shape moments: both are reported as 0.
     """
     dv = np.asarray(dv, dtype=float)
     if dv.size < 2:
@@ -194,8 +186,7 @@ def stats_features(dv: np.ndarray) -> tuple[dict[str, float], bool]:
     # Standardize before taking higher moments: powers of the raw central
     # moments underflow for near-constant sequences.
     scale = math.sqrt(m2)
-    degenerate = scale == 0.0
-    if degenerate:
+    if scale == 0.0:
         skewness, kurtosis = 0.0, 0.0
     else:
         z = centered / scale
@@ -211,7 +202,7 @@ def stats_features(dv: np.ndarray) -> tuple[dict[str, float], bool]:
         "dv_sum": float(dv.sum()),
         "dv_last": float(dv[-1]),
     }
-    return values, degenerate
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +311,12 @@ def assemble(
         curve_m = relaxation_curve(history, cycle_index, truncate)
         curve_n = relaxation_curve(history, reference, truncate)
         dv = delta_v(curve_m, curve_n)
-        horizon = float(curve_m.times_s[-1])
         if feature_set is FeatureSet.STATS:
             # Shape statistics over the polarization-decay window (t > 0),
             # the same span the summation feature is defined on.
-            stats, _ = stats_features(dv[1:])
-            values.update(stats)
+            values.update(stats_features(dv[1:]))
         else:
-            dv_sum, dv_last = delta_v_features(dv, curve_m.sampling_interval_s, horizon)
-            values["dv_sum"] = dv_sum
-            values["dv_last"] = dv_last
+            values["dv_sum"], values["dv_last"] = delta_v_features(dv)
 
     if feature_set in DISCHARGE_SETS:
         reference = window.reference_for(cycle_index)

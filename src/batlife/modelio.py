@@ -125,6 +125,9 @@ def load_model(path):
                                scale=fields.floats("x_scale", (d,)))
     names = fields.values.get("feature_names")
     names = None if names is None else tuple(names.split(","))
+    if names is not None and len(names) != d:
+        raise ValidationError(f"{fields.path} field 'feature_names': {len(names)} names, "
+                              f"not the {d} expected")
     if kind == "gpr":
         kernel = fields.make(KernelParams, "kernel",
                              sigma_f=float(fields.floats("sigma_f", ())),

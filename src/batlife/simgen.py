@@ -300,15 +300,21 @@ FADE_DRIFT_SPAN = {"r_o": 0.1, "r_c": 0.15, "c_c": -0.2}
 # with it the expected lifetime bracket).
 SIGNATURE_RESISTANCE_FACTOR = 0.72
 
+# Fade coefficient a of every benchmark condition: capacity reaches the 80%
+# end of life near 0.8 fade-reference spans.
+CONDITION_FADE_A = 0.25
+
+# Simulated cycles past the expected end of life, as a factor: the crossing
+# stays interior to every capacity trace.
+HORIZON_MARGIN = 1.05
+
 
 def condition_profile(
     fade_ref_cycles: float,
     seed: int,
     signature: int = 0,
-    fade_a: float = 0.25,
     noise_sigma_v: float = 0.0002,
     cell_spread: float = 0.02,
-    initial: EcmParams = DEFAULT_INITIAL,
 ) -> DriftProfile:
     """Drift profile for one cycling condition of the benchmark fleet.
 
@@ -319,25 +325,16 @@ def condition_profile(
     (applied by ``spread_profile``) scatters initial values, drift rates,
     and fade speed.
     """
-    res_scale = SIGNATURE_RESISTANCE_FACTOR**signature
-    tau_fast = initial.r_e * initial.c_e
-    r_e = initial.r_e * res_scale
-    signed_initial = EcmParams(
-        ocv=initial.ocv,
-        r_o=initial.r_o,
-        r_e=r_e,
-        c_e=tau_fast / r_e,
-        r_c=initial.r_c,
-        c_c=initial.c_c,
-    )
+    r_e = DEFAULT_INITIAL.r_e * SIGNATURE_RESISTANCE_FACTOR**signature
+    tau_fast = DEFAULT_INITIAL.r_e * DEFAULT_INITIAL.c_e
     rates = DriftRates(
-        ocv=OCV_CLOCK_V_PER_CYCLE / initial.ocv,
+        ocv=OCV_CLOCK_V_PER_CYCLE / DEFAULT_INITIAL.ocv,
         **{k: v / fade_ref_cycles for k, v in FADE_DRIFT_SPAN.items()},
     )
     return DriftProfile(
-        initial=signed_initial,
+        initial=replace(DEFAULT_INITIAL, r_e=r_e, c_e=tau_fast / r_e),
         rates=rates,
-        fade_a=fade_a,
+        fade_a=CONDITION_FADE_A,
         fade_b=1.0,
         fade_ref_cycles=fade_ref_cycles,
         noise_sigma_v=noise_sigma_v,
@@ -353,7 +350,6 @@ def benchmark_fleet(
     temperatures: tuple[int, ...] = (25, 35, 45),
     noise_sigma_v: float = 0.0002,
     cell_spread: float = 0.02,
-    horizon_margin: float = 1.05,
     discharge_knots: int = DISCHARGE_KNOTS,
 ) -> list[CellHistory]:
     """Heterogeneous multi-condition fleet for end-to-end experiments.
@@ -371,7 +367,7 @@ def benchmark_fleet(
             fade_ref, seed=seed + 1000 * k, signature=k,
             noise_sigma_v=noise_sigma_v, cell_spread=cell_spread,
         )
-        horizon = int(fade_ref * 0.8 * horizon_margin * (1.0 + cell_spread)) + 5
+        horizon = int(fade_ref * 0.8 * HORIZON_MARGIN * (1.0 + cell_spread)) + 5
         cells.extend(
             simulate_fleet(profile, protocol, horizon, cells_per_condition,
                            cell_prefix=f"syn{temp}", discharge_knots=discharge_knots)

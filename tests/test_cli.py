@@ -4,6 +4,7 @@ import hashlib
 import re
 import shutil
 import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from batlife.dataset import (
     write_manifest,
 )
 from batlife.errors import ValidationError
-from batlife.textio import read_table
+from batlife.textio import fingerprint, read_keys, read_table
 from batlife.experiments import build_classification_samples
 from batlife.features import FeatureSet
 from batlife.gpc import NCA_POLICY
@@ -229,7 +230,7 @@ def class_report(dataset_dir, tmp_path_factory):
     return _evaluate(dataset_dir, tmp_path_factory.mktemp("clsrep") / "report",
                      "--experiment", "classification", "--chemistry", "NCA",
                      "--test-cycle", "24", "--window-cycles", "16",
-                     "--split", "1/1", "--seed", "2")
+                     "--split", "1/1", "--seed", "2", "--plots")
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +271,34 @@ class TestEvaluateReport:
 
     def test_classification_evaluate(self, class_report):
         assert (class_report / "confusion.csv").exists()
+
+    def test_plots_from_evaluate_and_report(self, class_report, trunc_report, tmp_path):
+        copy = tmp_path / "copy"
+        shutil.copytree(trunc_report, copy)
+        assert main(["report", "--in", str(copy), "--plots"]) == 0
+        for path in [class_report / "probability_scatter.svg", class_report / "accuracy.svg",
+                     *(copy / name for name in ("rul_scatter.svg", "importance.svg",
+                                                "truncation.svg"))]:
+            assert ET.parse(path).getroot().tag == "{http://www.w3.org/2000/svg}svg"
+
+    def test_fingerprint_covers_the_split(self, dataset_dir, class_report, tmp_path):
+        """Two splits give two fingerprints; one split by flag or by config gives one."""
+        flags = ["--experiment", "classification", "--chemistry", "NCA", "--test-cycle", "24",
+                 "--window-cycles", "16", "--seed", "2"]
+        config = tmp_path / "split.cfg"
+        config.write_text("split = 1/1\n")
+        auto = _evaluate(dataset_dir, tmp_path / "auto", *flags, "--split", "auto")
+        by_config = _evaluate(dataset_dir, tmp_path / "config", *flags, "--config", str(config))
+
+        def summary(report):
+            return read_keys(report / "summary.txt", ValidationError)
+
+        by_flag = summary(class_report)
+        assert summary(auto)["fingerprint"] != by_flag["fingerprint"]
+        assert (by_config / "summary.txt").read_bytes() == (class_report / "summary.txt").read_bytes()
+        config_values = {k.removeprefix("config."): v for k, v in by_flag.items()
+                         if k.startswith("config.")}
+        assert by_flag["fingerprint"] == fingerprint(config_values)
 
     def test_truncation_evaluate(self, trunc_report, capsys):
         rows = (trunc_report / "sweep.csv").read_text().splitlines()[2:]
@@ -569,10 +598,15 @@ class TestMalformedModel:
          "field 'stage1.y': labels must be -1 or +1"),
         ("dag", "stage2_short.y", None, "SchemaError", "missing model field 'stage2_short.y'"),
         ("dag", "v1", None, "SchemaError", "not a batlife-model v2 file"),
+        ("rul", "feature_names", lambda v: "a,b,c", "ValidationError",
+         "field 'feature_names': 3 names"),
+        ("dag", "feature_names", lambda v: "a,b,c", "ValidationError",
+         "field 'feature_names': 3 names"),
     ], ids=["nan", "inf", "underscore", "not-a-number", "empty-list", "zero-x_scale",
             "short-x_mean", "X-y-mismatch", "missing-key", "v1", "dag-nan", "dag-short-x_mean",
             "dag-negative-x_scale", "dag-short-length_scales", "dag-X-y-mismatch",
-            "dag-soft-label", "dag-missing-key", "dag-v1"])
+            "dag-soft-label", "dag-missing-key", "dag-v1", "feature-names-count",
+            "dag-feature-names-count"])
     def test_exits_3(self, dataset_dir, rul_model, dag_model, tmp_path, capsys,
                      model, key, edit, error, named):
         source = rul_model if model == "rul" else dag_model
