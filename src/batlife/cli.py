@@ -291,8 +291,7 @@ def cmd_train_rul(args) -> int:
 
 def cmd_predict_rul(args) -> int:
     out = _out_path(args.out, "rul_predictions.csv")
-    model = modelio.load_model(args.model)
-    meta = modelio.read_model_meta(args.model)
+    model, meta = modelio.load_model(args.model)
     config = RulExperimentConfig(
         window_start=int(meta.get("window_start", RulExperimentConfig.window_start)),
         truncate=None if meta.get("truncate", "full") == "full" else int(meta["truncate"]),
@@ -338,8 +337,7 @@ def cmd_train_class(args) -> int:
 
 def cmd_classify(args) -> int:
     out = _out_path(args.out, "classification.csv")
-    dag = modelio.load_model(args.model)
-    meta = modelio.read_model_meta(args.model)
+    dag, meta = modelio.load_model(args.model)
     feature_set = FeatureSet.parse(
         meta.get("feature_set", ClassificationConfig.feature_sets[0].value))
     window = WindowSpec(mode=WindowMode.ADJACENT)
@@ -393,7 +391,8 @@ def cmd_report(args) -> int:
     report = read_report(args.in_dir)
     if not verify_report(report):
         raise ValidationError(
-            f"{args.in_dir}: stored tables do not match a recomputation from predictions"
+            f"{args.in_dir}: the fingerprint is not its config's, or stored tables do not "
+            "match a recomputation from predictions"
         )
     derived = derive_tables(report)
     print(f"report kind={report.kind} fingerprint={report.fingerprint}: "

@@ -167,24 +167,30 @@ class RelaxationCurve:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class DischargeCurve:
     """Capacity/voltage trace of the CC discharge.
 
     ``charges_ah`` is the running discharged charge (non-decreasing),
     ``voltages_v`` the terminal voltage (non-increasing), ``duration_s``
-    the total CC discharge time.
+    the total CC discharge time and ``capacity_ah`` the last charge.
+
+    ``DischargeCurve(charges, voltages, duration)`` stores its charges, as
+    ingest does. A ramp curve (``ramp``, as simulation builds) stores only
+    its capacity: its charges rise linearly from 0 to the capacity over the
+    knots of its voltages and are computed on each read, as a read-only
+    ``np.linspace(0.0, capacity_ah, n)``. A finite positive capacity gives a
+    finite, non-decreasing ramp, so a ramp's charge check is a capacity check.
     """
 
-    charges_ah: np.ndarray
     voltages_v: np.ndarray
     duration_s: float
+    capacity_ah: float
+    _charges: np.ndarray | None = field(repr=False)
 
-    def __post_init__(self):
-        q = np.asarray(self.charges_ah, dtype=float)
-        v = np.asarray(self.voltages_v, dtype=float)
-        object.__setattr__(self, "charges_ah", q)
-        object.__setattr__(self, "voltages_v", v)
+    def __init__(self, charges_ah, voltages_v, duration_s: float):
+        q = np.asarray(charges_ah, dtype=float)
+        v = np.asarray(voltages_v, dtype=float)
         if q.ndim != 1 or v.ndim != 1 or q.size != v.size:
             raise ValidationError("discharge charges and voltages must be 1-D and equal length")
         if q.size < 2:
@@ -192,14 +198,56 @@ class DischargeCurve:
         # A monotone sequence without NaN steps and with finite ends is finite.
         if not ((q[1:] - q[:-1] >= 0).all() and math.isfinite(q[0]) and math.isfinite(q[-1])):
             raise ValidationError("discharged charge must be finite and non-decreasing")
-        if not ((v[1:] - v[:-1] <= 0).all() and math.isfinite(v[0]) and math.isfinite(v[-1])):
-            raise ValidationError("discharge voltage must be finite and non-increasing")
-        if not 0 < self.duration_s < math.inf:
+        _check_discharge_voltages(v)
+        self._fill(v, duration_s, float(q[-1]), q)
+
+    @classmethod
+    def ramp(cls, capacity_ah: float, voltages_v, duration_s: float) -> DischargeCurve:
+        """The curve whose charges rise linearly from 0 to ``capacity_ah``
+        over the knots of ``voltages_v``; the charges are not stored."""
+        v = np.asarray(voltages_v, dtype=float)
+        if v.ndim != 1:
+            raise ValidationError("discharge charges and voltages must be 1-D and equal length")
+        if v.size < 2:
+            raise ValidationError("discharge curve needs at least 2 points")
+        _check_ramp_capacity(capacity_ah)
+        _check_discharge_voltages(v)
+        curve = cls.__new__(cls)
+        curve._fill(v, duration_s, float(capacity_ah), None)
+        return curve
+
+    def ramp_to(self, capacity_ah: float, duration_s: float) -> DischargeCurve:
+        """``ramp`` on this curve's voltages, which are shared and not checked again."""
+        _check_ramp_capacity(capacity_ah)
+        curve = type(self).__new__(type(self))
+        curve._fill(self.voltages_v, duration_s, float(capacity_ah), None)
+        return curve
+
+    def _fill(self, v: np.ndarray, duration_s: float, capacity_ah: float, charges) -> None:
+        if not 0 < duration_s < math.inf:
             raise ValidationError("discharge duration must be finite and positive")
+        object.__setattr__(self, "voltages_v", v)
+        object.__setattr__(self, "duration_s", duration_s)
+        object.__setattr__(self, "capacity_ah", capacity_ah)
+        object.__setattr__(self, "_charges", charges)
 
     @property
-    def capacity_ah(self) -> float:
-        return float(self.charges_ah[-1])
+    def charges_ah(self) -> np.ndarray:
+        if self._charges is not None:
+            return self._charges
+        charges = np.linspace(0.0, self.capacity_ah, self.voltages_v.size)
+        charges.flags.writeable = False
+        return charges
+
+
+def _check_ramp_capacity(capacity_ah: float) -> None:
+    if not 0 < capacity_ah < math.inf:
+        raise ValidationError("discharge capacity must be finite and positive")
+
+
+def _check_discharge_voltages(v: np.ndarray) -> None:
+    if not ((v[1:] - v[:-1] <= 0).all() and math.isfinite(v[0]) and math.isfinite(v[-1])):
+        raise ValidationError("discharge voltage must be finite and non-increasing")
 
 
 @dataclass(frozen=True)
@@ -598,7 +646,7 @@ def write_cell(history: CellHistory, path, header_comment: str | None = None) ->
                       itertools.repeat(spell(rec.capacity_ah)))
             if rec.discharge is not None:
                 dis = rec.discharge
-                n = dis.charges_ah.size
+                n = dis.voltages_v.size
                 if n not in ramps:
                     ramps[n] = np.arange(n) / (n - 1)
                 yield zip(cycle, discharge, spell_floats(dis.duration_s * ramps[n]),

@@ -352,9 +352,10 @@ def derive_tables(report: ExperimentReport) -> dict[str, list[dict]]:
 
 
 def verify_report(report: ExperimentReport) -> bool:
-    """True when every stored derived table matches a recomputation from predictions."""
-    return all(report.tables.get(name, []) == rows
-               for name, rows in derive_tables(report).items())
+    """True when the fingerprint is its config's and every stored derived
+    table matches a recomputation from predictions."""
+    return report.fingerprint == fingerprint(report.config) and all(
+        report.tables.get(name, []) == rows for name, rows in derive_tables(report).items())
 
 
 # ---------------------------------------------------------------------------

@@ -106,17 +106,26 @@ class _Fields:
         except ValidationError as exc:
             raise ValidationError(f"{self.path} {what}: {exc}") from None
 
+    def meta(self) -> dict[str, str]:
+        """The ``meta.*`` key/value pairs, keys without the prefix."""
+        return {key.removeprefix("meta."): value
+                for key, value in self.values.items() if key.startswith("meta.")}
+
 
 def read_model_meta(path) -> dict[str, str]:
-    """The ``meta.*`` key/value pairs stored next to a serialized model."""
-    fields = _Fields(path)
-    return {key.removeprefix("meta."): value
-            for key, value in fields.values.items() if key.startswith("meta.")}
+    """The ``meta.*`` key/value pairs stored next to a serialized model,
+    without building the model (``load_model`` returns both from one read)."""
+    return _Fields(path).meta()
 
 
 def load_model(path):
-    """Load a serialized model; the ``kind`` field says which."""
+    """Load a serialized model and its ``meta.*`` pairs from one read of the
+    file: returns ``(model, meta)``. The ``kind`` field says which model."""
     fields = _Fields(path)
+    return _build_model(fields), fields.meta()
+
+
+def _build_model(fields: _Fields):
     kind = fields.text("kind")
     if kind not in ("gpr", "life-dag"):
         raise SchemaError(f"{fields.path}: unknown model kind {kind!r}")

@@ -6,9 +6,11 @@ so one report always gives the same bytes. Table text is XML-escaped:
 from __future__ import annotations
 
 import math
+from functools import partial
 from html import escape
 from pathlib import Path
 
+from .errors import ValidationError
 from .experiments import ALL, ExperimentReport
 
 COLORS = "#1f77b4 #ff7f0e #2ca02c #d62728 #9467bd #8c564b #e377c2 #7f7f7f #bcbd22 #17becf".split()
@@ -30,11 +32,19 @@ def _finite(value) -> bool:
 
 
 def _span(values: list[float]) -> tuple[float, float]:
-    """The range of ``values`` widened by 5% on each side ((0, 1) when empty)."""
+    """The range of ``values`` widened by 5% on each side ((0, 1) when empty).
+
+    Raises ValidationError when the range is not finite or too narrow for
+    an eighth of it to be a positive float, as ticks need.
+    """
     lo, hi = min(values, default=0.0), max(values, default=1.0)
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    return lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)
+    lo, hi = lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)
+    if not 0.0 < (hi - lo) / 8 < math.inf:
+        raise ValidationError(f"values from {min(values)!r} to {max(values)!r} span no "
+                              "finite range that an axis can divide")
+    return lo, hi
 
 
 def _ticks(lo: float, hi: float) -> list[tuple[float, str]]:
@@ -130,33 +140,48 @@ def _series(rows, key: str, x: str, y: str) -> list:
 
 
 def emit_plots(report: ExperimentReport, outdir) -> list[Path]:
-    """Write the SVG figures of the report kind; returns their paths."""
+    """Write the SVG figures of the report kind; returns their paths.
+
+    A figure whose values no axis can span raises ValidationError naming
+    it, before any figure is written.
+    """
     tables, figures = report.tables, {}
     if report.kind in ("rul", "truncation"):
-        figures["rul_scatter"] = chart(
+        figures["rul_scatter"] = partial(
+            chart,
             _series(tables.get("predictions", []), "condition", "rul_observed", "rul_predicted"),
             "observed remaining life (cycles)", "predicted remaining life (cycles)",
             guide=(1.0, 0.0))
         if tables.get("importance"):
-            figures["importance"] = chart(
+            figures["importance"] = partial(
+                chart,
                 _series(tables["importance"], "chemistry", "feature", "weight_by_length_scale"),
                 "feature", "relative importance", "bars")
     if report.kind == "truncation":
         sweep = _series(tables.get("sweep", []), "feature_set", "relaxation_time_s", "rmse_cycles")
-        figures["truncation"] = chart(
+        figures["truncation"] = partial(
+            chart,
             [(name, sorted((x / 60.0, y) for x, y in points)) for name, points in sweep],
             "relaxation time (min)", "RMSE (cycles)", "line")
     if report.kind == "classification":
         rows = tables.get("predictions", [])
-        figures["probability_scatter"] = chart(
+        figures["probability_scatter"] = partial(
+            chart,
             [(label, [(r["soh"], r["probability"]) for r in rows if r["correct"] == flag])
              for label, flag in (("correct", 1), ("misclassified", 0))],
             "state of health", "membership probability of assigned class", guide=(0.0, 0.5))
         metrics = [r for r in tables.get("metrics", []) if r["condition"] != ALL]
-        figures["accuracy"] = chart(_series(metrics, "feature_set", "condition", "accuracy_pct"),
-                                    "condition", "accuracy (%)", "bars")
+        figures["accuracy"] = partial(
+            chart, _series(metrics, "feature_set", "condition", "accuracy_pct"),
+            "condition", "accuracy (%)", "bars")
     outdir = Path(outdir)
+    texts = {}
+    for name, draw in figures.items():
+        try:
+            texts[name] = draw()
+        except ValidationError as exc:
+            raise ValidationError(f"figure {outdir / name}.svg: {exc}") from None
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, text in figures.items():
+    for name, text in texts.items():
         (outdir / f"{name}.svg").write_text(text, encoding="utf-8", newline="\n")
-    return [outdir / f"{name}.svg" for name in figures]
+    return [outdir / f"{name}.svg" for name in texts]

@@ -25,12 +25,15 @@ The drift law is written once (``_drift``): ``drifted_params`` evaluates it
 at one cycle, as the closed-form oracle, and ``simulate_cell`` at every
 cycle of a cell as one (cycles x 6) array. A cell is built whole: its
 relaxation voltages are one (cycles x samples) block
-(``ecm.relaxation_model``) with the noise drawn in one call, and its
-discharge charges one (cycles x knots) block. Every cycle shares one
-rest-time grid and one discharge template. These arrays are read-only;
-each cycle's curves are rows of them, bitwise the curves a cycle-by-cycle
-loop gives. Capacities stay on ``capacity_at``'s scalar power: an array
-power does not round alike for a non-integer exponent.
+(``ecm.relaxation_model``) with the noise drawn in one call. Every cycle
+shares one rest-time grid and one discharge template. These arrays are
+read-only, and each cycle's relaxation voltages are a row of the block. A
+cycle's discharge curve is the shared template plus its capacity and
+duration (``DischargeCurve.ramp``): its charges are not stored but
+computed on read, bitwise the ``np.linspace(0, capacity, knots)`` that a
+cycle-by-cycle loop stores, so a cell holds no (cycles x knots) array.
+Capacities stay on ``capacity_at``'s scalar power: an array power does not
+round alike for a non-integer exponent.
 """
 
 from __future__ import annotations
@@ -194,17 +197,20 @@ def simulate_cell(
     capacities = [capacity_at(profile, m, protocol.nominal_capacity_ah) for m in cycles]
     lower, upper = protocol.voltage_window
     template = _read_only(_pseudo_ocv_template(upper, lower, discharge_knots))
-    charges = np.linspace(0.0, capacities, template.size, axis=1)
     _, _, dis_rate = parse_condition(protocol.condition)
     discharge_a = dis_rate * protocol.nominal_capacity_ah
 
     cycle_data = []
-    for m, bad, volts, charge, capacity in zip(cycles, suspect.tolist(), _read_only(voltages),
-                                               _read_only(charges), capacities):
+    discharge = None
+    for m, bad, volts, capacity in zip(cycles, suspect.tolist(), _read_only(voltages),
+                                       capacities):
         if bad:
             drifted_params(profile, m)  # raises what cycle m's state violates, if anything
         relaxation = RelaxationCurve(times, volts, protocol.sampling_interval_s, current)
-        discharge = DischargeCurve(charge, template, capacity / discharge_a * 3600.0)
+        duration = capacity / discharge_a * 3600.0
+        # The first cycle checks the template; later cycles share it.
+        discharge = (DischargeCurve.ramp(capacity, template, duration) if discharge is None
+                     else discharge.ramp_to(capacity, duration))
         cycle_data.append((m, relaxation, discharge, capacity))
 
     meta = CellMeta(cell_id, protocol.chemistry, protocol.condition,

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from batlife import modelio
 from batlife.cli import main
 from batlife.dataset import (
     CellMeta,
@@ -234,6 +235,14 @@ def class_report(dataset_dir, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def rul_report(dataset_dir, tmp_path_factory):
+    return _evaluate(dataset_dir, tmp_path_factory.mktemp("rulrep") / "report",
+                     "--experiment", "rul", "--feature-sets", "ECM",
+                     "--stride", "8", "--restarts", "2", "--max-iters", "100",
+                     "--split", "1/1", "--seed", "3")
+
+
+@pytest.fixture(scope="module")
 def trunc_report(dataset_dir, tmp_path_factory):
     return _evaluate(dataset_dir, tmp_path_factory.mktemp("truncrep") / "report",
                      "--experiment", "truncation", "--sample-counts", "6,full",
@@ -257,12 +266,9 @@ class TestEvaluateReport:
         assert code == 0
         assert "metrics verified" in capsys.readouterr().out
 
-    def test_corrupted_report_fails_verification(self, dataset_dir, tmp_path, capsys):
+    def test_corrupted_report_fails_verification(self, rul_report, tmp_path, capsys):
         outdir = tmp_path / "report2"
-        main(["evaluate", "--manifest", _manifest(dataset_dir),
-              "--experiment", "rul", "--feature-sets", "ECM",
-              "--stride", "8", "--restarts", "2", "--max-iters", "100",
-              "--split", "1/1", "--seed", "3", "--out", str(outdir)])
+        shutil.copytree(rul_report, outdir)
         metrics = outdir / "metrics.csv"
         text = metrics.read_text().splitlines()
         text[2] = text[2].rsplit(",", 2)[0] + ",999.0,1.0"
@@ -280,6 +286,21 @@ class TestEvaluateReport:
                      *(copy / name for name in ("rul_scatter.svg", "importance.svg",
                                                 "truncation.svg"))]:
             assert ET.parse(path).getroot().tag == "{http://www.w3.org/2000/svg}svg"
+
+    def test_plots_of_values_no_axis_can_span_exit_3(self, trunc_report, tmp_path, capsys):
+        # Importance is stored, not recomputed, so the edit passes verification;
+        # a bar shows the last row of its category.
+        copy = tmp_path / "copy"
+        shutil.copytree(trunc_report, copy)
+        lines = (copy / "importance.csv").read_text().splitlines()
+        for i, value in ((-2, "1e308"), (-1, "-1e308")):
+            cells = lines[i].split(",")
+            cells[-2] = value
+            lines[i] = ",".join(cells)
+        (copy / "importance.csv").write_text("\n".join(lines) + "\n")
+        assert main(["report", "--in", str(copy), "--plots"]) == 3
+        err = capsys.readouterr().err
+        assert "ValidationError" in err and "importance.svg" in err
 
     def test_fingerprint_covers_the_split(self, dataset_dir, class_report, tmp_path):
         """Two splits give two fingerprints; one split by flag or by config gives one."""
@@ -321,6 +342,17 @@ class TestEvaluateReport:
         (copy / name).write_text("\n".join(lines) + "\n")
         assert main(["report", "--in", str(copy)]) == 3
         assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("report", ["rul_report", "trunc_report", "class_report"])
+    def test_edited_config_exits_3(self, request, tmp_path, capsys, report):
+        copy = tmp_path / "copy"
+        shutil.copytree(request.getfixturevalue(report), copy)
+        summary = copy / "summary.txt"
+        text, edits = re.subn(r"(?m)^(config\.seed = \d+)$", r"\g<1>1", summary.read_text())
+        assert edits == 1
+        summary.write_text(text)
+        assert main(["report", "--in", str(copy)]) == 3
+        assert "the fingerprint is not its config's" in capsys.readouterr().err
 
 
 class TestUsage:
@@ -552,6 +584,26 @@ def rul_model(dataset_dir, tmp_path_factory):
     assert main(["train-rul", "--manifest", _manifest(dataset_dir), "--stride", "10",
                  "--restarts", "1", "--max-iters", "50", "--out", str(model)]) == 0
     return model
+
+
+class TestModelRead:
+    @pytest.mark.parametrize("model, argv", [
+        ("rul_model", ["predict-rul", "--stride", "10"]),
+        ("dag_model", ["classify", "--cycle", "24"]),
+    ], ids=["predict-rul", "classify"])
+    def test_model_file_parsed_once(self, request, dataset_dir, tmp_path, monkeypatch, model,
+                                    argv):
+        parsed = []
+
+        def counting_read_keys(path, *args):
+            parsed.append(Path(path))
+            return read_keys(path, *args)
+
+        monkeypatch.setattr(modelio, "read_keys", counting_read_keys)
+        path = request.getfixturevalue(model)
+        assert main([*argv, "--manifest", _manifest(dataset_dir), "--model", str(path),
+                     "--out", str(tmp_path / "out.csv")]) == 0
+        assert parsed == [path]
 
 
 def _first_dropped(value: str) -> str:

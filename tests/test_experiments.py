@@ -113,6 +113,10 @@ class TestRulExperiment:
         report, _, _ = rul_report
         assert verify_report(report)
 
+    def test_edited_config_fails_verification(self, rul_report):
+        report, _, _ = rul_report
+        assert not verify_report(dataclasses.replace(report, config={**report.config, "seed": "9"}))
+
     def test_importance_present_and_normalized(self, rul_report):
         report, _, _ = rul_report
         rows = [r for r in report.tables["importance"]

@@ -44,7 +44,7 @@ class TestGprSerialization:
         model, X = _trained_gpr()
         path = tmp_path / "model.txt"
         modelio.save_model(model, path, header_comment="batlife v0 fingerprint=test")
-        loaded = modelio.load_model(path)
+        loaded, _ = modelio.load_model(path)
         assert loaded.kernel.sigma_f == model.kernel.sigma_f
         assert loaded.kernel.sigma_n == model.kernel.sigma_n
         assert np.array_equal(loaded.kernel.length_scales, model.kernel.length_scales)
@@ -62,7 +62,8 @@ class TestGprSerialization:
         model, _ = _trained_gpr()
         path = tmp_path / "model.txt"
         modelio.save_model(model, path, meta={"feature_set": "NOVEL_PRED", "truncate": "full"})
-        meta = modelio.read_model_meta(path)
+        _, meta = modelio.load_model(path)
+        assert meta == modelio.read_model_meta(path)
         assert meta == {"feature_set": "NOVEL_PRED", "truncate": "full"}
 
     def test_missing_file(self, tmp_path):
@@ -108,8 +109,8 @@ class TestGprRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.txt"
             modelio.save_model(model, path, meta=meta)
-            loaded = modelio.load_model(path)
-            assert modelio.read_model_meta(path) == meta
+            loaded, loaded_meta = modelio.load_model(path)
+            assert loaded_meta == modelio.read_model_meta(path) == meta
         for field in ("X_train", "y_train", "chol_lower", "alpha"):
             assert getattr(loaded, field).tobytes() == getattr(model, field).tobytes(), field
         for a, b in [(loaded.kernel, model.kernel), (loaded.standardizer, model.standardizer)]:
@@ -157,7 +158,7 @@ class TestDagSerialization:
         dag, X = _trained_dag()
         path = tmp_path / "dag.txt"
         modelio.save_model(dag, path)
-        loaded = modelio.load_model(path)
+        loaded, _ = modelio.load_model(path)
         for stage in ("stage1", "stage2_long", "stage2_short"):
             _assert_binaries_equal(getattr(loaded, stage), getattr(dag, stage))
         rng = np.random.default_rng(3)
@@ -169,7 +170,7 @@ class TestDagSerialization:
         dag, _ = _trained_dag()
         path = tmp_path / "dag.txt"
         modelio.save_model(dag, path)
-        loaded = modelio.load_model(path)
+        loaded, _ = modelio.load_model(path)
         assert mode_stationarity(loaded.stage1) < 1e-8
         assert np.allclose(loaded.stage1.f_hat, dag.stage1.f_hat, atol=1e-9)
 

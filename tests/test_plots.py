@@ -3,8 +3,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from batlife.errors import ValidationError
 from batlife.experiments import ExperimentReport
-from batlife.plots import emit_plots
+from batlife.plots import chart, emit_plots
 
 SVG = "{http://www.w3.org/2000/svg}"
 AWKWARD = 'CY<25&"x'
@@ -166,3 +167,30 @@ def test_empty_tables_still_draw(tmp_path):
                              tables={"predictions": [], "metrics": []})
     for path in emit_plots(empty, tmp_path):
         _figure(path)
+
+
+@pytest.mark.parametrize("points, guide", [
+    ([(0.0, 1e308), (1.0, -1e308)], None),
+    ([(-1e308, 0.0), (1e308, 1.0)], None),
+    ([(0.0, 1.0), (1e308, 2.0)], (10.0, 0.0)),
+    ([(0.0, 0.0), (1.0, 5e-324)], None),
+], ids=["y-span-overflows", "x-span-overflows", "guide-overflows", "span-underflows"])
+def test_values_no_axis_can_span_are_a_validation_error(points, guide):
+    with pytest.raises(ValidationError, match="span no finite range"):
+        chart([("a", points)], "x", "y", guide=guide)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_values_are_left_out_of_a_chart(bad):
+    root = ET.fromstring(chart([("a", [(0.0, 1.0), (1.0, bad), (bad, 2.0), (2.0, 3.0)])],
+                               "x", "y"))
+    assert len(list(root.iter(f"{SVG}circle"))) == 2
+
+
+def test_emit_plots_names_the_figure_and_writes_none(tmp_path):
+    report = _rul_report()
+    report.tables["importance"][0]["weight_by_length_scale"] = 1e308
+    report.tables["importance"][1]["weight_by_length_scale"] = -1e308
+    with pytest.raises(ValidationError, match=r"figure .*importance\.svg: values from"):
+        emit_plots(report, tmp_path / "out")
+    assert not (tmp_path / "out").exists()

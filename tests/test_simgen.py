@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batlife import ecm, simgen
+from batlife.dataset import DischargeCurve
 from batlife.errors import DriftUnderflowError, ValidationError
 
 from conftest import history_bits, make_discharge, simulate_cell_per_cycle
@@ -133,6 +135,45 @@ class TestDischarge:
         # CC discharge at 1C of a 3.5 Ah nominal: duration = cap / 3.5 * 3600
         assert full.duration_s == pytest.approx(3600.0)
         assert faded.duration_s == pytest.approx(2.8 / 3.5 * 3600.0)
+
+
+class TestDischargeRamp:
+    """A simulated cycle's charges: the template's knots ramped to its capacity."""
+
+    @pytest.mark.parametrize("fade_b", [0.7, 1.3])
+    @pytest.mark.parametrize("knots", [2, 50, 1000])
+    def test_charges_are_the_rows_of_the_block(self, knots, fade_b):
+        profile = replace(simgen.condition_profile(300.0, seed=5), fade_b=fade_b)
+        cell = simgen.simulate_cell(profile, simgen.NCA_PROTOCOL, 200, discharge_knots=knots)
+        capacities = [rec.capacity_ah for rec in cell.cycles]
+        block = np.linspace(0.0, capacities, knots, axis=1)
+        for rec, row in zip(cell.cycles, block):
+            assert rec.discharge.charges_ah.tobytes() == row.tobytes()
+            assert rec.discharge.capacity_ah == rec.capacity_ah
+
+    @pytest.mark.parametrize("capacity", [np.nan, 0.0, np.inf])
+    def test_capacity_must_be_finite_and_positive(self, capacity):
+        lower, upper = simgen.NCA_PROTOCOL.voltage_window
+        template = simgen._pseudo_ocv_template(upper, lower, 50)
+        first = DischargeCurve.ramp(3.5, template, 3600.0)
+        with pytest.raises(ValidationError):
+            DischargeCurve.ramp(capacity, template, 3600.0)
+        with pytest.raises(ValidationError):
+            first.ramp_to(capacity, 3600.0)
+
+    def test_peak_memory_below_the_charge_block(self):
+        # Stored charges would take a (cycles x knots) block per cell.
+        cycles, knots = 400, 1000
+        profile = simgen.condition_profile(500.0, seed=5)
+        tracemalloc.start()
+        try:
+            cell = simgen.simulate_cell(profile, simgen.NCA_PROTOCOL, cycles,
+                                        discharge_knots=knots)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cell.n_cycles == cycles
+        assert peak < cycles * knots * 8
 
 
 def _outcome(simulate, *args, **kwargs):
