@@ -101,12 +101,16 @@ _CONDITION_RE = re.compile(r"^CY(?P<temp>\d+(?:\.\d+)?)-(?P<chg>\d+(?:\.\d+)?)/(
 def parse_condition(code: str) -> tuple[float, float, float]:
     """Split a condition code ``CY<temp>-<charge C>/<discharge C>``.
 
-    Returns (temperature_c, charge_rate_c, discharge_rate_c).
+    Returns (temperature_c, charge_rate_c, discharge_rate_c). A zero charge
+    or discharge rate is refused: a cycle at it would never end.
     """
     match = _CONDITION_RE.match(code.strip())
     if match is None:
         raise ValidationError(f"condition code {code!r} is not of the form CY<T>-<chg>/<dis>")
-    return (float(match["temp"]), float(match["chg"]), float(match["dis"]))
+    temperature, charge, discharge = float(match["temp"]), float(match["chg"]), float(match["dis"])
+    if charge == 0.0 or discharge == 0.0:
+        raise ValidationError(f"condition code {code!r} has a zero C-rate")
+    return temperature, charge, discharge
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,16 @@ the t = 0 sample:
 
     r_o = |U(0) - ocv| / I - r_e - r_c      (clamped at zero)
 
-Two-exponential fits are multimodal, so the solver runs a small
-deterministic multi-start and keeps the lowest-residual solution. Branch
-labels are canonical: the 'e' branch carries the smaller time constant.
+Two-exponential fits are multimodal, and from a poor start the solver
+crawls along flat valleys, so each pass computes its one start by variable
+projection (Golub & Pereyra, *SIAM J. Numer. Anal.* 10, 1973): with the two
+time constants fixed, ocv and the two branch resistances are a linear least
+squares. Every pair of a log-spaced grid over the box's time constants is
+scored at once; a Gauss-Newton over the two time constants alone refines the
+best pair; the five-parameter solver then polishes that start. Branch labels
+are canonical: the 'e' branch carries the smaller time constant.
 
-A second multi-start over a wide box runs only when the tight fit does not
+A second pass over a wide box runs only when the tight fit does not
 interpolate the data, and its result is adopted only when it does. It never
 runs on the shortest curves (five t > 0 samples for five parameters), where
 an exact fit interpolates noise as readily as it recovers a noiseless
@@ -32,8 +37,8 @@ above twice the exact-fit residual norm rules out every model
 or when the certificate does not hold, the wide pass runs. A certified skip
 never changes a result: the report is bitwise the one the wide pass gives.
 
-A fit takes hundreds to thousands of damped steps on 5 to ~120 points, so
-each step is kept to a few numpy calls: both branches are evaluated in one
+Each damped step on 5 to ~120 points is kept to a few numpy calls, as from
+a poor start a fit takes hundreds of them: both branches are evaluated in one
 (2, n) pass (``_evaluate``), their Jacobian columns are filled by two
 strided operations, and each 5 x 5 system is solved by LAPACK ``dgesv``
 called directly. The arithmetic, and its order, is that of the plain
@@ -59,10 +64,6 @@ MIN_FIT_SAMPLES = 6
 MAX_ITERATIONS = 1000
 RESIDUAL_REL_TOL = 1e-10
 STEP_NORM_TOL = 1e-12
-
-# Amplitude fractions assigned to the fast branch across the multi-start.
-_START_SPLITS = (0.3, 0.5, 0.7, 0.9)
-
 
 @dataclass(frozen=True)
 class EcmParams:
@@ -264,49 +265,149 @@ def _damped_gauss_newton(theta0, t, v, current, lower, upper):
     return theta, cost, iterations, converged
 
 
-def initial_guesses(curve: RelaxationCurve) -> list[np.ndarray]:
-    """Deterministic multi-start initializations for the t > 0 fit.
+def _project(log_taus: np.ndarray, t: np.ndarray, v: np.ndarray, current: float):
+    """Variable projection at each row (log tau_e, log tau_c) of ``log_taus``.
 
-    The asymptote seeds ocv, the first-sample gap seeds the total
-    polarization amplitude (split between branches), and the time constants
-    are seeded from a log-spaced grid spanning the observation window.
+    With both time constants fixed, the t > 0 model ``ocv + r_e*b_e +
+    r_c*b_c`` (basis ``b = -current*exp(-t/tau)``) is linear. Centring basis
+    and data removes ocv and leaves 2 x 2 normal equations per row, solved
+    through their adjugate. Returns, per row: the basis and ``t/tau``
+    (m, 2, n), the centred basis, the inverse of the normal matrix
+    (m, 2, 2), the resistances (m, 2) and the residual ``v - model`` (m, n).
+    Nothing is clipped into the box; a singular row gives non-finite values.
     """
-    t = curve.times_s
-    v = curve.voltages_v
-    positive = t > 0
-    t_pos = t[positive]
-    v_pos = v[positive]
-    current = curve.cutoff_current_a
-    ocv0 = float(v_pos[-1])
-    amplitude = max(ocv0 - float(v_pos[0]), 1e-6)
-    grid = np.geomspace(t_pos[0], t_pos[-1], 4)
-    tau_pairs = [(grid[0], grid[2]), (grid[1], grid[3]), (grid[0], grid[3]), (grid[1], grid[2])]
-    guesses = []
-    for split, (tau_e, tau_c) in zip(_START_SPLITS, tau_pairs):
-        r_e = max(split * amplitude / current, 1e-9)
-        r_c = max((1.0 - split) * amplitude / current, 1e-9)
-        guesses.append(np.array([
-            ocv0,
-            math.log(r_e), math.log(tau_e),
-            math.log(r_c), math.log(tau_c),
-        ]))
-    return guesses
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = t / np.exp(log_taus)[:, :, None]
+        basis = np.exp(-scaled)
+        basis *= -current
+        centred = basis - basis.mean(axis=2, keepdims=True)
+        v_centred = v - v.mean()
+        gram = centred @ centred.transpose(0, 2, 1)
+        det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
+        inverse = gram[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        inverse /= det[:, None, None]
+        r = inverse @ (centred @ v_centred)[:, :, None]
+        residual = v_centred - (r.transpose(0, 2, 1) @ centred)[:, 0]
+    return basis, scaled, centred, inverse, r[:, :, 0], residual
+
+
+def _boxed_start(log_taus: np.ndarray, basis: np.ndarray, r: np.ndarray, v: np.ndarray,
+                 lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-parameterized thetas (m, 5) from projected resistances: these,
+    then the best ocv given them, clipped into the box; and their costs
+    (``inf`` where not finite)."""
+    with np.errstate(invalid="ignore"):
+        r = np.clip(r, math.exp(lower[1]), math.exp(upper[1]))
+        model = np.einsum("mk,mkn->mn", r, basis)
+        ocv = np.clip((v - model).mean(axis=1), lower[0], upper[0])
+        residual = model - v
+        residual += ocv[:, None]
+        cost = np.einsum("mn,mn->m", residual, residual)
+        log_r = np.log(r)
+    theta = np.column_stack((ocv, log_r[:, 0], log_taus[:, 0], log_r[:, 1], log_taus[:, 1]))
+    return theta, np.where(np.isfinite(cost), cost, np.inf)
+
+
+# Points of the start's log-spaced grid over each time-constant range.
+_GRID_POINTS = 16
+# Iteration cap of the start's refinement, which mostly takes under ten.
+_START_ITERATIONS = 50
+
+
+def _refine_time_constants(log_taus: np.ndarray, t: np.ndarray, v: np.ndarray, current: float,
+                           lo: float, hi: float):
+    """Damped Gauss-Newton on the variable-projection cost over the (1, 2)
+    ``log_taus`` alone, with Kaufman's Jacobian of the projected residual
+    (*BIT* 15, 1975). The linear parameters are re-solved at every trial,
+    so it descends the narrow valleys where the five-parameter solver
+    crawls. A time constant at a bound of [lo, hi] that the step would push
+    out is held there. Returns the last accepted ``log_taus`` and the
+    ``_project`` pieces at it.
+    """
+    state = _project(log_taus, t, v, current)
+    cost = float(state[5][0] @ state[5][0])
+    damping = 1e-3
+    for _ in range(_START_ITERATIONS):
+        basis, scaled, centred, inverse, r, residual = (piece[0] for piece in state)
+        # Rows: the Jacobian columns, minus d(model)/d(log tau) projected
+        # off the span of the linear columns (centring takes ocv's).
+        slope = basis * scaled
+        slope *= r[:, None]
+        slope -= slope.mean(axis=1, keepdims=True)
+        jac = (inverse @ (centred @ slope.T)).T @ centred - slope
+        (h_ee, h_ec), (_, h_cc) = (jac @ jac.T).tolist()
+        g_e, g_c = (-(jac @ residual)).tolist()  # minus the gradient
+        (a_e, a_c), = log_taus.tolist()
+        free_e = not ((a_e <= lo and g_e < 0.0) or (a_e >= hi and g_e > 0.0))
+        free_c = not ((a_c <= lo and g_c < 0.0) or (a_c >= hi and g_c > 0.0))
+        if not (free_e or free_c):
+            break
+        # Marquardt damping in units of the diagonal: the system
+        # [[1 + damping, rho], [rho, 1 + damping]] has a determinant of at
+        # least 2 * damping, as |rho| <= 1.
+        s_e = math.sqrt(h_ee) if h_ee > 0.0 else 1.0
+        s_c = math.sqrt(h_cc) if h_cc > 0.0 else 1.0
+        rho = h_ec / (s_e * s_c)
+        u_e, u_c = g_e / s_e, g_c / s_c
+        for _ in range(25):
+            d = 1.0 + damping
+            if free_e and free_c:
+                det = d * d - rho * rho
+                step_e, step_c = (u_e * d - u_c * rho) / det, (u_c * d - u_e * rho) / det
+            else:
+                step_e, step_c = (u_e / d if free_e else 0.0), (u_c / d if free_c else 0.0)
+            candidate = np.array([[min(max(a_e + step_e / s_e, lo), hi),
+                                   min(max(a_c + step_c / s_c, lo), hi)]])
+            cand_state = _project(candidate, t, v, current)
+            cand_cost = float(cand_state[5][0] @ cand_state[5][0])
+            if math.isfinite(cand_cost) and cand_cost <= cost:
+                break
+            damping *= 4.0
+        else:
+            break
+        improvement = cost - cand_cost
+        log_taus, state, cost = candidate, cand_state, cand_cost
+        damping = max(damping / 3.0, 1e-12)
+        if improvement <= RESIDUAL_REL_TOL * max(cost, 1e-300):
+            break
+    return log_taus, state
+
+
+def _projected_start(t: np.ndarray, v: np.ndarray, current: float,
+                     lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, float]:
+    """The Gauss-Newton start for one box, and its cost.
+
+    Variable projection (``_project``) scores every pair tau_e < tau_c of a
+    log-spaced grid over the box's time-constant range at once, and
+    ``_refine_time_constants`` refines the best pair. The refined start
+    replaces the grid's only when its parameters, clipped into the box,
+    cost no more.
+    """
+    grid = np.linspace(lower[2], upper[2], _GRID_POINTS)
+    log_taus = np.column_stack([grid[k] for k in np.triu_indices(_GRID_POINTS, k=1)])
+    basis, _, _, _, r, _ = _project(log_taus, t, v, current)
+    thetas, costs = _boxed_start(log_taus, basis, r, v, lower, upper)
+    best = int(np.argmin(costs))
+    log_taus, state = _refine_time_constants(log_taus[best:best + 1], t, v, current,
+                                             lower[2], upper[2])
+    theta, refined = _boxed_start(log_taus, state[0], state[4], v, lower, upper)
+    if refined[0] <= costs[best]:
+        return theta[0], float(refined[0])
+    return thetas[best], float(costs[best])
 
 
 def _multistart(curve: RelaxationCurve, tight: bool):
+    """One pass over one box: damped Gauss-Newton from the projected start,
+    which scores every pair of a time-constant grid in place of running
+    Gauss-Newton from several blind starts."""
     t = curve.times_s
     positive = t > 0
     t_pos = t[positive]
     v_pos = curve.voltages_v[positive]
+    current = curve.cutoff_current_a
     lower, upper = _fit_bounds(curve, tight)
-    best = None
-    for theta0 in initial_guesses(curve):
-        result = _damped_gauss_newton(theta0, t_pos, v_pos, curve.cutoff_current_a, lower, upper)
-        if best is None or result[1] < best[1]:
-            best = result
-        if best[1] == 0.0:  # only a strictly lower cost replaces the best: none can
-            break
-    return best
+    theta0, _ = _projected_start(t_pos, v_pos, current, lower, upper)
+    return _damped_gauss_newton(theta0, t_pos, v_pos, current, lower, upper)
 
 
 # Residual RMS below which a fit interpolates the data exactly (no noise
@@ -347,7 +448,9 @@ def fit(curve: RelaxationCurve) -> FitReport:
     """Identify the six circuit parameters from one relaxation transient.
 
     Requires at least 6 samples (t = 0 plus five t > 0 points for the
-    five-parameter nonlinear fit). The tight-box solution is preferred;
+    five-parameter nonlinear fit). Each pass runs the damped Gauss-Newton
+    once, from the variable-projection start of its box. The tight-box
+    solution is preferred;
     when it cannot interpolate the data exactly, a wide-box pass runs and
     replaces it only by interpolating exactly itself (noiseless data whose
     time constants fall outside the tight box). It never runs on five t > 0

@@ -34,12 +34,16 @@ def _finite(value) -> bool:
 def _span(values: list[float]) -> tuple[float, float]:
     """The range of ``values`` widened by 5% on each side ((0, 1) when empty).
 
-    Raises ValidationError when the range is not finite or too narrow for
-    an eighth of it to be a positive float, as ticks need.
+    A constant is first widened by max(0.5, 2**-40 * |value|) on each side:
+    0.5 up to |value| = 2**39, and a share of the value beyond, where 0.5
+    would vanish in rounding. Raises ValidationError when the range is not
+    finite or too narrow for an eighth of it to be a positive float, as
+    ticks need.
     """
     lo, hi = min(values, default=0.0), max(values, default=1.0)
     if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
+        half = max(0.5, abs(lo) * 2.0**-40)
+        lo, hi = lo - half, hi + half
     lo, hi = lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)
     if not 0.0 < (hi - lo) / 8 < math.inf:
         raise ValidationError(f"values from {min(values)!r} to {max(values)!r} span no "

@@ -473,20 +473,22 @@ class TestQuotedCellId:
 # stopped repeating its kind and the GP gradients moved to the shared
 # length-scale contraction and the trtri inverse, the cell file when its
 # header stopped repeating its kind, and the two models when model files
-# became plain ``key = value`` files (format v2; the same numbers).
+# became plain ``key = value`` files (format v2; the same numbers). The
+# features and the two models were re-recorded when the circuit fit moved to
+# the projected start: the fitted values moved by at most 1.2e-12 relative.
 GOLDEN = {
     "small/manifest.txt": (
         "3f665b729229", "36752dd343d66ef5673b0cd13a50b01d392cb0cb832a06f6d90c7af9c55eba41"),
     "small/cells/syn25-00.csv": (
         "3f665b729229", "7b00351baa40f1a9a4bf703bd3f6019e1d7db658fd3a18991be6c190521ee52d"),
     "by_flags/features.csv": (
-        "672c53d2fc2a", "49ab5977a50f5da26b4be2c13b5a38781149d2dbd05ce9707b7d9b038fe961b9"),
+        "672c53d2fc2a", "1ed6bd319af56da18e16ff8e4aeefb6bfa846ebf5a598ce4299cbfb45e1ba7ab"),
     "by_config/features.csv": (
-        "672c53d2fc2a", "49ab5977a50f5da26b4be2c13b5a38781149d2dbd05ce9707b7d9b038fe961b9"),
+        "672c53d2fc2a", "1ed6bd319af56da18e16ff8e4aeefb6bfa846ebf5a598ce4299cbfb45e1ba7ab"),
     "rul_model.txt": (
-        "efefeadd9222", "daa8aefac6accfe4c9c27ab02d037d417e07723baf7755fca936d50d31cac29c"),
+        "efefeadd9222", "7e428f75d17c8320035d653782aa486b7fedaa349b187ae8fc920186e2f37ec7"),
     "class_model.txt": (
-        "c861099b7e8e", "0483b82a1807a7c8ba467217cc4ff00b8a978f3b5852e1ac10ed111437c5bd80"),
+        "c861099b7e8e", "df48fc4f6bc75391366becf1f79f83e53569f55046f15930ffec7439da86448b"),
 }
 
 

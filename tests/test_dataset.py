@@ -501,6 +501,30 @@ class TestWriteCellOracle:
             _same_as_oracle(cell, Path(tmp))
 
 
+class TestZeroCRate:
+    """A cycle at a zero C-rate would never end: every way a condition code
+    reaches the program refuses one."""
+
+    @pytest.mark.parametrize("code", ["CY25-0/1", "CY25-0.5/0", "CY25-0.0/0.0"])
+    def test_parse_refuses_a_zero_rate(self, code):
+        with pytest.raises(ValidationError, match="zero C-rate"):
+            parse_condition(code)
+
+    def test_cell_header(self, tmp_path):
+        path = tmp_path / "cell.csv"
+        path.write_text(_cell_text(GOOD_ROWS).replace("condition=CY25-0.5/1",
+                                                      "condition=CY25-0.5/0"))
+        with pytest.raises(ValidationError, match="zero C-rate"):
+            ingest_cell(path)
+
+    def test_manifest_fails_ingest_with_exit_3(self, tmp_path, capsys):
+        (tmp_path / "cell.csv").write_text(_cell_text(GOOD_ROWS))
+        entry = ManifestEntry("x", Chemistry.NCA, "CY25-0/1", 3.5, 120.0, 240.0, path="cell.csv")
+        write_manifest([entry], tmp_path / "manifest.txt")
+        assert main(["ingest", "--manifest", str(tmp_path / "manifest.txt")]) == 3
+        assert "zero C-rate" in capsys.readouterr().err
+
+
 class TestManifest:
     def test_manifest_roundtrip(self, tmp_path):
         cells = [_simulated_cell(seed=i, horizon=3, cell_id=f"m-{i:02d}") for i in range(3)]

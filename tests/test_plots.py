@@ -169,6 +169,14 @@ def test_empty_tables_still_draw(tmp_path):
         _figure(path)
 
 
+@pytest.mark.parametrize("value", [1e20, -1e20])
+def test_a_constant_series_at_a_huge_value_draws(value):
+    root = ET.fromstring(chart([("a", [(0.0, value)])], "x", "y"))
+    assert len(list(root.iter(f"{SVG}circle"))) == 1
+    labels = [float(text.text) for text in root.iter(f"{SVG}text") if text.get("text-anchor") == "end"]
+    assert min(labels) <= value <= max(labels)
+
+
 @pytest.mark.parametrize("points, guide", [
     ([(0.0, 1e308), (1.0, -1e308)], None),
     ([(-1e308, 0.0), (1e308, 1.0)], None),

@@ -136,6 +136,11 @@ class TestDischarge:
         assert full.duration_s == pytest.approx(3600.0)
         assert faded.duration_s == pytest.approx(2.8 / 3.5 * 3600.0)
 
+    def test_zero_rate_protocol_is_refused(self):
+        protocol = replace(simgen.NCA_PROTOCOL, condition="CY25-0.5/0")
+        with pytest.raises(ValidationError, match="zero C-rate"):
+            simgen.simulate_cell(_profile(), protocol, 3)
+
 
 class TestDischargeRamp:
     """A simulated cycle's charges: the template's knots ramped to its capacity."""
