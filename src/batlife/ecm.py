@@ -43,6 +43,10 @@ a poor start a fit takes hundreds of them: both branches are evaluated in one
 strided operations, and each 5 x 5 system is solved by LAPACK ``dgesv``
 called directly. The arithmetic, and its order, is that of the plain
 per-branch formulation, so every ``FitReport`` is bitwise the one it gives.
+The start's projections get the same treatment: each pass centres the
+voltages once and hands them to every ``_project`` call under one
+``np.errstate``, and means are ``np.add.reduce(...) / n``, the ufunc and
+divisor ``.mean()`` uses, without its per-call overhead.
 """
 
 from __future__ import annotations
@@ -265,29 +269,33 @@ def _damped_gauss_newton(theta0, t, v, current, lower, upper):
     return theta, cost, iterations, converged
 
 
-def _project(log_taus: np.ndarray, t: np.ndarray, v: np.ndarray, current: float):
+# Signs that turn a 2 x 2 matrix with swapped diagonal into its adjugate.
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _project(log_taus: np.ndarray, t: np.ndarray, v_centred: np.ndarray, current: float):
     """Variable projection at each row (log tau_e, log tau_c) of ``log_taus``.
 
     With both time constants fixed, the t > 0 model ``ocv + r_e*b_e +
     r_c*b_c`` (basis ``b = -current*exp(-t/tau)``) is linear. Centring basis
     and data removes ocv and leaves 2 x 2 normal equations per row, solved
-    through their adjugate. Returns, per row: the basis and ``t/tau``
+    through their adjugate. ``v_centred`` is the data minus its mean,
+    centred once per pass by the caller, which also silences floating-point
+    warnings. Returns, per row: the basis and ``t/tau``
     (m, 2, n), the centred basis, the inverse of the normal matrix
     (m, 2, 2), the resistances (m, 2) and the residual ``v - model`` (m, n).
     Nothing is clipped into the box; a singular row gives non-finite values.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = t / np.exp(log_taus)[:, :, None]
-        basis = np.exp(-scaled)
-        basis *= -current
-        centred = basis - basis.mean(axis=2, keepdims=True)
-        v_centred = v - v.mean()
-        gram = centred @ centred.transpose(0, 2, 1)
-        det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
-        inverse = gram[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        inverse /= det[:, None, None]
-        r = inverse @ (centred @ v_centred)[:, :, None]
-        residual = v_centred - (r.transpose(0, 2, 1) @ centred)[:, 0]
+    scaled = t / np.exp(log_taus)[:, :, None]
+    basis = np.exp(-scaled)
+    basis *= -current
+    centred = basis - np.add.reduce(basis, axis=2, keepdims=True) / t.size
+    gram = centred @ centred.transpose(0, 2, 1)
+    det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
+    inverse = gram[:, ::-1, ::-1] * _ADJUGATE_SIGNS
+    inverse /= det[:, None, None]
+    r = inverse @ (centred @ v_centred)[:, :, None]
+    residual = v_centred - (r.transpose(0, 2, 1) @ centred)[:, 0]
     return basis, scaled, centred, inverse, r[:, :, 0], residual
 
 
@@ -295,15 +303,14 @@ def _boxed_start(log_taus: np.ndarray, basis: np.ndarray, r: np.ndarray, v: np.n
                  lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Log-parameterized thetas (m, 5) from projected resistances: these,
     then the best ocv given them, clipped into the box; and their costs
-    (``inf`` where not finite)."""
-    with np.errstate(invalid="ignore"):
-        r = np.clip(r, math.exp(lower[1]), math.exp(upper[1]))
-        model = np.einsum("mk,mkn->mn", r, basis)
-        ocv = np.clip((v - model).mean(axis=1), lower[0], upper[0])
-        residual = model - v
-        residual += ocv[:, None]
-        cost = np.einsum("mn,mn->m", residual, residual)
-        log_r = np.log(r)
+    (``inf`` where not finite). The caller silences floating-point warnings."""
+    r = np.clip(r, math.exp(lower[1]), math.exp(upper[1]))
+    model = np.einsum("mk,mkn->mn", r, basis)
+    ocv = np.clip(np.add.reduce(v - model, axis=1) / v.size, lower[0], upper[0])
+    residual = model - v
+    residual += ocv[:, None]
+    cost = np.einsum("mn,mn->m", residual, residual)
+    log_r = np.log(r)
     theta = np.column_stack((ocv, log_r[:, 0], log_taus[:, 0], log_r[:, 1], log_taus[:, 1]))
     return theta, np.where(np.isfinite(cost), cost, np.inf)
 
@@ -314,8 +321,8 @@ _GRID_POINTS = 16
 _START_ITERATIONS = 50
 
 
-def _refine_time_constants(log_taus: np.ndarray, t: np.ndarray, v: np.ndarray, current: float,
-                           lo: float, hi: float):
+def _refine_time_constants(log_taus: np.ndarray, t: np.ndarray, v_centred: np.ndarray,
+                           current: float, lo: float, hi: float):
     """Damped Gauss-Newton on the variable-projection cost over the (1, 2)
     ``log_taus`` alone, with Kaufman's Jacobian of the projected residual
     (*BIT* 15, 1975). The linear parameters are re-solved at every trial,
@@ -324,7 +331,7 @@ def _refine_time_constants(log_taus: np.ndarray, t: np.ndarray, v: np.ndarray, c
     out is held there. Returns the last accepted ``log_taus`` and the
     ``_project`` pieces at it.
     """
-    state = _project(log_taus, t, v, current)
+    state = _project(log_taus, t, v_centred, current)
     cost = float(state[5][0] @ state[5][0])
     damping = 1e-3
     for _ in range(_START_ITERATIONS):
@@ -333,7 +340,7 @@ def _refine_time_constants(log_taus: np.ndarray, t: np.ndarray, v: np.ndarray, c
         # off the span of the linear columns (centring takes ocv's).
         slope = basis * scaled
         slope *= r[:, None]
-        slope -= slope.mean(axis=1, keepdims=True)
+        slope -= np.add.reduce(slope, axis=1, keepdims=True) / t.size
         jac = (inverse @ (centred @ slope.T)).T @ centred - slope
         (h_ee, h_ec), (_, h_cc) = (jac @ jac.T).tolist()
         g_e, g_c = (-(jac @ residual)).tolist()  # minus the gradient
@@ -358,7 +365,7 @@ def _refine_time_constants(log_taus: np.ndarray, t: np.ndarray, v: np.ndarray, c
                 step_e, step_c = (u_e / d if free_e else 0.0), (u_c / d if free_c else 0.0)
             candidate = np.array([[min(max(a_e + step_e / s_e, lo), hi),
                                    min(max(a_c + step_c / s_c, lo), hi)]])
-            cand_state = _project(candidate, t, v, current)
+            cand_state = _project(candidate, t, v_centred, current)
             cand_cost = float(cand_state[5][0] @ cand_state[5][0])
             if math.isfinite(cand_cost) and cand_cost <= cost:
                 break
@@ -381,16 +388,19 @@ def _projected_start(t: np.ndarray, v: np.ndarray, current: float,
     log-spaced grid over the box's time-constant range at once, and
     ``_refine_time_constants`` refines the best pair. The refined start
     replaces the grid's only when its parameters, clipped into the box,
-    cost no more.
+    cost no more. The voltages are centred once, and one ``np.errstate``
+    covers every projection of the pass.
     """
     grid = np.linspace(lower[2], upper[2], _GRID_POINTS)
     log_taus = np.column_stack([grid[k] for k in np.triu_indices(_GRID_POINTS, k=1)])
-    basis, _, _, _, r, _ = _project(log_taus, t, v, current)
-    thetas, costs = _boxed_start(log_taus, basis, r, v, lower, upper)
-    best = int(np.argmin(costs))
-    log_taus, state = _refine_time_constants(log_taus[best:best + 1], t, v, current,
-                                             lower[2], upper[2])
-    theta, refined = _boxed_start(log_taus, state[0], state[4], v, lower, upper)
+    v_centred = v - np.add.reduce(v) / v.size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        basis, _, _, _, r, _ = _project(log_taus, t, v_centred, current)
+        thetas, costs = _boxed_start(log_taus, basis, r, v, lower, upper)
+        best = int(np.argmin(costs))
+        log_taus, state = _refine_time_constants(log_taus[best:best + 1], t, v_centred, current,
+                                                 lower[2], upper[2])
+        theta, refined = _boxed_start(log_taus, state[0], state[4], v, lower, upper)
     if refined[0] <= costs[best]:
         return theta[0], float(refined[0])
     return thetas[best], float(costs[best])

@@ -11,6 +11,10 @@ against that latent Gaussian with a fixed 32-node quadrature (Gauss-Hermite
 for narrow latents, a complementary Gauss-Legendre form for wide ones; see
 ``_sigmoid_gaussian_integral``).
 
+Each Newton step factorizes B = I + sqrtW K sqrtW by LAPACK potrf and solves
+with it by two trtrs calls, made directly through ``gpr.checked_lapack``;
+they are the calls the ``scipy.linalg`` wrappers make, so every bit is theirs.
+
 Three binaries compose the {Short, Medium, Long} decision: short-vs-long
 first, then the winning side's classifier against Medium. Labels come from
 lifetime thresholds that shrink linearly with state of health:
@@ -30,7 +34,6 @@ from enum import Enum
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import cholesky, solve_triangular
 from scipy.optimize import minimize
 from scipy.special import expit, ndtr
 
@@ -48,9 +51,12 @@ from .gpr import (
     KernelParams,
     Standardizer,
     cholesky_inverse,
+    cholesky_lower,
     kernel_matrix,
     length_scale_contraction,
+    require_finite_features,
     scaled_distance,
+    solve_lower,
 )
 
 QUAD_NODES = 32
@@ -145,6 +151,14 @@ def _log_sigmoid(z: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -z)
 
 
+def _b_factor(K: np.ndarray, sqrt_w: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of B = I + sqrtW K sqrtW."""
+    B = sqrt_w[:, None] * K
+    B *= sqrt_w
+    B.flat[::K.shape[0] + 1] += 1.0
+    return cholesky_lower(B)
+
+
 def _find_mode(K: np.ndarray, y: np.ndarray, f0: np.ndarray | None = None):
     """Newton iterations to the posterior mode (numerically stable form).
 
@@ -158,18 +172,14 @@ def _find_mode(K: np.ndarray, y: np.ndarray, f0: np.ndarray | None = None):
     f = np.zeros(n) if f0 is None else f0.copy()
     a = np.zeros(n)
     psi = -np.inf
-    eye = np.eye(n)
     for _ in range(NEWTON_MAX_ITERS):
         pi = expit(f)
         w = pi * (1.0 - pi)
         sqrt_w = np.sqrt(w)
-        B = eye + sqrt_w[:, None] * K * sqrt_w[None, :]
-        L = cholesky(B, lower=True)
+        L = _b_factor(K, sqrt_w)
         b = w * f + (t - pi)
         rhs = sqrt_w * (K @ b)
-        a_new = b - sqrt_w * solve_triangular(
-            L.T, solve_triangular(L, rhs, lower=True), lower=False
-        )
+        a_new = b - sqrt_w * solve_lower(L, solve_lower(L, rhs), transposed=True)
         f_new = K @ a_new
         psi_new = float(-0.5 * (a_new @ f_new) + _log_sigmoid(y * f_new).sum())
         # Damped update if a full Newton step overshoots.
@@ -189,9 +199,8 @@ def _find_mode(K: np.ndarray, y: np.ndarray, f0: np.ndarray | None = None):
 
     pi = expit(f)
     sqrt_w = np.sqrt(pi * (1.0 - pi))
-    B = eye + sqrt_w[:, None] * K * sqrt_w[None, :]
-    L = cholesky(B, lower=True)
-    return f, (t - pi), sqrt_w, L, psi - float(np.log(np.diag(L)).sum())
+    L = _b_factor(K, sqrt_w)
+    return f, (t - pi), sqrt_w, L, psi - float(np.log(L.diagonal()).sum())
 
 
 def laplace_evidence(
@@ -214,10 +223,10 @@ def laplace_evidence(
     pi = expit(f_hat)
     # R = sqrtW B^-1 sqrtW = (K + W^-1)^-1
     R = sqrt_w[:, None] * cholesky_inverse(L) * sqrt_w[None, :]
-    C = solve_triangular(L, sqrt_w[:, None] * K, lower=True)
+    C = solve_lower(L, sqrt_w[:, None] * K)
     # Implicit term: d(-0.5 log|B|)/df_i = -0.5 [(K^-1 + W)^-1]_ii dW_ii/df_i
     dw_df = pi * (1.0 - pi) * (1.0 - 2.0 * pi)
-    s2 = -0.5 * (np.diag(K) - np.einsum("ij,ij->j", C, C)) * dw_df
+    s2 = -0.5 * (K.diagonal() - np.einsum("ij,ij->j", C, C)) * dw_df
     # Each entry is 0.5 g^T dK g - 0.5 tr(R dK) + s2^T (I - K R) dK g with
     # g = grad_mode, i.e. sum(W * dK) for the symmetric W below, u = (I - R K) s2.
     g = grad_mode
@@ -251,6 +260,7 @@ def train_binary(
         raise OneClassOnlyError("binary training data must contain both classes")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValidationError("labels must be -1 or +1")
+    require_finite_features(X)
 
     n, d = X.shape
     warm: dict[str, np.ndarray | None] = {"f": None}
@@ -353,9 +363,10 @@ def predict_binary(model: BinaryGpc, x_star) -> float | np.ndarray:
         raise DimensionMismatchError(
             f"expected {model.n_features} features, got {x.shape[1]}"
         )
+    require_finite_features(x)
     K_star = kernel_matrix(model.X_train, x, model.kernel)
     mean = K_star.T @ model.grad_at_mode
-    v = solve_triangular(model.chol_b, model.sqrt_w[:, None] * K_star, lower=True)
+    v = solve_lower(model.chol_b, model.sqrt_w[:, None] * K_star)
     variance = np.maximum(model.kernel.sigma_f**2 - np.einsum("ij,ij->j", v, v), 0.0)
     probs = _sigmoid_gaussian_integral(mean, np.sqrt(variance))
     probs = np.clip(probs, 1e-300, 1.0 - 1e-16)
@@ -395,6 +406,7 @@ def train_dag(
     labels = list(labels)
     if X.shape[0] != len(labels):
         raise DimensionMismatchError("one label per feature row required")
+    require_finite_features(X)
     standardizer = Standardizer.fit(X)
     Xs = standardizer.transform(X)
     lab = np.array([l.value for l in labels])

@@ -26,6 +26,15 @@ length-scale entry sum_ij W_ij dK_ij/d log l_m is contracted at once by
 one n x n pass and one n x n x d product instead of d n x n derivative
 matrices. The Laplace classifier in ``gpc`` uses the same contraction.
 
+Both GP modules call LAPACK potrf, potrs, trtrs and trtri directly, through
+``checked_lapack`` (np.linalg.LinAlgError when info != 0), rather than
+through the ``scipy.linalg`` wrappers: the same routines with the same
+arguments, so the same bits, without the wrappers' per-call checks, which
+cost more than the arithmetic at n ~ 100. Diagonals are added in place
+through ``.flat[::n + 1]`` instead of with ``np.eye``. Since nothing checks
+finiteness on the way to LAPACK, every entry point refuses NaN or inf
+features itself (``require_finite_features``).
+
 Per-feature relative importance is reported as l_m / ||l||_1. Note this
 assigns larger weight to larger length scales; the conventional ARD
 reading (relevance ~ 1/l) is exposed separately as
@@ -39,8 +48,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -134,6 +142,27 @@ class GprTrainConfig:
 # Kernel
 # ---------------------------------------------------------------------------
 
+def checked_lapack(routine, *args, **kwargs) -> np.ndarray:
+    """Call a ``scipy.linalg.lapack`` routine and return its array.
+
+    Raises np.linalg.LinAlgError when the routine reports ``info != 0``: a
+    matrix that is not positive definite (potrf), an exactly zero diagonal
+    entry of a triangular factor (trtrs, trtri), or an illegal argument.
+    Unlike the ``scipy.linalg`` wrappers, nothing checks the inputs for
+    NaN or inf: every entry point refuses non-finite features first.
+    """
+    result, info = routine(*args, **kwargs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine.__name__} failed with info={info}")
+    return result
+
+
+def require_finite_features(X: np.ndarray) -> None:
+    """Refuse a feature matrix holding NaN or inf (ValidationError, exit 3)."""
+    if not np.all(np.isfinite(X)):
+        raise ValidationError("features contain non-finite entries")
+
+
 def scaled_distance(Xa: np.ndarray, Xb: np.ndarray, length_scales: np.ndarray) -> np.ndarray:
     """Pairwise r_ij = sqrt(sum_m (x_im - x_jm)^2 / l_m^2); k = sigma_f^2 exp(-r)."""
     if Xa.shape[0] == 0 or Xb.shape[0] == 0:
@@ -172,16 +201,27 @@ def cholesky_inverse(L: np.ndarray) -> np.ndarray:
 
     L^-1 comes from LAPACK trtri, and numpy forms L^-T L^-1 by BLAS syrk, so
     the result is exactly symmetric. ``L`` must be zero above the diagonal,
-    as ``scipy.linalg.cholesky`` returns it: trtri leaves that triangle in
-    place. Unlike potri (trtri then lauum), this gives the same bits for
-    one and for two BLAS threads at the sizes the golden outputs use, and
-    lauum under several OpenBLAS threads is slow for small n.
+    as potrf returns it: trtri leaves that triangle in place. Unlike potri
+    (trtri then lauum), this gives the same bits for one and for two BLAS
+    threads at the sizes the golden outputs use, and lauum under several
+    OpenBLAS threads is slow for small n.
     Raises np.linalg.LinAlgError when trtri reports failure (info != 0).
     """
-    L_inv, info = dtrtri(L, lower=True)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"trtri failed with info={info}")
+    L_inv = checked_lapack(dtrtri, L, lower=1)
     return L_inv.T @ L_inv
+
+
+def cholesky_lower(A: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``A`` from LAPACK potrf, zero above the
+    diagonal (Fortran order); np.linalg.LinAlgError when ``A`` is not
+    positive definite."""
+    return checked_lapack(dpotrf, A, lower=1, clean=1)
+
+
+def solve_lower(L: np.ndarray, b: np.ndarray, transposed: bool = False) -> np.ndarray:
+    """L^-1 b (or L^-T b) for a lower factor in Fortran order, by LAPACK
+    trtrs; np.linalg.LinAlgError on an exactly zero diagonal entry."""
+    return checked_lapack(dtrtrs, L, b, lower=1, trans=int(transposed))
 
 
 def factorize_with_jitter(
@@ -193,13 +233,13 @@ def factorize_with_jitter(
     once the jitter cap (1e-6 * sigma_f^2) is exhausted.
     """
     n = K.shape[0]
-    eye = np.eye(n)
     factor = JITTER_FACTOR
     while factor <= MAX_JITTER_FACTOR * (1.0 + 1e-12):
         jitter = factor * sigma_f**2
+        K_reg = K.copy()
+        K_reg.flat[::n + 1] += sigma_n**2 + jitter
         try:
-            L = cholesky(K + (sigma_n**2 + jitter) * eye, lower=True)
-            return L, jitter
+            return cholesky_lower(K_reg), jitter
         except np.linalg.LinAlgError:
             factor *= 10.0
     raise SingularKernelError(
@@ -223,8 +263,8 @@ def log_marginal_likelihood(
     (log sigma_f, log l_1 ... log l_d, log sigma_n) via
     d lml / d theta = 0.5 * tr((alpha alpha^T - K^-1) dK/d theta),
     with K^-1 from trtri on the Cholesky factor (``cholesky_inverse``) and
-    the length-scale entries from ``length_scale_contraction``. A trtri
-    failure raises np.linalg.LinAlgError, as a failed factorization does.
+    the length-scale entries from ``length_scale_contraction``. A failed
+    factorization or trtri raises np.linalg.LinAlgError.
     The jitter term scales with sigma_f^2 and is included in the sigma_f
     derivative so finite differences of this function match exactly.
     """
@@ -236,19 +276,19 @@ def log_marginal_likelihood(
     E = np.exp(-r)
     jitter = JITTER_FACTOR * sigma_f**2
     K_reg = sigma_f**2 * E
-    K_reg[np.diag_indices(n)] += sigma_n**2 + jitter
-    L = cholesky(K_reg, lower=True)
-    alpha = cho_solve((L, True), y_centered)
+    K_reg.flat[::n + 1] += sigma_n**2 + jitter
+    L = cholesky_lower(K_reg)
+    alpha = checked_lapack(dpotrs, L, y_centered, lower=1)
     lml = (
         -0.5 * float(y_centered @ alpha)
-        - float(np.log(np.diag(L)).sum())
+        - float(np.log(L.diagonal()).sum())
         - 0.5 * n * math.log(2.0 * math.pi)
     )
     if not with_grad:
         return lml
 
     M = np.outer(alpha, alpha) - cholesky_inverse(L)
-    trace_m = float(np.trace(M))
+    trace_m = float(M.trace())
     grad = np.empty(d + 2)
     # d K_reg / d log sigma_f = 2 (sigma_f^2 E + jitter I)
     grad[0] = 0.5 * float(np.sum(M * (2.0 * sigma_f**2 * E))) + trace_m * jitter
@@ -288,8 +328,9 @@ def train(
         raise DimensionMismatchError(f"X {X.shape} and y {y.shape} are inconsistent")
     if X.shape[0] < 2:
         raise ValidationError("training needs at least 2 samples")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValidationError("training data contains non-finite entries")
+    require_finite_features(X)
+    if not np.all(np.isfinite(y)):
+        raise ValidationError("targets contain non-finite entries")
 
     y_std = float(y.std())
     if y_std == 0.0:
@@ -351,7 +392,7 @@ def posterior(
     """
     K = kernel_matrix(Xs, Xs, kernel)
     L, jitter = factorize_with_jitter(K, kernel.sigma_f, kernel.sigma_n)
-    alpha = cho_solve((L, True), y - y_mean)
+    alpha = checked_lapack(dpotrs, L, y - y_mean, lower=1)
     return GprModel(
         kernel=kernel,
         X_train=Xs,
@@ -385,11 +426,12 @@ def predict(model: GprModel, X_star: np.ndarray) -> tuple[np.ndarray, np.ndarray
         )
     if X_star.shape[0] == 0:
         return np.empty(0), np.empty(0)
+    require_finite_features(X_star)
 
     Xs = model.standardizer.transform(X_star)
     K_star = kernel_matrix(model.X_train, Xs, model.kernel)
     mean = K_star.T @ model.alpha + model.y_mean
-    v = solve_triangular(model.chol_lower, K_star, lower=True)
+    v = solve_lower(model.chol_lower, K_star)
     variance = model.kernel.sigma_f**2 - np.einsum("ij,ij->j", v, v) + model.kernel.sigma_n**2
     if np.any(variance < -1e-8):
         warnings.warn("predictive variance clamped by more than 1e-8", RuntimeWarning)

@@ -6,14 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dtrtri
 from scipy.special import expit
 
-from batlife import ecm, simgen
+from batlife import ecm, gpc, gpr, simgen
 from batlife.dataset import (
     CANONICAL_COLUMNS, CellMeta, DischargeCurve, RelaxationCurve, build_history, parse_condition,
 )
 from batlife.ecm import EcmParams, predict_relaxation
-from batlife.errors import ValidationError
+from batlife.errors import NoConvergenceError, ValidationError
 from batlife.textio import spell, spell_floats
 
 CUTOFF_A = 0.175
@@ -67,6 +69,126 @@ def four_start_multistart(curve: RelaxationCurve, tight: bool):
         if best is None or result[1] < best[1]:
             best = result
     return best
+
+
+def wrapped_cholesky_inverse(L):
+    """Oracle: ``gpr.cholesky_inverse`` as L^-T L^-1 from LAPACK trtri."""
+    L_inv, info = dtrtri(L, lower=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"trtri failed with info={info}")
+    return L_inv.T @ L_inv
+
+
+def wrapped_log_marginal_likelihood(kernel, X, y_centered, with_grad=False):
+    """Oracle: ``gpr.log_marginal_likelihood`` through the ``scipy.linalg``
+    wrappers (``cholesky``, ``cho_solve``), with fresh temporaries."""
+    n, d = X.shape
+    sigma_f = kernel.sigma_f
+    sigma_n = kernel.sigma_n
+    r = gpr.scaled_distance(X, X, kernel.length_scales)
+    E = np.exp(-r)
+    jitter = 1e-9 * sigma_f**2
+    K_reg = sigma_f**2 * E
+    K_reg[np.diag_indices(n)] += sigma_n**2 + jitter
+    L = cholesky(K_reg, lower=True)
+    alpha = cho_solve((L, True), y_centered)
+    lml = (
+        -0.5 * float(y_centered @ alpha)
+        - float(np.log(np.diag(L)).sum())
+        - 0.5 * n * math.log(2.0 * math.pi)
+    )
+    if not with_grad:
+        return lml
+    M = np.outer(alpha, alpha) - wrapped_cholesky_inverse(L)
+    trace_m = float(np.trace(M))
+    grad = np.empty(d + 2)
+    grad[0] = 0.5 * float(np.sum(M * (2.0 * sigma_f**2 * E))) + trace_m * jitter
+    grad[1:1 + d] = 0.5 * gpr.length_scale_contraction(X, r, E, M, kernel)
+    grad[1 + d] = trace_m * sigma_n**2
+    return lml, grad
+
+
+def wrapped_find_mode(K, y, f0=None):
+    """Oracle: ``gpc._find_mode`` through ``scipy.linalg.cholesky`` and
+    ``solve_triangular``, with B built from an identity matrix."""
+    n = y.size
+    t = (y + 1.0) / 2.0
+    f = np.zeros(n) if f0 is None else f0.copy()
+    a = np.zeros(n)
+    psi = -np.inf
+    eye = np.eye(n)
+    for _ in range(gpc.NEWTON_MAX_ITERS):
+        pi = expit(f)
+        w = pi * (1.0 - pi)
+        sqrt_w = np.sqrt(w)
+        B = eye + sqrt_w[:, None] * K * sqrt_w[None, :]
+        L = cholesky(B, lower=True)
+        b = w * f + (t - pi)
+        rhs = sqrt_w * (K @ b)
+        a_new = b - sqrt_w * solve_triangular(
+            L.T, solve_triangular(L, rhs, lower=True), lower=False
+        )
+        f_new = K @ a_new
+        psi_new = float(-0.5 * (a_new @ f_new) + gpc._log_sigmoid(y * f_new).sum())
+        step = 1.0
+        while psi_new < psi - 1e-12 and step > 1e-6:
+            step *= 0.5
+            a_try = a + step * (a_new - a)
+            f_try = K @ a_try
+            psi_try = float(-0.5 * (a_try @ f_try) + gpc._log_sigmoid(y * f_try).sum())
+            a_new, f_new, psi_new = a_try, f_try, psi_try
+        converged = abs(psi_new - psi) < gpc.NEWTON_TOL
+        a, f, psi = a_new, f_new, psi_new
+        if converged:
+            break
+    else:
+        raise NoConvergenceError("posterior mode search did not converge")
+    pi = expit(f)
+    sqrt_w = np.sqrt(pi * (1.0 - pi))
+    B = eye + sqrt_w[:, None] * K * sqrt_w[None, :]
+    L = cholesky(B, lower=True)
+    return f, (t - pi), sqrt_w, L, psi - float(np.log(np.diag(L)).sum())
+
+
+def wrapped_laplace_evidence(kernel, X, y, f0=None, with_grad=False):
+    """Oracle: ``gpc.laplace_evidence`` on ``wrapped_find_mode`` and
+    ``solve_triangular``, with fresh temporaries."""
+    r = gpr.scaled_distance(X, X, kernel.length_scales)
+    E = np.exp(-r)
+    K = kernel.sigma_f**2 * E
+    f_hat, grad_mode, sqrt_w, L, evidence = wrapped_find_mode(K, y, f0)
+    if not with_grad:
+        return evidence, f_hat
+    pi = expit(f_hat)
+    R = sqrt_w[:, None] * wrapped_cholesky_inverse(L) * sqrt_w[None, :]
+    C = solve_triangular(L, sqrt_w[:, None] * K, lower=True)
+    dw_df = pi * (1.0 - pi) * (1.0 - 2.0 * pi)
+    s2 = -0.5 * (np.diag(K) - np.einsum("ij,ij->j", C, C)) * dw_df
+    g = grad_mode
+    u = s2 - R @ (K @ s2)
+    W = 0.5 * (np.outer(g, g) - R + np.outer(u, g) + np.outer(g, u))
+    grad = np.empty(1 + X.shape[1])
+    grad[0] = 2.0 * float(np.vdot(W, K))
+    grad[1:] = gpr.length_scale_contraction(X, r, E, W, kernel)
+    return evidence, f_hat, grad
+
+
+def wrapped_project(log_taus, t, v, current):
+    """Oracle: ``ecm._project`` on raw voltages, centring them by ``.mean()``
+    on every call under its own ``np.errstate``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = t / np.exp(log_taus)[:, :, None]
+        basis = np.exp(-scaled)
+        basis *= -current
+        centred = basis - basis.mean(axis=2, keepdims=True)
+        v_centred = v - v.mean()
+        gram = centred @ centred.transpose(0, 2, 1)
+        det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
+        inverse = gram[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        inverse /= det[:, None, None]
+        r = inverse @ (centred @ v_centred)[:, :, None]
+        residual = v_centred - (r.transpose(0, 2, 1) @ centred)[:, 0]
+    return basis, scaled, centred, inverse, r[:, :, 0], residual
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,13 @@ from batlife import ecm
 from batlife.dataset import VOLTAGE_MAX_V, VOLTAGE_MIN_V, RelaxationCurve
 from batlife.errors import InsufficientDataError, ValidationError
 
-from conftest import CUTOFF_A, four_start_multistart, initial_guesses, relaxation_curve
+from conftest import (
+    CUTOFF_A,
+    four_start_multistart,
+    initial_guesses,
+    relaxation_curve,
+    wrapped_project,
+)
 
 
 class TestEcmParams:
@@ -105,7 +111,8 @@ class TestFit:
         start, start_cost = ecm._projected_start(t_pos, v_pos, CUTOFF_A, lower, upper)
         assert final_cost <= start_cost + 1e-15
         # The start scored every grid pair, and the blind starts fare no better.
-        basis, _, _, _, r, _ = ecm._project(_grid(lower, upper), t_pos, v_pos, CUTOFF_A)
+        basis, _, _, _, r, _ = ecm._project(_grid(lower, upper), t_pos, v_pos - v_pos.mean(),
+                                            CUTOFF_A)
         grid_costs = ecm._boxed_start(_grid(lower, upper), basis, r, v_pos, lower, upper)[1]
         assert start_cost <= grid_costs.min()
         for theta0 in initial_guesses(curve):
@@ -584,9 +591,29 @@ class TestProjectedStart:
         assert math.sqrt(cost) == pytest.approx(math.sqrt(residual @ residual), rel=1e-9, abs=1e-13)
         # Every grid pair scored on its own, as the one-row projection gives it.
         for pair in _grid(lower, upper):
-            basis, _, _, _, r, _ = ecm._project(pair[None], t, v, current)
-            pair_cost = ecm._boxed_start(pair[None], basis, r, v, lower, upper)[1][0]
+            with np.errstate(divide="ignore", invalid="ignore"):  # as the caller silences
+                basis, _, _, _, r, _ = ecm._project(pair[None], t, v - v.mean(), current)
+                pair_cost = ecm._boxed_start(pair[None], basis, r, v, lower, upper)[1][0]
             assert math.sqrt(cost) <= math.sqrt(pair_cost) * (1.0 + 1e-9) + 1e-13
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(5, 120), rows=st.integers(1, 12), singular=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), interval=st.sampled_from([30.0, 120.0]))
+    def test_projection_is_bitwise_the_wrapped_one(self, n, rows, singular, seed, interval):
+        # Voltages centred once per pass by np.add.reduce, and no errstate of
+        # its own, give the bits of the projection that centred them by
+        # .mean() on every call; so does a singular row (equal time constants).
+        rng = np.random.default_rng(seed)
+        t = np.arange(1, n + 1) * interval
+        v = 4.1 - 0.02 * np.exp(-t / rng.uniform(interval, t[-1])) + rng.normal(0.0, 1e-4, n)
+        log_taus = math.log(interval) + rng.uniform(-4.0, 4.0, size=(rows, 2))
+        if singular:
+            log_taus[0, 1] = log_taus[0, 0]
+        want = wrapped_project(log_taus, t, v, CUTOFF_A)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = ecm._project(log_taus, t, v - np.add.reduce(v) / v.size, CUTOFF_A)
+        for piece, expected in zip(got, want):
+            assert np.array_equal(piece, expected, equal_nan=True)
 
     @pytest.mark.parametrize("name", sorted(_GOLDEN))
     def test_projection_is_the_least_squares_fit(self, name):
@@ -595,7 +622,7 @@ class TestProjectedStart:
         curve = _golden_curves()[name]
         _, t, v, current, lower, upper = _solver_inputs(curve, True, start=None)
         pairs = _grid(lower, upper)
-        residual = ecm._project(pairs, t, v, current)[5]
+        residual = ecm._project(pairs, t, v - v.mean(), current)[5]
         for pair, got in zip(pairs, residual):
             columns = np.column_stack((np.ones_like(t), -current * np.exp(-t[:, None] / np.exp(pair))))
             columns /= np.linalg.norm(columns, axis=0)

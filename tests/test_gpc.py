@@ -10,6 +10,7 @@ from scipy.special import expit
 from batlife import gpc
 from batlife.dataset import SOH_EOL
 from batlife.errors import (
+    DataError,
     DimensionMismatchError,
     NoConvergenceError,
     OneClassOnlyError,
@@ -32,7 +33,7 @@ from batlife.gpc import (
 )
 from batlife.gpr import KernelParams
 
-from conftest import mode_stationarity
+from conftest import mode_stationarity, wrapped_find_mode, wrapped_laplace_evidence
 
 
 class TestThreshold:
@@ -319,3 +320,84 @@ def _stub_dag() -> gpc.LifeDag:
     m3 = train_binary(X, y, GpcTrainConfig(restarts=1, max_iters=20, seed=2))
     return gpc.LifeDag(stage1=model, stage2_long=m2, stage2_short=m3,
                        standardizer=Standardizer(np.zeros(1), np.ones(1)))
+
+
+@st.composite
+def classification_problems(draw):
+    """Binary problems with n in [2, 120] and d in [1, 8], random kernels,
+    random labels holding both classes, at random a duplicated row (r = 0
+    off the diagonal) and a random warm start."""
+    n = draw(st.integers(2, 120))
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d))
+    if draw(st.booleans()):
+        X[-1] = X[0]
+    y = rng.choice([-1.0, 1.0], size=n)
+    y[:2] = (1.0, -1.0)
+    kernel = KernelParams(sigma_f=math.exp(draw(st.floats(-2.0, 3.0))),
+                          length_scales=np.exp(rng.uniform(-2.0, 2.0, size=d)))
+    f0 = 3.0 * rng.normal(size=n) if draw(st.booleans()) else None
+    return X, y, kernel, f0
+
+
+class TestWrapperOracle:
+    """The direct LAPACK calls and reused temporaries give the bits of the
+    ``scipy.linalg`` wrapper versions kept in ``tests/conftest.py``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(classification_problems())
+    def test_mode_and_evidence_are_bitwise_the_wrapped_ones(self, problem):
+        X, y, kernel, f0 = problem
+        K = gpc.kernel_matrix(X, X, kernel)
+        try:
+            want_mode = wrapped_find_mode(K, y, f0)
+        except (np.linalg.LinAlgError, NoConvergenceError) as exc:
+            with pytest.raises(type(exc)):
+                gpc._find_mode(K, y, f0)
+            return
+        want = wrapped_laplace_evidence(kernel, X, y, f0, with_grad=True)
+        for got, expected in zip(gpc._find_mode(K, y, f0), want_mode):
+            assert np.array_equal(got, expected)
+        evidence, f_hat, grad = laplace_evidence(kernel, X, y, f0, with_grad=True)
+        assert evidence == want[0]
+        assert np.array_equal(f_hat, want[1])
+        assert np.array_equal(grad, want[2])
+        assert laplace_evidence(kernel, X, y, f0)[0] == want[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(classification_problems())
+    def test_predict_is_bitwise_the_wrapped_one(self, problem):
+        X, y, kernel, _ = problem
+        model = gpc.posterior_binary(kernel, X, y)
+        X_star = X[::-1] + 0.25
+        got = predict_binary(model, X_star)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gpc, "solve_lower",
+                          lambda L, b: solve_triangular(L, b, lower=True))
+            assert np.array_equal(got, predict_binary(model, X_star))
+
+
+class TestNonFiniteFeatures:
+    """NaN or inf features are refused as data (exit 3), not passed to LAPACK."""
+
+    def test_train_binary_refuses_a_nan_feature(self):
+        X, y = _mirror_data(seed=3)
+        X[5, 0] = np.nan
+        with pytest.raises(ValidationError, match="non-finite") as caught:
+            train_binary(X, y, GpcTrainConfig(restarts=1, seed=0))
+        assert isinstance(caught.value, DataError)
+
+    def test_predict_binary_refuses_a_nan_row(self):
+        X, y = _mirror_data(seed=3)
+        model = gpc.posterior_binary(KernelParams(sigma_f=2.0, length_scales=np.ones(1)), X, y)
+        with pytest.raises(ValidationError, match="non-finite"):
+            predict_binary(model, np.array([np.nan]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            predict_binary(model, np.array([[0.5], [np.inf]]))
+
+    def test_train_dag_refuses_a_nan_feature(self):
+        X, labels = _three_cluster_data()
+        X[7, 0] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            train_dag(X, labels, GpcTrainConfig(restarts=1, seed=0))

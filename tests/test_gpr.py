@@ -7,17 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from batlife import gpr
 from batlife.errors import (
+    DataError,
     DegenerateTargetsError,
     DimensionMismatchError,
+    NumericalError,
     SingularKernelError,
     ValidationError,
 )
 
-from conftest import kernel_eval
+from conftest import kernel_eval, wrapped_log_marginal_likelihood
 
 
 def _toy_problem(n=20, d=3, seed=0, noise=0.05):
@@ -418,3 +421,148 @@ def _model_with_scales(scales: np.ndarray) -> gpr.GprModel:
                         chol_lower=L, alpha=cho_solve((L, True), y - 0.5),
                         standardizer=gpr.Standardizer(np.zeros(d), np.ones(d)),
                         jitter=jitter)
+
+
+@st.composite
+def gp_problems(draw):
+    """Regression problems with n in [2, 120] and d in [1, 8], features on
+    mixed scales, random kernels and, at random, the last row a copy of the
+    first (r = 0 off the diagonal)."""
+    n = draw(st.integers(2, 120))
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * np.exp(rng.uniform(-2.0, 2.0, size=d))
+    if draw(st.booleans()):
+        X[-1] = X[0]
+    kernel = gpr.KernelParams(
+        sigma_f=math.exp(draw(st.floats(-2.0, 2.0))),
+        length_scales=np.exp(rng.uniform(-2.0, 2.0, size=d)),
+        sigma_n=math.exp(draw(st.floats(-6.0, 0.0))),
+    )
+    return X, rng.normal(size=n), kernel
+
+
+class TestWrapperOracle:
+    """The direct LAPACK calls give the bits of the ``scipy.linalg``
+    wrapper versions kept in ``tests/conftest.py``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(gp_problems())
+    def test_log_marginal_likelihood_is_bitwise_the_wrapped_one(self, problem):
+        X, y, kernel = problem
+        try:
+            want_lml, want_grad = wrapped_log_marginal_likelihood(kernel, X, y, with_grad=True)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                gpr.log_marginal_likelihood(kernel, X, y, with_grad=True)
+            return
+        lml, grad = gpr.log_marginal_likelihood(kernel, X, y, with_grad=True)
+        assert lml == want_lml
+        assert np.array_equal(grad, want_grad)
+        assert gpr.log_marginal_likelihood(kernel, X, y) == want_lml
+
+    @settings(max_examples=40, deadline=None)
+    @given(gp_problems())
+    def test_posterior_and_predict_are_bitwise_the_wrapped_ones(self, problem):
+        X, y, kernel = problem
+        n, d = X.shape
+        K = gpr.kernel_matrix(X, X, kernel)
+        L, jitter = gpr.factorize_with_jitter(K, kernel.sigma_f, kernel.sigma_n)
+        assert np.array_equal(L, cholesky(K + (kernel.sigma_n**2 + jitter) * np.eye(n),
+                                           lower=True))
+        model = gpr.posterior(kernel, X, y, 0.5, gpr.Standardizer(np.zeros(d), np.ones(d)))
+        assert np.array_equal(model.alpha, cho_solve((L, True), y - 0.5))
+        X_star = X[::-1] + 0.25
+        K_star = gpr.kernel_matrix(X, X_star, kernel)
+        v = solve_triangular(L, K_star, lower=True)
+        variance = kernel.sigma_f**2 - np.einsum("ij,ij->j", v, v) + kernel.sigma_n**2
+        mean, var = gpr.predict(model, X_star)
+        assert np.array_equal(mean, K_star.T @ model.alpha + 0.5)
+        assert np.array_equal(var, np.maximum(variance, 0.0))
+
+
+def _failing_potrf(monkeypatch, fail_from: int, fail_to: float = math.inf) -> list:
+    """Make LAPACK potrf report failure (info = 1) on its calls numbered
+    fail_from <= k < fail_to, counted from 0. Returns the list of outcomes,
+    one per call (True where it failed)."""
+    calls = []
+
+    def potrf(*args, **kwargs):
+        failed = fail_from <= len(calls) < fail_to
+        calls.append(failed)
+        c, info = dpotrf(*args, **kwargs)
+        return c, (1 if failed else info)
+
+    monkeypatch.setattr(gpr, "dpotrf", potrf)
+    return calls
+
+
+class TestLapackFailure:
+    def test_indefinite_matrix_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            gpr.cholesky_lower(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(np.linalg.LinAlgError):
+            gpr.checked_lapack(dpotrf, np.array([[-1.0]]), lower=1)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_zero_on_a_factor_diagonal_raises(self, transposed):
+        # trtrs would divide by the zero; it must report it instead of
+        # returning inf or NaN.
+        L = np.asfortranarray([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1.0, 3.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            gpr.solve_lower(L, np.ones(3), transposed=transposed)
+        with pytest.raises(np.linalg.LinAlgError):
+            gpr.solve_lower(L, np.ones((3, 2)), transposed=transposed)
+        with pytest.raises(np.linalg.LinAlgError):
+            gpr.cholesky_inverse(L)
+
+    def test_failed_factorization_is_a_failed_objective(self, monkeypatch):
+        # The first restart's first evaluation fails: that restart ends at
+        # FAILED_OBJECTIVE, and the others still train the model.
+        X, y = _toy_problem()
+        results = []
+        real_minimize = gpr.minimize
+
+        def recording_minimize(*args, **kwargs):
+            results.append(real_minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(gpr, "minimize", recording_minimize)
+        calls = _failing_potrf(monkeypatch, 0, 1)
+        model = gpr.train(X, y, gpr.GprTrainConfig(restarts=3, seed=0))
+        assert calls[0] and not any(calls[1:])
+        assert results[0].fun == gpr.FAILED_OBJECTIVE
+        assert all(result.fun < gpr.FAILED_OBJECTIVE for result in results[1:])
+        assert np.all(np.isfinite(gpr.predict(model, X)[0]))
+
+    def test_every_factorization_failing_is_a_singular_kernel(self, monkeypatch):
+        X, y = _toy_problem()
+        calls = _failing_potrf(monkeypatch, 0)
+        with pytest.raises(SingularKernelError) as caught:
+            gpr.train(X, y, gpr.GprTrainConfig(restarts=3, seed=0))
+        assert isinstance(caught.value, NumericalError)  # exit 4
+        assert len(calls) >= 3 and all(calls)
+
+
+class TestNonFiniteFeatures:
+    def test_predict_refuses_a_nan_row(self):
+        X, y = _toy_problem()
+        model = gpr.train(X, y, gpr.GprTrainConfig(restarts=1, seed=0))
+        X_star = X[:4].copy()
+        X_star[2, 1] = np.nan
+        with pytest.raises(ValidationError, match="non-finite") as caught:
+            gpr.predict(model, X_star)
+        assert isinstance(caught.value, DataError)  # exit 3
+        with pytest.raises(ValidationError, match="non-finite"):
+            gpr.predict(model, np.array([np.inf, 0.0, 0.0]))
+
+    def test_train_names_features_and_targets_apart(self):
+        X, y = _toy_problem()
+        X_bad = X.copy()
+        X_bad[3, 0] = np.inf
+        with pytest.raises(ValidationError, match="features contain non-finite"):
+            gpr.train(X_bad, y)
+        y_bad = y.copy()
+        y_bad[3] = np.nan
+        with pytest.raises(ValidationError, match="targets contain non-finite"):
+            gpr.train(X, y_bad)
