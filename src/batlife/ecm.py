@@ -8,45 +8,29 @@ voltage from below as two polarization branches decay:
 
 where I is the CV-phase cutoff current, which flows only at the instant
 t = 0. The five parameters other than r_o are identified from the t > 0
-samples by damped Gauss-Newton least squares over log-resistances and
-log-time-constants (positivity for free; capacitances follow as tau/r),
-boxed to keep the problem well posed under noise. r_o then follows from
-the t = 0 sample:
+samples by least squares, with the resistances and time constants boxed to
+keep the problem well posed under noise (capacitances follow as tau/r).
+r_o then follows from the t = 0 sample:
 
     r_o = |U(0) - ocv| / I - r_e - r_c      (clamped at zero)
 
-Two-exponential fits are multimodal, and from a poor start the solver
-crawls along flat valleys, so each pass computes its one start by variable
-projection (Golub & Pereyra, *SIAM J. Numer. Anal.* 10, 1973): with the two
-time constants fixed, ocv and the two branch resistances are a linear least
-squares. Every pair of a log-spaced grid over the box's time constants is
-scored at once; a Gauss-Newton over the two time constants alone refines the
-best pair; the five-parameter solver then polishes that start. Branch labels
-are canonical: the 'e' branch carries the smaller time constant.
+Two-exponential fits are multimodal, and a solver over all five parameters
+crawls along their flat valleys, so each pass fits by variable projection
+(Golub & Pereyra, *SIAM J. Numer. Anal.* 10, 1973): with the two time
+constants fixed, ocv and the two branch resistances are a linear least
+squares, solved exactly inside their box (``_boxed_project``). Every pair
+of a log-spaced grid over the box's time constants is scored at once, and a
+damped Gauss-Newton over the two time constants alone descends from the
+best pair (``_fit_box``). Branch labels are canonical: the 'e' branch
+carries the smaller time constant.
 
 A second pass over a wide box runs only when the tight fit does not
 interpolate the data, and its result is adopted only when it does. It never
 runs on the shortest curves (five t > 0 samples for five parameters), where
 an exact fit interpolates noise as readily as it recovers a noiseless
-transient. On noisy data no model can interpolate, and a Hankel-rank
-certificate proves it before the wide pass runs: on a uniform grid a
-constant plus two decaying exponentials makes the (n-3) x 4 Hankel matrix
-of the t > 0 samples rank 3 or less, so a smallest singular value well
-above twice the exact-fit residual norm rules out every model
-(``_cannot_interpolate``). With six t > 0 samples, on a non-uniform grid,
-or when the certificate does not hold, the wide pass runs. A certified skip
-never changes a result: the report is bitwise the one the wide pass gives.
-
-Each damped step on 5 to ~120 points is kept to a few numpy calls, as from
-a poor start a fit takes hundreds of them: both branches are evaluated in one
-(2, n) pass (``_evaluate``), their Jacobian columns are filled by two
-strided operations, and each 5 x 5 system is solved by LAPACK ``dgesv``
-called directly. The arithmetic, and its order, is that of the plain
-per-branch formulation, so every ``FitReport`` is bitwise the one it gives.
-The start's projections get the same treatment: each pass centres the
-voltages once and hands them to every ``_project`` call under one
-``np.errstate``, and means are ``np.add.reduce(...) / n``, the ufunc and
-divisor ``.mean()`` uses, without its per-call overhead.
+transient, nor where a Hankel-rank certificate proves that no model can
+interpolate the data (``_cannot_interpolate``), so a skip never changes a
+result.
 """
 
 from __future__ import annotations
@@ -55,16 +39,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
 from .dataset import RelaxationCurve
 from .errors import InsufficientDataError, ValidationError
 
 MIN_FIT_SAMPLES = 6
 
-# Near-degenerate branches (a time constant well below the sampling interval
-# leaves only a few samples carrying that branch's signal) converge slowly
-# along the flat valley; ~400 damped iterations are observed worst case.
+# Iteration cap of one pass. A fit mostly stops within ten iterations, and
+# within 70 on every curve of the benchmark fleets; the cap bounds a crawl
+# along a flat valley.
 MAX_ITERATIONS = 1000
 RESIDUAL_REL_TOL = 1e-10
 STEP_NORM_TOL = 1e-12
@@ -145,21 +128,6 @@ def relaxation_model(ocv, r_o, r_e, tau_e, r_c, tau_c, current: float, times_s) 
     return np.where(t == 0.0, u - current * r_o, u)
 
 
-def _evaluate(theta: np.ndarray, t: np.ndarray, v, current: float):
-    """Residual ``ocv - term_e - term_c - v`` of the t > 0 model at ``theta``
-    (log-parameterized), plus the pieces its Jacobian reuses: the (2, n)
-    branch terms ``current*r*exp(-t/tau)`` and ``t/tau``, row 0 for the 'e'
-    branch and row 1 for the 'c' branch, both computed in one pass."""
-    r_tau = np.exp(theta[1:])  # r_e, tau_e, r_c, tau_c
-    scaled = t / r_tau[1::2, None]
-    term = np.exp(-scaled)
-    term *= (current * r_tau[0::2])[:, None]
-    residual = theta[0] - term[0]
-    residual -= term[1]
-    residual -= v
-    return residual, (term, scaled)
-
-
 def _fit_bounds(curve: RelaxationCurve, tight: bool) -> tuple[np.ndarray, np.ndarray]:
     """Box constraints for the two-exponential fit.
 
@@ -194,83 +162,22 @@ def _fit_bounds(curve: RelaxationCurve, tight: bool) -> tuple[np.ndarray, np.nda
     return lower, upper
 
 
-def _damped_gauss_newton(theta0, t, v, current, lower, upper):
-    """Projected Levenberg-style damped Gauss-Newton.
-
-    Returns (theta, cost, iters, converged). Candidate steps are clipped
-    onto the feasible box; non-finite trial costs simply reject the step,
-    so floating-point overflow in a wild trial is silenced. The Jacobian
-    (analytic, wrt ocv, log r_e, log tau_e, log r_c, log tau_c) reuses the
-    accepted candidate's fused (2, n) evaluation, filling both branches'
-    columns with two strided operations: ``-current*r*decay`` rounds
-    exactly as ``-(current*r*decay)``. Each damped 5 x 5 system is solved
-    by LAPACK ``dgesv`` called directly, without ``np.linalg.solve``'s
-    per-call wrapper; an exactly singular system (``info != 0``) is
-    treated like any rejected step: the damping grows fourfold and the
-    solve is retried.
-    """
-    theta = np.minimum(np.maximum(np.asarray(theta0, dtype=float), lower), upper)
-    residual, terms = _evaluate(theta, t, v, current)
-    cost = float(residual @ residual)
-    damping = 1e-3
-    iterations = 0
-    converged = False
-    stagnant = 0
-    jac = np.empty((t.size, 5))
-    jac[:, 0] = 1.0
-    branch_r = jac[:, 1::2]  # d/d log r_e, d/d log r_c
-    branch_tau = jac[:, 2::2]  # d/d log tau_e, d/d log tau_c
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while iterations < MAX_ITERATIONS:
-            iterations += 1
-            term, scaled = terms
-            np.negative(term.T, out=branch_r)
-            np.multiply(branch_r, scaled.T, out=branch_tau)
-            grad = jac.T @ residual
-            neg_grad = np.negative(grad, out=grad)
-            hess = jac.T @ jac
-            diag = hess.diagonal().copy()
-            diag[diag <= 0.0] = 1.0
-            for _ in range(25):
-                system = hess.copy()
-                system.reshape(-1)[::6] += damping * diag  # the 5x5 diagonal
-                step, info = dgesv(system, neg_grad, overwrite_a=1)[2:]
-                if info != 0:  # exactly singular
-                    damping *= 4.0
-                    continue
-                candidate = theta + step
-                np.maximum(candidate, lower, out=candidate)
-                np.minimum(candidate, upper, out=candidate)
-                cand_residual, cand_terms = _evaluate(candidate, t, v, current)
-                cand_cost = float(cand_residual @ cand_residual)
-                if math.isfinite(cand_cost) and cand_cost <= cost:
-                    break
-                damping *= 4.0
-            else:
-                converged = True  # damping exhausted: no descent left in the box
-                break
-            moved = candidate - theta
-            theta, residual, terms = candidate, cand_residual, cand_terms
-            improvement = cost - cand_cost
-            cost = cand_cost
-            damping = max(damping / 3.0, 1e-12)
-            if improvement <= RESIDUAL_REL_TOL * max(cost, 1e-300):
-                converged = True
-                break
-            if math.sqrt(moved @ moved) <= STEP_NORM_TOL:
-                converged = True
-                break
-            # Noise-floor crawling: many consecutive marginal relative
-            # improvements polish nothing but burn the iteration budget.
-            stagnant = stagnant + 1 if improvement <= 1e-7 * cost else 0
-            if stagnant >= 6:
-                converged = True
-                break
-    return theta, cost, iterations, converged
-
-
 # Signs that turn a 2 x 2 matrix with swapped diagonal into its adjugate.
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _solve(columns: np.ndarray, data: np.ndarray):
+    """Least squares of ``data`` on the two rows of each (2, n) block of
+    ``columns``, through the adjugate of the 2 x 2 normal matrix. Returns
+    the inverse of that matrix (m, 2, 2), the coefficients (m, 2) and the
+    residual (m, n); a singular row gives non-finite values."""
+    gram = columns @ columns.transpose(0, 2, 1)
+    det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
+    inverse = gram[:, ::-1, ::-1] * _ADJUGATE_SIGNS
+    inverse /= det[:, None, None]
+    r = inverse @ (columns @ data)[:, :, None]
+    residual = data - (r.transpose(0, 2, 1) @ columns)[:, 0]
+    return inverse, r[:, :, 0], residual
 
 
 def _project(log_taus: np.ndarray, t: np.ndarray, v_centred: np.ndarray, current: float):
@@ -278,146 +185,204 @@ def _project(log_taus: np.ndarray, t: np.ndarray, v_centred: np.ndarray, current
 
     With both time constants fixed, the t > 0 model ``ocv + r_e*b_e +
     r_c*b_c`` (basis ``b = -current*exp(-t/tau)``) is linear. Centring basis
-    and data removes ocv and leaves 2 x 2 normal equations per row, solved
-    through their adjugate. ``v_centred`` is the data minus its mean,
-    centred once per pass by the caller, which also silences floating-point
-    warnings. Returns, per row: the basis and ``t/tau``
-    (m, 2, n), the centred basis, the inverse of the normal matrix
-    (m, 2, 2), the resistances (m, 2) and the residual ``v - model`` (m, n).
-    Nothing is clipped into the box; a singular row gives non-finite values.
+    and data removes ocv and leaves 2 x 2 normal equations per row
+    (``_solve``). ``v_centred`` is the data minus its mean, centred once per
+    pass by the caller, which also silences floating-point warnings; means
+    are ``np.add.reduce(...) / n``, as in ``.mean()`` without its overhead.
+    Returns, per row: the basis and ``t/tau`` (m, 2, n), the centred basis,
+    then ``_solve``'s inverse, resistances and residual ``v - model``.
     """
     scaled = t / np.exp(log_taus)[:, :, None]
     basis = np.exp(-scaled)
     basis *= -current
     centred = basis - np.add.reduce(basis, axis=2, keepdims=True) / t.size
-    gram = centred @ centred.transpose(0, 2, 1)
-    det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
-    inverse = gram[:, ::-1, ::-1] * _ADJUGATE_SIGNS
-    inverse /= det[:, None, None]
-    r = inverse @ (centred @ v_centred)[:, :, None]
-    residual = v_centred - (r.transpose(0, 2, 1) @ centred)[:, 0]
-    return basis, scaled, centred, inverse, r[:, :, 0], residual
+    return (basis, scaled, centred) + _solve(centred, v_centred)
 
 
-def _boxed_start(log_taus: np.ndarray, basis: np.ndarray, r: np.ndarray, v: np.ndarray,
-                 lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log-parameterized thetas (m, 5) from projected resistances: these,
-    then the best ocv given them, clipped into the box; and their costs
-    (``inf`` where not finite). The caller silences floating-point warnings."""
-    r = np.clip(r, math.exp(lower[1]), math.exp(upper[1]))
-    model = np.einsum("mk,mkn->mn", r, basis)
-    ocv = np.clip(np.add.reduce(v - model, axis=1) / v.size, lower[0], upper[0])
-    residual = model - v
-    residual += ocv[:, None]
-    cost = np.einsum("mn,mn->m", residual, residual)
-    log_r = np.log(r)
-    theta = np.column_stack((ocv, log_r[:, 0], log_taus[:, 0], log_r[:, 1], log_taus[:, 1]))
-    return theta, np.where(np.isfinite(cost), cost, np.inf)
+def _solve_in_box(columns, data, r_lo, r_hi, inverse, r, residual) -> None:
+    """Turn ``_solve``'s result, in place, into the least squares with both
+    coefficients in [r_lo, r_hi].
+
+    Where a row's free solution leaves the box (or is not finite), the
+    minimum of its convex quadratic lies on one of the box's four edges, on
+    which the other coefficient is the clipped one-dimensional minimizer: the
+    cheapest of these four candidates is the exact boxed minimum. Such a
+    row's inverse becomes that of the free coefficient's normal matrix, with
+    zero rows and columns for one held at a bound.
+    """
+    out = ~((r >= r_lo) & (r <= r_hi)).all(axis=1)  # NaN too
+    if not out.any():
+        return
+    edge_c = columns[out]
+    gram = edge_c @ edge_c.transpose(0, 2, 1)
+    proj = edge_c @ data
+    bounds = np.array([r_lo, r_hi])
+    # Candidates (rows, 4, 2): r_e held at r_lo and r_hi, then r_c held.
+    candidates = np.empty((edge_c.shape[0], 4, 2))
+    candidates[:, :2, 0] = bounds
+    candidates[:, :2, 1] = (proj[:, 1:] - gram[:, 1, :1] * bounds) / gram[:, 1, 1:]
+    candidates[:, 2:, 0] = (proj[:, :1] - gram[:, 0, 1:] * bounds) / gram[:, :1, 0]
+    candidates[:, 2:, 1] = bounds
+    np.clip(candidates, r_lo, r_hi, out=candidates)
+    residuals = data - candidates @ edge_c
+    costs = np.einsum("mkn,mkn->mk", residuals, residuals)
+    costs[np.isnan(costs)] = np.inf
+    rows = np.arange(costs.shape[0])
+    pick = np.argmin(costs, axis=1)
+    r[out] = candidates[rows, pick]
+    residual[out] = residuals[rows, pick]
+    # On an edge at most one coefficient is free: the inverse of its normal
+    # matrix is one over its diagonal entry.
+    free = (r[out] > r_lo) & (r[out] < r_hi)
+    inverse[out] = np.eye(2) * np.where(free, 1.0 / gram.diagonal(0, 1, 2), 0.0)[:, :, None]
+
+
+def _boxed_project(log_taus: np.ndarray, t: np.ndarray, v_centred: np.ndarray, current: float,
+                   r_lo: float, r_hi: float, ocv_room: float):
+    """``_project`` with ocv, r_e and r_c solved exactly inside their box:
+    both resistances in [r_lo, r_hi], ocv at most ``ocv_room`` above the mean
+    voltage (and unbounded below: in a fit it lies above the mean voltage).
+
+    The resistances are first solved in their box on the centred basis;
+    ocv is then the mean voltage plus the branches' mean drop. Where that
+    exceeds its bound, the exact minimum holds ocv at the bound (the cost is
+    convex, and its best ocv is linear in the resistances), and the
+    resistances are solved in their box again on the uncentred basis and the
+    data minus the bound. Returns ``_project``'s pieces, with the uncentred
+    basis on rows where ocv is held, and per row whether it is.
+    """
+    basis, scaled, columns, inverse, r, residual = _project(log_taus, t, v_centred, current)
+    # ocv rises above the mean voltage by less than 2 * current * max(r_e, r_c, 0),
+    # so no bound binds where that is within its bound and r in the box.
+    flat = r.ravel().tolist()
+    if all([r_lo <= x <= r_hi for x in flat]) and 2.0 * current * max(0.0, *flat) <= ocv_room:
+        return basis, scaled, columns, inverse, r, residual, np.zeros(len(r), dtype=bool)
+    _solve_in_box(columns, v_centred, r_lo, r_hi, inverse, r, residual)
+    held = np.einsum("mk,mkn->m", r, basis) < -ocv_room * t.size  # false for NaN
+    if held.any():
+        data = v_centred - ocv_room
+        pieces = _solve(basis[held], data)
+        _solve_in_box(basis[held], data, r_lo, r_hi, *pieces)
+        columns[held] = basis[held]
+        inverse[held], r[held], residual[held] = pieces
+    return basis, scaled, columns, inverse, r, residual, held
 
 
 # Points of the start's log-spaced grid over each time-constant range.
 _GRID_POINTS = 16
-# Iteration cap of the start's refinement, which mostly takes under ten.
-_START_ITERATIONS = 50
 
 
-def _refine_time_constants(log_taus: np.ndarray, t: np.ndarray, v_centred: np.ndarray,
-                           current: float, lo: float, hi: float):
-    """Damped Gauss-Newton on the variable-projection cost over the (1, 2)
-    ``log_taus`` alone, with Kaufman's Jacobian of the projected residual
-    (*BIT* 15, 1975). The linear parameters are re-solved at every trial,
-    so it descends the narrow valleys where the five-parameter solver
-    crawls. A time constant at a bound of [lo, hi] that the step would push
-    out is held there. Returns the last accepted ``log_taus`` and the
-    ``_project`` pieces at it.
+def _fit_box(curve: RelaxationCurve, tight: bool):
+    """One pass over one box: damped Gauss-Newton on the variable-projection
+    cost over (log tau_e, log tau_c) alone.
+
+    It starts from the best of every pair tau_e < tau_c of a log-spaced grid
+    over the box's time-constant range, each scored at its exact boxed cost,
+    and steps with Kaufman's Jacobian of the projected residual (*BIT* 15,
+    1975). A time constant at a bound that the step would push out is held
+    there. The loop stops when a step gains no more than ``RESIDUAL_REL_TOL``
+    of the cost, moves the time constants by no more than ``STEP_NORM_TOL``,
+    or finds no descent left in the box. Returns the log-parameterized (ocv,
+    r_e, tau_e, r_c, tau_c), the cost, the iteration count and whether a stop
+    rule (rather than the iteration cap) ended it.
     """
-    state = _project(log_taus, t, v_centred, current)
-    cost = float(state[5][0] @ state[5][0])
-    damping = 1e-3
-    for _ in range(_START_ITERATIONS):
-        basis, scaled, centred, inverse, r, residual = (piece[0] for piece in state)
-        # Rows: the Jacobian columns, minus d(model)/d(log tau) projected
-        # off the span of the linear columns (centring takes ocv's).
-        slope = basis * scaled
-        slope *= r[:, None]
-        slope -= np.add.reduce(slope, axis=1, keepdims=True) / t.size
-        jac = (inverse @ (centred @ slope.T)).T @ centred - slope
-        (h_ee, h_ec), (_, h_cc) = (jac @ jac.T).tolist()
-        g_e, g_c = (-(jac @ residual)).tolist()  # minus the gradient
-        (a_e, a_c), = log_taus.tolist()
-        free_e = not ((a_e <= lo and g_e < 0.0) or (a_e >= hi and g_e > 0.0))
-        free_c = not ((a_c <= lo and g_c < 0.0) or (a_c >= hi and g_c > 0.0))
-        if not (free_e or free_c):
-            break
-        # Marquardt damping in units of the diagonal: the system
-        # [[1 + damping, rho], [rho, 1 + damping]] has a determinant of at
-        # least 2 * damping, as |rho| <= 1.
-        s_e = math.sqrt(h_ee) if h_ee > 0.0 else 1.0
-        s_c = math.sqrt(h_cc) if h_cc > 0.0 else 1.0
-        rho = h_ec / (s_e * s_c)
-        u_e, u_c = g_e / s_e, g_c / s_c
-        for _ in range(25):
-            d = 1.0 + damping
-            if free_e and free_c:
-                det = d * d - rho * rho
-                step_e, step_c = (u_e * d - u_c * rho) / det, (u_c * d - u_e * rho) / det
-            else:
-                step_e, step_c = (u_e / d if free_e else 0.0), (u_c / d if free_c else 0.0)
-            candidate = np.array([[min(max(a_e + step_e / s_e, lo), hi),
-                                   min(max(a_c + step_c / s_c, lo), hi)]])
-            cand_state = _project(candidate, t, v_centred, current)
-            cand_cost = float(cand_state[5][0] @ cand_state[5][0])
-            if math.isfinite(cand_cost) and cand_cost <= cost:
-                break
-            damping *= 4.0
-        else:
-            break
-        improvement = cost - cand_cost
-        log_taus, state, cost = candidate, cand_state, cand_cost
-        damping = max(damping / 3.0, 1e-12)
-        if improvement <= RESIDUAL_REL_TOL * max(cost, 1e-300):
-            break
-    return log_taus, state
-
-
-def _projected_start(t: np.ndarray, v: np.ndarray, current: float,
-                     lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, float]:
-    """The Gauss-Newton start for one box, and its cost.
-
-    Variable projection (``_project``) scores every pair tau_e < tau_c of a
-    log-spaced grid over the box's time-constant range at once, and
-    ``_refine_time_constants`` refines the best pair. The refined start
-    replaces the grid's only when its parameters, clipped into the box,
-    cost no more. The voltages are centred once, and one ``np.errstate``
-    covers every projection of the pass.
-    """
-    grid = np.linspace(lower[2], upper[2], _GRID_POINTS)
-    log_taus = np.column_stack([grid[k] for k in np.triu_indices(_GRID_POINTS, k=1)])
-    v_centred = v - np.add.reduce(v) / v.size
-    with np.errstate(divide="ignore", invalid="ignore"):
-        basis, _, _, _, r, _ = _project(log_taus, t, v_centred, current)
-        thetas, costs = _boxed_start(log_taus, basis, r, v, lower, upper)
-        best = int(np.argmin(costs))
-        log_taus, state = _refine_time_constants(log_taus[best:best + 1], t, v_centred, current,
-                                                 lower[2], upper[2])
-        theta, refined = _boxed_start(log_taus, state[0], state[4], v, lower, upper)
-    if refined[0] <= costs[best]:
-        return theta[0], float(refined[0])
-    return thetas[best], float(costs[best])
-
-
-def _multistart(curve: RelaxationCurve, tight: bool):
-    """One pass over one box: damped Gauss-Newton from the projected start,
-    which scores every pair of a time-constant grid in place of running
-    Gauss-Newton from several blind starts."""
-    t = curve.times_s
-    positive = t > 0
-    t_pos = t[positive]
-    v_pos = curve.voltages_v[positive]
+    positive = curve.times_s > 0
+    t = curve.times_s[positive]
+    v = curve.voltages_v[positive]
     current = curve.cutoff_current_a
     lower, upper = _fit_bounds(curve, tight)
-    theta0, _ = _projected_start(t_pos, v_pos, current, lower, upper)
-    return _damped_gauss_newton(theta0, t_pos, v_pos, current, lower, upper)
+    r_lo, r_hi = math.exp(lower[1]), math.exp(upper[1])
+    lo, hi = lower[2], upper[2]
+    grid = np.linspace(lo, hi, _GRID_POINTS)
+    log_taus = np.column_stack([grid[k] for k in np.triu_indices(_GRID_POINTS, k=1)])
+    v_mean = np.add.reduce(v) / v.size
+    v_centred = v - v_mean
+    ocv_room = float(upper[0] - v_mean)
+    box = (t, v_centred, current, r_lo, r_hi, ocv_room)
+    converged = False
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # A pair whose free resistances or ocv leave the box costs at least its
+        # free cost, so only those below the best pair inside need the boxed solve.
+        basis, _, _, _, r, residual = _project(log_taus, t, v_centred, current)
+        costs = np.einsum("mn,mn->m", residual, residual)
+        outside = ~(((r >= r_lo) & (r <= r_hi)).all(axis=1)
+                    & (np.einsum("mk,mkn->m", r, basis) >= -ocv_room * t.size))
+        redo = outside & ~(costs >= costs[~outside].min(initial=np.inf))  # NaN too
+        costs[outside] = np.inf
+        if redo.any():
+            residual = _boxed_project(log_taus[redo], *box)[5]
+            costs[redo] = np.einsum("mn,mn->m", residual, residual)
+        best = int(np.argmin(np.nan_to_num(costs, nan=np.inf)))
+        a_e, a_c = log_taus[best].tolist()
+        state = _boxed_project(log_taus[best:best + 1], *box)
+        cost = float(state[5][0] @ state[5][0])
+        damping = 1e-3
+        for iterations in range(1, MAX_ITERATIONS + 1):
+            basis, scaled, columns, inverse, r, residual, held = (piece[0] for piece in state)
+            # Rows: the Jacobian columns, minus d(model)/d(log tau) projected
+            # off the span of the free linear columns (centring takes ocv's).
+            slope = basis * scaled
+            slope *= r[:, None]
+            if not held:
+                slope -= np.add.reduce(slope, axis=1, keepdims=True) / t.size
+            jac = (inverse @ (columns @ slope.T)).T @ columns - slope
+            (h_ee, h_ec), (_, h_cc) = (jac @ jac.T).tolist()
+            g_e, g_c = (-(jac @ residual)).tolist()  # minus the gradient
+            free_e = not ((a_e <= lo and g_e < 0.0) or (a_e >= hi and g_e > 0.0))
+            free_c = not ((a_c <= lo and g_c < 0.0) or (a_c >= hi and g_c > 0.0))
+            if not (free_e or free_c):
+                converged = True  # both time constants held: no descent left in the box
+                break
+            # Marquardt damping in units of the diagonal: the system
+            # [[1 + damping, rho], [rho, 1 + damping]] has a determinant of at
+            # least 2 * damping, as |rho| <= 1.
+            s_e = math.sqrt(h_ee) if h_ee > 0.0 else 1.0
+            s_c = math.sqrt(h_cc) if h_cc > 0.0 else 1.0
+            rho = h_ec / (s_e * s_c)
+            u_e, u_c = g_e / s_e, g_c / s_c
+            for _ in range(25):
+                d = 1.0 + damping
+                if free_e and free_c:
+                    det = d * d - rho * rho
+                    step_e, step_c = (u_e * d - u_c * rho) / det, (u_c * d - u_e * rho) / det
+                else:
+                    step_e, step_c = (u_e / d if free_e else 0.0), (u_c / d if free_c else 0.0)
+                c_e = min(max(a_e + step_e / s_e, lo), hi)
+                c_c = min(max(a_c + step_c / s_c, lo), hi)
+                cand_state = _boxed_project(np.array([[c_e, c_c]]), *box)
+                cand_cost = float(cand_state[5][0] @ cand_state[5][0])
+                if math.isfinite(cand_cost) and cand_cost <= cost:
+                    break
+                damping *= 4.0
+            else:
+                converged = True  # damping exhausted: no descent left in the box
+                break
+            improvement = cost - cand_cost
+            # Gain-ratio update (Nielsen, 1999): the damping shrinks up to
+            # threefold as the decrease achieved nears the one the linear
+            # model predicts for the step taken, and doubles as it falls to
+            # nothing, so the loop does not jump to and fro across a valley.
+            m_e, m_c = (c_e - a_e) * s_e, (c_c - a_c) * s_c
+            predicted = 2.0 * (m_e * u_e + m_c * u_c) - (m_e * m_e + 2.0 * rho * m_e * m_c
+                                                         + m_c * m_c)
+            gain = improvement / predicted if predicted > 0.0 else 1.0
+            damping = max(damping * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-12)
+            # A step that holds or frees ocv or a resistance changes the
+            # Jacobian's form; damping learnt on the old form would stall the
+            # loop on the crease.
+            if (cand_state[6][0] != held
+                    or (cand_state[3][0].diagonal() == 0.0).tolist()
+                    != (inverse.diagonal() == 0.0).tolist()):
+                damping = 1e-3
+            moved = math.hypot(c_e - a_e, c_c - a_c)
+            a_e, a_c, state, cost = c_e, c_c, cand_state, cand_cost
+            if improvement <= RESIDUAL_REL_TOL * max(cost, 1e-300) or moved <= STEP_NORM_TOL:
+                converged = True
+                break
+        basis, r, held = state[0][0], state[4][0], state[6][0]
+        ocv = upper[0] if held else v_mean - float(r @ np.add.reduce(basis, axis=1)) / t.size
+    theta = np.array([ocv, math.log(r[0]), a_e, math.log(r[1]), a_c])
+    return theta, cost, iterations, converged
 
 
 # Residual RMS below which a fit interpolates the data exactly (no noise
@@ -458,19 +423,12 @@ def fit(curve: RelaxationCurve) -> FitReport:
     """Identify the six circuit parameters from one relaxation transient.
 
     Requires at least 6 samples (t = 0 plus five t > 0 points for the
-    five-parameter nonlinear fit). Each pass runs the damped Gauss-Newton
-    once, from the variable-projection start of its box. The tight-box
-    solution is preferred;
-    when it cannot interpolate the data exactly, a wide-box pass runs and
-    replaces it only by interpolating exactly itself (noiseless data whose
-    time constants fall outside the tight box). It never runs on five t > 0
-    samples, which five parameters interpolate almost whatever their noise.
-    It is skipped when the Hankel-rank certificate proves no model can
-    interpolate the data (noisy curves with at least 7 t > 0 samples on a
-    uniform grid); since it could not have been adopted, the report is
-    bitwise the same.
-    Never raises on slow convergence: best-effort parameters come back with
-    ``converged=False``.
+    five-parameter fit). The tight-box pass is kept unless the wide-box pass,
+    where it runs (see the module docstring), interpolates the data exactly
+    (noiseless data whose time constants fall outside the tight box).
+    ``iterations`` counts the Gauss-Newton iterations of the pass kept
+    (``_fit_box``). Never raises on slow convergence: best-effort parameters
+    come back with ``converged=False``.
     """
     if curve.n_samples < MIN_FIT_SAMPLES:
         raise InsufficientDataError(
@@ -484,20 +442,18 @@ def fit(curve: RelaxationCurve) -> FitReport:
     t_pos = t[positive]
 
     exact_cost = t_pos.size * EXACT_RESIDUAL_V**2
-    best = _multistart(curve, tight=True)
+    best = _fit_box(curve, tight=True)
     # On five t > 0 samples an exact wide fit is no evidence of noiseless data.
     if (best[1] > exact_cost and t_pos.size > 5
             and not _cannot_interpolate(t_pos, v[positive], exact_cost)):
-        wide = _multistart(curve, tight=False)
+        wide = _fit_box(curve, tight=False)
         if wide[1] <= exact_cost:
             best = wide
 
     theta, cost, iterations, converged = best
     ocv = float(theta[0])
     r_e, tau_e, r_c, tau_c = np.exp(theta[1:])
-    c_e = tau_e / r_e
-    c_c = tau_c / r_c
-    r_e, c_e, r_c, c_c = canonical_branches(r_e, c_e, r_c, c_c)
+    r_e, c_e, r_c, c_c = canonical_branches(r_e, tau_e / r_e, r_c, tau_c / r_c)
 
     v0 = float(v[t == 0.0][0])
     r_o = abs(v0 - ocv) / current - r_e - r_c

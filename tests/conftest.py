@@ -55,17 +55,89 @@ def initial_guesses(curve: RelaxationCurve) -> list[np.ndarray]:
     return guesses
 
 
+def _branch_residual(theta, t, v, current):
+    """The t > 0 model minus the data at a log-parameterized theta, with the
+    per-branch pieces the Jacobian reuses."""
+    r_e, tau_e, r_c, tau_c = np.exp(theta[1:])
+    scaled_e = t / tau_e
+    scaled_c = t / tau_c
+    term_e = current * r_e * np.exp(-scaled_e)
+    term_c = current * r_c * np.exp(-scaled_c)
+    return theta[0] - term_e - term_c - v, (term_e, scaled_e, term_c, scaled_c)
+
+
+def damped_gauss_newton(theta0, t, v, current, lower, upper):
+    """Oracle: the projected Levenberg-style damped Gauss-Newton over all five
+    log-parameters (ocv, r_e, tau_e, r_c, tau_c) that ``ecm.fit`` ran before
+    the variable-projection loop replaced it, candidate steps clipped into
+    the box, with its stop rules. Returns (theta, cost, iterations, converged)."""
+    theta = np.minimum(np.maximum(np.asarray(theta0, dtype=float), lower), upper)
+    residual, terms = _branch_residual(theta, t, v, current)
+    cost = float(residual @ residual)
+    damping = 1e-3
+    iterations = 0
+    converged = False
+    stagnant = 0
+    jac = np.empty((t.size, 5))
+    jac[:, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while iterations < ecm.MAX_ITERATIONS:
+            iterations += 1
+            term_e, scaled_e, term_c, scaled_c = terms
+            np.negative(term_e, out=jac[:, 1])
+            np.multiply(jac[:, 1], scaled_e, out=jac[:, 2])
+            np.negative(term_c, out=jac[:, 3])
+            np.multiply(jac[:, 3], scaled_c, out=jac[:, 4])
+            grad = jac.T @ residual
+            hess = jac.T @ jac
+            neg_grad = -grad
+            diag = hess.diagonal().copy()
+            diag[diag <= 0.0] = 1.0
+            for _ in range(25):
+                system = hess.copy()
+                system.reshape(-1)[::6] += damping * diag
+                try:
+                    step = np.linalg.solve(system, neg_grad)
+                except np.linalg.LinAlgError:
+                    damping *= 4.0
+                    continue
+                candidate = np.minimum(np.maximum(theta + step, lower), upper)
+                cand_residual, cand_terms = _branch_residual(candidate, t, v, current)
+                cand_cost = float(cand_residual @ cand_residual)
+                if math.isfinite(cand_cost) and cand_cost <= cost:
+                    break
+                damping *= 4.0
+            else:
+                converged = True
+                break
+            moved = candidate - theta
+            theta, residual, terms = candidate, cand_residual, cand_terms
+            improvement = cost - cand_cost
+            cost = cand_cost
+            damping = max(damping / 3.0, 1e-12)
+            if improvement <= ecm.RESIDUAL_REL_TOL * max(cost, 1e-300):
+                converged = True
+                break
+            if math.sqrt(moved @ moved) <= ecm.STEP_NORM_TOL:
+                converged = True
+                break
+            stagnant = stagnant + 1 if improvement <= 1e-7 * cost else 0
+            if stagnant >= 6:
+                converged = True
+                break
+    return theta, cost, iterations, converged
+
+
 def four_start_multistart(curve: RelaxationCurve, tight: bool):
-    """Oracle: one pass of ``ecm.fit`` as it ran before the projected start,
-    damped Gauss-Newton from each of the four blind starts, keeping the
-    lowest cost. Drop-in for ``ecm._multistart``."""
+    """Oracle: one pass of ``ecm.fit`` as it ran before variable projection,
+    ``damped_gauss_newton`` from each of the four blind starts, keeping the
+    lowest cost. Drop-in for ``ecm._fit_box``."""
     positive = curve.times_s > 0
     lower, upper = ecm._fit_bounds(curve, tight)
     best = None
     for theta0 in initial_guesses(curve):
-        result = ecm._damped_gauss_newton(theta0, curve.times_s[positive],
-                                          curve.voltages_v[positive], curve.cutoff_current_a,
-                                          lower, upper)
+        result = damped_gauss_newton(theta0, curve.times_s[positive], curve.voltages_v[positive],
+                                     curve.cutoff_current_a, lower, upper)
         if best is None or result[1] < best[1]:
             best = result
     return best

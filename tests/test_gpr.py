@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.lapack import dpotrf
@@ -162,9 +162,21 @@ def _contraction_inputs(draw):
     return X, A + A.T, kernel
 
 
+def _subnormal_weight_inputs(weight, sigma_f, length_scales):
+    """Three rows, two of them equal, an offset column, and one W pair of
+    ``weight``: a subnormal weight makes the products of the entry of the
+    last column subnormal."""
+    X = np.array([[1e4, 0.0, 0.0, 0.0], [1e4, 0.0, 0.0, 0.0], [1e4, 0.0, 0.0, 1.0]])
+    W = np.zeros((3, 3))
+    W[1, 2] = W[2, 1] = weight
+    return X, W, gpr.KernelParams(sigma_f=sigma_f, length_scales=np.array(length_scales))
+
+
 class TestLengthScaleContraction:
     @settings(max_examples=200, deadline=None)
     @given(_contraction_inputs())
+    @example(_subnormal_weight_inputs(2.2250738585072014e-313, 0.5, [1.0, 1.0, 1.0, 1.0]))
+    @example(_subnormal_weight_inputs(1.1125369292536007e-308, 1.0, [1.0, 1.0, 1.0, 0.125]))
     def test_matches_dense_oracle(self, inputs):
         X, W, kernel = inputs
         n = X.shape[0]
@@ -179,9 +191,14 @@ class TestLengthScaleContraction:
         # that agrees in column m adds to it and nothing to the entry.
         with np.errstate(divide="ignore", invalid="ignore"):
             V = np.abs(np.where(r > 0, kernel.sigma_f**2 * W * E / np.where(r > 0, r, 1.0), 0.0))
-        Z2 = ((X - X.mean(axis=0)) / kernel.length_scales) ** 2
-        rounding = 2.0 * n * np.finfo(float).eps * (Z2.T @ V.sum(axis=1))
-        assert np.all(np.abs(got - want) <= 1e-12 * scale + rounding)
+        Z = (X - X.mean(axis=0)) / kernel.length_scales
+        rounding = 2.0 * n * np.finfo(float).eps * ((Z**2).T @ V.sum(axis=1))
+        # A product that underflows rounds to a multiple of the smallest
+        # subnormal, not to a relative eps, and the contraction then scales
+        # that absolute error by sigma_f^2 and up to two factors of Z.
+        underflow = (4.0 * n**2 * np.finfo(float).smallest_subnormal
+                     * (1.0 + 2.0 * kernel.sigma_f**2 * (1.0 + np.abs(Z).max(axis=0)) ** 2))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale + rounding + underflow)
 
     def test_matches_dense_oracle_without_close_pairs(self):
         # On a 1/8 grid with length scales near 1, no distinct pair is close
