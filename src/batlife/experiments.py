@@ -372,6 +372,9 @@ class RulExperimentConfig:
     restarts: int = 5
     max_iters: int = 500
 
+    def __post_init__(self):
+        self.gpr_config()  # refuses a restart or iteration budget below 1
+
     def window(self) -> WindowSpec:
         return WindowSpec(mode=WindowMode.FIXED_REFERENCE, reference_cycle=self.window_start)
 
@@ -403,6 +406,9 @@ class ClassificationConfig:
     restarts: int = 3
     max_iters: int = 200
     allow_ncm_nca: bool = False
+
+    def __post_init__(self):
+        self.gpc_config()  # refuses a restart or iteration budget below 1
 
     @property
     def threshold_policy(self) -> ThresholdPolicy:

@@ -55,6 +55,7 @@ from .gpr import (
     kernel_matrix,
     length_scale_contraction,
     require_finite_features,
+    require_optimizer_budget,
     scaled_distance,
     solve_lower,
 )
@@ -145,6 +146,9 @@ class GpcTrainConfig:
     restarts: int = 3
     max_iters: int = 200
     seed: int = 0
+
+    def __post_init__(self):
+        require_optimizer_budget(self.restarts, self.max_iters)
 
 
 def _log_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -278,7 +282,7 @@ def train_binary(
 
     rng = np.random.default_rng(np.random.SeedSequence([config.seed & 0xFFFFFFFF, n, d]))
     starts = [np.concatenate(([math.log(2.0)], np.zeros(d)))]
-    for _ in range(max(config.restarts - 1, 0)):
+    for _ in range(config.restarts - 1):
         starts.append(np.concatenate((
             [rng.uniform(math.log(0.5), math.log(8.0))],
             rng.uniform(math.log(0.3), math.log(10.0), size=d),

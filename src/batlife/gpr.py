@@ -8,20 +8,25 @@ with one length scale per feature (automatic relevance determination).
 Observation noise sigma_n^2 and a small fixed jitter (1e-9 * sigma_f^2)
 are added on the training diagonal for factorization stability.
 
-Hyperparameters are fitted by maximizing the log marginal likelihood over
-log-parameters with analytic gradients (L-BFGS with multiple seeded
-restarts). Features are standardized to zero mean / unit variance with
-training statistics stored on the model; targets are centered so the zero
-prior mean is exact.
+Hyperparameters are fitted by maximizing the log marginal likelihood with
+analytic gradients (L-BFGS with multiple seeded restarts). Features are
+standardized to zero mean / unit variance with training statistics stored
+on the model; targets are centered so the zero prior mean is exact.
 
-The gradient is 0.5 tr((alpha alpha^T - K^-1) dK/d theta) (Rasmussen &
-Williams, GPML 2006, 5.4.1). K^-1 = L^-T L^-1 comes from LAPACK trtri on
-the Cholesky factor the likelihood already has (``cholesky_inverse``). Every
-length-scale entry sum_ij W_ij dK_ij/d log l_m is contracted at once by
-``length_scale_contraction`` through
+Because the jitter scales with sigma_f^2, the regularized kernel is
+sigma_f^2 A with A = E + (rho^2 + 1e-9) I, E = exp(-r) and the noise ratio
+rho = sigma_n / sigma_f. So the likelihood's maximum over sigma_f has the
+closed form sigma_f^2 = y^T A^-1 y / n (Rasmussen & Williams, GPML 2006,
+5.4), and the optimizer searches only the log length scales and log rho
+(``log_marginal_likelihood``). The gradient is
+0.5 tr((alpha alpha^T / sigma_f^2 - A^-1) dA/d theta) with alpha = A^-1 y
+(GPML 5.4.1, at the maximizing sigma_f). A^-1 = L^-T L^-1 comes from LAPACK
+trtri on the Cholesky factor the likelihood already has
+(``cholesky_inverse``). Every length-scale entry sum_ij W_ij dA_ij/d log l_m
+is contracted at once by ``length_scale_contraction`` through
 
     sum_ij V_ij (z_im - z_jm)^2 = 2 (z_m^2)^T V 1 - 2 z_m^T V z_m,
-    V = W * K / r (zero where r = 0),  z_m = x_m / l_m,
+    V = W * E / r (zero where r = 0),  z_m = x_m / l_m,
 
 one n x n pass and one n x n x d product instead of d n x n derivative
 matrices. The Laplace classifier in ``gpc`` uses the same contraction.
@@ -137,6 +142,9 @@ class GprTrainConfig:
     max_iters: int = 500
     seed: int = 0
 
+    def __post_init__(self):
+        require_optimizer_budget(self.restarts, self.max_iters)
+
 
 # ---------------------------------------------------------------------------
 # Kernel
@@ -155,6 +163,14 @@ def checked_lapack(routine, *args, **kwargs) -> np.ndarray:
     if info != 0:
         raise np.linalg.LinAlgError(f"{routine.__name__} failed with info={info}")
     return result
+
+
+def require_optimizer_budget(restarts: int, max_iters: int) -> None:
+    """Refuse fewer than one restart or one iteration (ValidationError, exit 3)."""
+    if restarts < 1:
+        raise ValidationError(f"restarts must be at least 1, got {restarts}")
+    if max_iters < 1:
+        raise ValidationError(f"max_iters must be at least 1, got {max_iters}")
 
 
 def require_finite_features(X: np.ndarray) -> None:
@@ -252,58 +268,43 @@ def factorize_with_jitter(
 # ---------------------------------------------------------------------------
 
 def log_marginal_likelihood(
-    kernel: KernelParams,
+    length_scales: np.ndarray,
+    noise_ratio: float,
     X: np.ndarray,
     y_centered: np.ndarray,
-    with_grad: bool = False,
-):
-    """Log marginal likelihood of centered targets; optional gradient.
+) -> tuple[float, np.ndarray, float]:
+    """Log marginal likelihood of centered targets at its maximum over sigma_f.
 
-    The gradient is taken with respect to the log-parameters
-    (log sigma_f, log l_1 ... log l_d, log sigma_n) via
-    d lml / d theta = 0.5 * tr((alpha alpha^T - K^-1) dK/d theta),
-    with K^-1 from trtri on the Cholesky factor (``cholesky_inverse``) and
-    the length-scale entries from ``length_scale_contraction``. A failed
+    The noise ratio is rho = sigma_n / sigma_f, and A = E + (rho^2 +
+    JITTER_FACTOR) I (see the module docstring). Returns (value, gradient,
+    sigma_f_hat) with sigma_f_hat^2 = y^T A^-1 y / n, the value
+
+        -(n/2) log sigma_f_hat^2 - n/2 - log|L_A| - (n/2) log 2 pi
+
+    and its gradient with respect to (log l_1 ... log l_d, log rho). Both
+    equal the full likelihood and its length-scale and log sigma_n entries
+    at sigma_f = sigma_f_hat, sigma_n = rho sigma_f_hat. A failed
     factorization or trtri raises np.linalg.LinAlgError.
-    The jitter term scales with sigma_f^2 and is included in the sigma_f
-    derivative so finite differences of this function match exactly.
     """
-    n, d = X.shape
-    sigma_f = kernel.sigma_f
-    sigma_n = kernel.sigma_n
-
-    r = scaled_distance(X, X, kernel.length_scales)
+    n = X.shape[0]
+    unit = KernelParams(sigma_f=1.0, length_scales=length_scales)
+    r = scaled_distance(X, X, unit.length_scales)
     E = np.exp(-r)
-    jitter = JITTER_FACTOR * sigma_f**2
-    K_reg = sigma_f**2 * E
-    K_reg.flat[::n + 1] += sigma_n**2 + jitter
-    L = cholesky_lower(K_reg)
+    A = E.copy()
+    A.flat[::n + 1] += noise_ratio**2 + JITTER_FACTOR
+    L = cholesky_lower(A)
     alpha = checked_lapack(dpotrs, L, y_centered, lower=1)
+    sigma_f2 = float(y_centered @ alpha) / n
     lml = (
-        -0.5 * float(y_centered @ alpha)
+        -0.5 * n * (math.log(sigma_f2) + 1.0 + math.log(2.0 * math.pi))
         - float(np.log(L.diagonal()).sum())
-        - 0.5 * n * math.log(2.0 * math.pi)
     )
-    if not with_grad:
-        return lml
-
-    M = np.outer(alpha, alpha) - cholesky_inverse(L)
-    trace_m = float(M.trace())
-    grad = np.empty(d + 2)
-    # d K_reg / d log sigma_f = 2 (sigma_f^2 E + jitter I)
-    grad[0] = 0.5 * float(np.sum(M * (2.0 * sigma_f**2 * E))) + trace_m * jitter
-    grad[1:1 + d] = 0.5 * length_scale_contraction(X, r, E, M, kernel)
-    # d K_reg / d log sigma_n = 2 sigma_n^2 I
-    grad[1 + d] = trace_m * sigma_n**2
-    return lml, grad
-
-
-def _theta_to_kernel(theta: np.ndarray) -> KernelParams:
-    return KernelParams(
-        sigma_f=math.exp(theta[0]),
-        length_scales=np.exp(theta[1:-1]),
-        sigma_n=math.exp(theta[-1]),
-    )
+    M = np.outer(alpha / sigma_f2, alpha) - cholesky_inverse(L)
+    grad = np.empty(X.shape[1] + 1)
+    grad[:-1] = 0.5 * length_scale_contraction(X, r, E, M, unit)
+    # d A / d log rho = 2 rho^2 I
+    grad[-1] = float(M.trace()) * noise_ratio**2
+    return lml, grad, math.sqrt(sigma_f2)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +319,11 @@ def train(
 ) -> GprModel:
     """Fit hyperparameters by maximum marginal likelihood and build the model.
 
-    Deterministic given ``config.seed``; restarts are compared by final
-    likelihood with ties broken by restart index.
+    L-BFGS-B searches (log l_1 ... log l_d, log(sigma_n / sigma_f)) on the
+    likelihood concentrated over sigma_f (``log_marginal_likelihood``);
+    sigma_f is its closed-form maximizer at the best point. Deterministic
+    given ``config.seed``; restarts are compared by final likelihood with
+    ties broken by restart index.
     """
     config = config or GprTrainConfig()
     X = np.asarray(X, dtype=float)
@@ -344,25 +348,24 @@ def train(
 
     def objective(theta):
         try:
-            lml, grad = log_marginal_likelihood(
-                _theta_to_kernel(theta), Xs, y_centered, with_grad=True
+            lml, grad, _ = log_marginal_likelihood(
+                np.exp(theta[:-1]), math.exp(theta[-1]), Xs, y_centered
             )
         except np.linalg.LinAlgError:
             return FAILED_OBJECTIVE, np.zeros_like(theta)
         return -lml, -grad
 
+    # A random start draws offsets of log sigma_f and log sigma_n from
+    # log std(y) around its log length scales; its log noise ratio is their
+    # difference.
     rng = np.random.default_rng(np.random.SeedSequence([config.seed & 0xFFFFFFFF, n, d]))
-    starts = [np.concatenate((
-        [math.log(y_std)], np.zeros(d), [math.log(0.1 * y_std)],
-    ))]
-    for _ in range(max(config.restarts - 1, 0)):
-        starts.append(np.concatenate((
-            [math.log(y_std) + rng.uniform(-2.0, 2.0)],
-            rng.uniform(math.log(0.1), math.log(10.0), size=d),
-            [math.log(y_std) + rng.uniform(-6.0, 0.0)],
-        )))
+    starts = [np.append(np.zeros(d), math.log(0.1))]
+    for _ in range(config.restarts - 1):
+        sigma_f_offset = rng.uniform(-2.0, 2.0)
+        log_length_scales = rng.uniform(math.log(0.1), math.log(10.0), size=d)
+        starts.append(np.append(log_length_scales, rng.uniform(-6.0, 0.0) - sigma_f_offset))
 
-    bounds = [(-LOG_BOUND, LOG_BOUND)] * (d + 2)
+    bounds = [(-LOG_BOUND, LOG_BOUND)] * (d + 1)
     best_theta = None
     best_value = FAILED_OBJECTIVE
     for theta0 in starts:
@@ -375,7 +378,11 @@ def train(
             best_theta = result.x
     if best_theta is None:
         raise SingularKernelError("no restart produced a usable kernel")
-    return posterior(_theta_to_kernel(best_theta), Xs, y, y_mean, standardizer, feature_names)
+    length_scales, noise_ratio = np.exp(best_theta[:-1]), math.exp(best_theta[-1])
+    _, _, sigma_f = log_marginal_likelihood(length_scales, noise_ratio, Xs, y_centered)
+    kernel = KernelParams(sigma_f=sigma_f, length_scales=length_scales,
+                          sigma_n=noise_ratio * sigma_f)
+    return posterior(kernel, Xs, y, y_mean, standardizer, feature_names)
 
 
 def posterior(

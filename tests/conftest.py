@@ -151,9 +151,35 @@ def wrapped_cholesky_inverse(L):
     return L_inv.T @ L_inv
 
 
-def wrapped_log_marginal_likelihood(kernel, X, y_centered, with_grad=False):
+def wrapped_concentrated_log_marginal_likelihood(length_scales, noise_ratio, X, y_centered):
     """Oracle: ``gpr.log_marginal_likelihood`` through the ``scipy.linalg``
     wrappers (``cholesky``, ``cho_solve``), with fresh temporaries."""
+    n, d = X.shape
+    unit = gpr.KernelParams(sigma_f=1.0, length_scales=length_scales)
+    r = gpr.scaled_distance(X, X, unit.length_scales)
+    E = np.exp(-r)
+    A = E.copy()
+    A[np.diag_indices(n)] += noise_ratio**2 + 1e-9
+    L = cholesky(A, lower=True)
+    alpha = cho_solve((L, True), y_centered)
+    sigma_f2 = float(y_centered @ alpha) / n
+    lml = (
+        -0.5 * n * (math.log(sigma_f2) + 1.0 + math.log(2.0 * math.pi))
+        - float(np.log(np.diag(L)).sum())
+    )
+    M = np.outer(alpha / sigma_f2, alpha) - wrapped_cholesky_inverse(L)
+    grad = np.empty(d + 1)
+    grad[:d] = 0.5 * gpr.length_scale_contraction(X, r, E, M, unit)
+    grad[d] = float(np.trace(M)) * noise_ratio**2
+    return lml, grad, math.sqrt(sigma_f2)
+
+
+def wrapped_log_marginal_likelihood(kernel, X, y_centered, with_grad=False):
+    """Oracle: the full log marginal likelihood at (sigma_f, l, sigma_n),
+    and its gradient in (log sigma_f, log l_1 ... log l_d, log sigma_n),
+    through the ``scipy.linalg`` wrappers (``cholesky``, ``cho_solve``).
+    The jitter term scales with sigma_f^2 and is included in the sigma_f
+    derivative."""
     n, d = X.shape
     sigma_f = kernel.sigma_f
     sigma_n = kernel.sigma_n

@@ -139,27 +139,22 @@ def test_criterion_3_gpr_gradients():
     X = rng.normal(size=(n, d))
     y = rng.normal(size=n)
 
-    def kernel_of(theta):
-        return gpr.KernelParams(sigma_f=math.exp(theta[0]),
-                                length_scales=np.exp(theta[1:-1]),
-                                sigma_n=math.exp(theta[-1]))
+    def lml(theta):
+        # theta = (log l_1 ... log l_d, log(sigma_n / sigma_f)); sigma_f is concentrated out.
+        return gpr.log_marginal_likelihood(np.exp(theta[:-1]), math.exp(theta[-1]), X, y)
 
     worst = 0.0
     h = 1e-5
     for _ in range(50):
-        theta = np.concatenate((
-            [rng.uniform(-1.0, 1.0)],
-            rng.uniform(-1.0, 1.0, size=d),
-            [rng.uniform(-2.0, -0.5)],
-        ))
-        _, grad = gpr.log_marginal_likelihood(kernel_of(theta), X, y, with_grad=True)
+        log_sigma_f = rng.uniform(-1.0, 1.0)
+        theta = np.append(rng.uniform(-1.0, 1.0, size=d), rng.uniform(-2.0, -0.5) - log_sigma_f)
+        _, grad, _ = lml(theta)
         fd = np.zeros_like(theta)
         for i in range(theta.size):
             up, down = theta.copy(), theta.copy()
             up[i] += h
             down[i] -= h
-            fd[i] = (gpr.log_marginal_likelihood(kernel_of(up), X, y)
-                     - gpr.log_marginal_likelihood(kernel_of(down), X, y)) / (2 * h)
+            fd[i] = (lml(up)[0] - lml(down)[0]) / (2 * h)
         worst = max(worst, np.linalg.norm(grad - fd) / max(np.linalg.norm(grad), 1e-12))
     _verdict(3, "gpr-gradients", worst < 1e-5, f"worst relative error {worst:.2e} over 50 points")
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batlife import modelio
+from batlife import ecm, modelio
 from batlife.cli import main
 from batlife.dataset import (
     CellMeta,
@@ -218,6 +218,32 @@ class TestModelCommands:
         lines = out.read_text().splitlines()
         assert lines[1] == "cell_id,cycle,soh,label,probability"
         assert len(lines) == 8  # six cells classified
+
+
+class TestOptimizerBudget:
+    @pytest.mark.parametrize("argv", [
+        # train-class takes no restarts or iteration flag: it trains at the
+        # ClassificationConfig defaults. evaluate reaches the same GPC config.
+        ["train-rul"],
+        ["evaluate", "--experiment", "rul"],
+        ["evaluate", "--experiment", "truncation", "--sample-counts", "6,full"],
+        ["evaluate", "--experiment", "classification", "--test-cycle", "24",
+         "--window-cycles", "16"],
+    ], ids=["train-rul", "evaluate-rul", "evaluate-truncation",
+            "evaluate-classification"])
+    @pytest.mark.parametrize("budget", [["--restarts", "0"], ["--restarts", "-2"],
+                                        ["--max-iters", "0"]], ids=["0", "-2", "iters-0"])
+    def test_below_one_exits_3_before_any_fit(self, dataset_dir, tmp_path, capsys, monkeypatch,
+                                              argv, budget):
+        def no_fit(curve):
+            raise AssertionError("a circuit fit ran")
+
+        monkeypatch.setattr(ecm, "fit", no_fit)
+        out = tmp_path / "out"
+        code = main([*argv, "--manifest", _manifest(dataset_dir), *budget, "--out", str(out)])
+        assert code == 3
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _evaluate(dataset_dir, outdir: Path, *flags: str) -> Path:
@@ -489,7 +515,7 @@ GOLDEN = {
     "by_config/features.csv": (
         "672c53d2fc2a", "b00cbb213e30087a2248853fe4186d437d78a2760fde5e08870fa190b35dd748"),
     "rul_model.txt": (
-        "efefeadd9222", "c932bbc80c1143a954ffdf2422af9151be0f282e2d3315c98b8bd1ec83b05c76"),
+        "efefeadd9222", "2eab5e3dd386ce0e61cc300d09adf15bee474a9b8625a5c7d079c60f1a2d67b2"),
     "class_model.txt": (
         "c861099b7e8e", "2def687f1e7e3d60cc15c74c1836143f85e3c68ececdf5e5bb82c84e8425208d"),
 }

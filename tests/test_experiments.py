@@ -100,6 +100,16 @@ def rul_report(small_fleet):
     return run_rul_experiment(small_fleet, split, config), config, split
 
 
+class TestOptimizerBudget:
+    @pytest.mark.parametrize("config", [RulExperimentConfig, ClassificationConfig])
+    @pytest.mark.parametrize("budget", [{"restarts": 0}, {"restarts": -2}, {"max_iters": 0}])
+    def test_below_one_is_refused(self, config, budget):
+        with pytest.raises(ValidationError, match="must be at least 1"):
+            config(**budget)
+        with pytest.raises(ValidationError, match="must be at least 1"):
+            dataclasses.replace(config(), **budget)
+
+
 class TestRulExperiment:
     def test_layout_has_rows_per_feature_set_and_condition(self, rul_report):
         report, _, _ = rul_report

@@ -180,6 +180,12 @@ class TestTrainBinary:
         with pytest.raises(SingularKernelError):
             train_binary(X, y, GpcTrainConfig(restarts=2, seed=0))
 
+    @pytest.mark.parametrize("budget", [{"restarts": 0}, {"restarts": -2}, {"max_iters": 0}])
+    def test_budget_below_one_is_refused(self, budget):
+        with pytest.raises(ValidationError, match="must be at least 1") as caught:
+            GpcTrainConfig(**budget)
+        assert isinstance(caught.value, DataError)  # exit 3
+
 
 class TestPredictBinary:
     def test_mirror_symmetry_gives_half(self):

@@ -20,7 +20,11 @@ from batlife.errors import (
     ValidationError,
 )
 
-from conftest import kernel_eval, wrapped_log_marginal_likelihood
+from conftest import (
+    kernel_eval,
+    wrapped_concentrated_log_marginal_likelihood,
+    wrapped_log_marginal_likelihood,
+)
 
 
 def _toy_problem(n=20, d=3, seed=0, noise=0.05):
@@ -87,6 +91,31 @@ class TestKernelEval:
             gpr.Standardizer(mean=np.zeros(2), scale=np.array(scale))
 
 
+def _lml_at(theta, X, y):
+    """``gpr.log_marginal_likelihood`` at theta = (log l_1 ... log l_d, log(sigma_n / sigma_f))."""
+    return gpr.log_marginal_likelihood(np.exp(theta[:-1]), math.exp(theta[-1]), X, y)
+
+
+@st.composite
+def _concentration_problems(draw):
+    """n in [2, 40], d in [1, 5], a column offset by 1e4, at random the last
+    row a copy of the first, and log noise ratios over the optimizer's box,
+    its two ends drawn on their own."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d))
+    X[:, draw(st.integers(0, d - 1))] += 1e4
+    if draw(st.booleans()):
+        X[-1] = X[0]
+    length_scales = np.exp(draw(st.lists(st.floats(-2.0, 3.0), min_size=d, max_size=d)))
+    bound = gpr.LOG_BOUND
+    log_ratio = draw(st.one_of(st.floats(-bound, bound), st.floats(-bound, 1.0 - bound),
+                               st.floats(bound - 1.0, bound)))
+    y = rng.normal(size=n) * math.exp(draw(st.floats(-5.0, 5.0)))
+    return X, y, length_scales, math.exp(log_ratio)
+
+
 class TestLogMarginalLikelihood:
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(3)
@@ -94,26 +123,56 @@ class TestLogMarginalLikelihood:
         X = rng.normal(size=(n, d))
         y = rng.normal(size=n)
 
-        def kernel_of(theta):
-            return gpr.KernelParams(sigma_f=math.exp(theta[0]),
-                                    length_scales=np.exp(theta[1:-1]),
-                                    sigma_n=math.exp(theta[-1]))
-
         for _ in range(10):
-            theta = np.concatenate((
-                [rng.uniform(-1, 1)], rng.uniform(-1, 1, size=d), [rng.uniform(-2, -0.5)],
-            ))
-            _, grad = gpr.log_marginal_likelihood(kernel_of(theta), X, y, with_grad=True)
+            # Draws of (log sigma_f, log l, log sigma_n), taken as
+            # (log l, log sigma_n - log sigma_f).
+            log_sigma_f = rng.uniform(-1, 1)
+            theta = np.append(rng.uniform(-1, 1, size=d), rng.uniform(-2, -0.5) - log_sigma_f)
+            _, grad, _ = _lml_at(theta, X, y)
             fd = np.zeros_like(theta)
             h = 1e-5
             for i in range(theta.size):
                 up, down = theta.copy(), theta.copy()
                 up[i] += h
                 down[i] -= h
-                fd[i] = (gpr.log_marginal_likelihood(kernel_of(up), X, y)
-                         - gpr.log_marginal_likelihood(kernel_of(down), X, y)) / (2 * h)
+                fd[i] = (_lml_at(up, X, y)[0] - _lml_at(down, X, y)[0]) / (2 * h)
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(grad), 1e-12)
             assert rel < 1e-5
+
+    @settings(max_examples=150, deadline=None)
+    @given(_concentration_problems())
+    def test_is_the_full_likelihood_at_its_sigma_f_maximum(self, problem):
+        X, y, length_scales, ratio = problem
+        n = y.size
+        lml, grad, sigma_f = gpr.log_marginal_likelihood(length_scales, ratio, X, y)
+        kernel = gpr.KernelParams(sigma_f=sigma_f, length_scales=length_scales,
+                                  sigma_n=ratio * sigma_f)
+        full, full_grad = wrapped_log_marginal_likelihood(kernel, X, y, with_grad=True)
+
+        # Rounding bounds. The two sides round the entries of A (the full
+        # kernel is sigma_f^2 A) differently, which moves the value by at
+        # most sum_ij |W_ij| |dA_ij| with W = |alpha alpha^T| / sigma_f^2 +
+        # |A^-1| (the magnitudes behind 0.5 tr((alpha alpha^T / sigma_f^2 -
+        # A^-1) dA)); a gradient entry also carries the condition number of
+        # A, and the contraction's rounding scale sum_ij V_ij (z_im^2 + z_jm^2).
+        eps = np.finfo(float).eps
+        r = gpr.scaled_distance(X, X, length_scales)
+        E = np.exp(-r)
+        A = E + (ratio**2 + gpr.JITTER_FACTOR) * np.eye(n)
+        A_inv = np.linalg.inv(A)
+        alpha = A_inv @ y
+        W = np.abs(np.outer(alpha, alpha)) / (y @ alpha / n) + np.abs(A_inv)
+        assert abs(lml - full) <= 1e-12 * abs(full) + n * eps * np.sum(W * A)
+
+        V = np.divide(W * E, r, out=np.zeros_like(r), where=r > 0)
+        Z = (X - X.mean(axis=0)) / length_scales
+        scale = np.append((Z**2).T @ V.sum(axis=1), np.trace(W) * ratio**2)
+        conditioned = 2 * (n + 16) * eps * np.linalg.cond(A)
+        # The length-scale and log sigma_n entries are the new gradient.
+        assert np.all(np.abs(full_grad[1:] - grad) <= conditioned * scale)
+        # sigma_f_hat maximizes the full likelihood at the fixed ratio: its
+        # derivative along log sigma_f and log sigma_n together is zero.
+        assert abs(full_grad[0] + full_grad[-1]) <= conditioned * np.sum(W * A)
 
 
 def _dense_length_scale_derivatives(X, r, E, kernel):
@@ -125,20 +184,20 @@ def _dense_length_scale_derivatives(X, r, E, kernel):
             for m in range(X.shape[1])]
 
 
-def _dense_gradient(kernel, X, y):
-    """The likelihood gradient with K^-1 = cho_solve(L, I) and d dense derivative matrices."""
+def _dense_gradient(length_scales, ratio, X, y):
+    """The concentrated likelihood's gradient with A^-1 = cho_solve(L, I) and
+    d dense derivative matrices."""
     n = X.shape[0]
-    r = gpr.scaled_distance(X, X, kernel.length_scales)
+    unit = gpr.KernelParams(sigma_f=1.0, length_scales=length_scales)
+    r = gpr.scaled_distance(X, X, length_scales)
     E = np.exp(-r)
-    jitter = gpr.JITTER_FACTOR * kernel.sigma_f**2
-    L = np.linalg.cholesky(kernel.sigma_f**2 * E + (kernel.sigma_n**2 + jitter) * np.eye(n))
+    L = np.linalg.cholesky(E + (ratio**2 + gpr.JITTER_FACTOR) * np.eye(n))
     alpha = cho_solve((L, True), y)
-    M = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(n))
-    return np.concatenate((
-        [0.5 * np.sum(M * 2.0 * kernel.sigma_f**2 * E) + np.trace(M) * jitter],
-        [0.5 * np.sum(M * dK) for dK in _dense_length_scale_derivatives(X, r, E, kernel)],
-        [np.trace(M) * kernel.sigma_n**2],
-    ))
+    M = np.outer(alpha, alpha) / (y @ alpha / n) - cho_solve((L, True), np.eye(n))
+    return np.append(
+        [0.5 * np.sum(M * dA) for dA in _dense_length_scale_derivatives(X, r, E, unit)],
+        np.trace(M) * ratio**2,
+    )
 
 
 @st.composite
@@ -229,8 +288,9 @@ class TestGradientAtScale:
         y = rng.normal(size=n)
         kernel = gpr.KernelParams(sigma_f=1.3, length_scales=rng.uniform(0.5, 3.0, size=d),
                                   sigma_n=0.1)
-        _, grad = gpr.log_marginal_likelihood(kernel, X, y, with_grad=True)
-        oracle = _dense_gradient(kernel, X, y)
+        ratio = kernel.sigma_n / kernel.sigma_f
+        _, grad, _ = gpr.log_marginal_likelihood(kernel.length_scales, ratio, X, y)
+        oracle = _dense_gradient(kernel.length_scales, ratio, X, y)
         assert np.linalg.norm(grad - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
         K = gpr.kernel_matrix(X, X, kernel) + kernel.sigma_n**2 * np.eye(n)
@@ -245,16 +305,10 @@ class TestGradientAtScale:
         X = rng.normal(size=(12, 3))
         X[[4, 9]] = X[2]
         y = rng.normal(size=12)
-        theta = np.array([0.3, -0.2, 0.4, 0.1, -1.0])
-
-        def lml(t):
-            kernel = gpr.KernelParams(sigma_f=math.exp(t[0]), length_scales=np.exp(t[1:-1]),
-                                      sigma_n=math.exp(t[-1]))
-            return gpr.log_marginal_likelihood(kernel, X, y, with_grad=True)
-
-        _, grad = lml(theta)
+        theta = np.array([-0.2, 0.4, 0.1, -1.3])  # log sigma_n / sigma_f = -1.0 - 0.3
+        _, grad, _ = _lml_at(theta, X, y)
         h = 1e-5
-        fd = np.array([(lml(theta + h * e)[0] - lml(theta - h * e)[0]) / (2 * h)
+        fd = np.array([(_lml_at(theta + h * e, X, y)[0] - _lml_at(theta - h * e, X, y)[0]) / (2 * h)
                        for e in np.eye(theta.size)])
         assert np.linalg.norm(grad - fd) <= 1e-5 * np.linalg.norm(grad)
 
@@ -264,9 +318,9 @@ class TestGradientAtScale:
         script = (
             "import numpy as np; from batlife import gpr\n"
             "rng = np.random.default_rng(77); X = rng.normal(size=(77, 8))\n"
-            "k = gpr.KernelParams(1.3, rng.uniform(0.5, 3.0, size=8), 0.1)\n"
-            "lml, g = gpr.log_marginal_likelihood(k, X, rng.normal(size=77), with_grad=True)\n"
-            "print(np.append(g, lml).tobytes().hex())\n"
+            "ls = rng.uniform(0.5, 3.0, size=8)\n"
+            "lml, g, s = gpr.log_marginal_likelihood(ls, 0.1 / 1.3, X, rng.normal(size=77))\n"
+            "print(np.append(g, [lml, s]).tobytes().hex())\n"
         )
         outputs = set()
         for threads in ("1", "2"):
@@ -331,6 +385,24 @@ class TestTrain:
         X, y = _toy_problem()
         with pytest.raises(SingularKernelError):
             gpr.train(X, y, gpr.GprTrainConfig(restarts=3, seed=0))
+
+    @pytest.mark.parametrize("budget", [{"restarts": 0}, {"restarts": -2}, {"max_iters": 0}])
+    def test_budget_below_one_is_refused(self, budget):
+        with pytest.raises(ValidationError, match="must be at least 1") as caught:
+            gpr.GprTrainConfig(**budget)
+        assert isinstance(caught.value, DataError)  # exit 3
+
+    def test_sigma_f_is_the_closed_form_maximizer(self):
+        # sigma_f^2 = y^T A^-1 y / n at the trained length scales and noise ratio.
+        X, y = _toy_problem(seed=4)
+        model = gpr.train(X, y, gpr.GprTrainConfig(restarts=2, seed=4))
+        k = model.kernel
+        unit = gpr.KernelParams(sigma_f=1.0, length_scales=k.length_scales)
+        A = gpr.kernel_matrix(model.X_train, model.X_train, unit)
+        A += ((k.sigma_n / k.sigma_f) ** 2 + gpr.JITTER_FACTOR) * np.eye(y.size)
+        y_centered = y - y.mean()
+        closed_form = math.sqrt(y_centered @ np.linalg.solve(A, y_centered) / y.size)
+        assert k.sigma_f == pytest.approx(closed_form, rel=1e-10)
 
 
 class TestPredict:
@@ -467,16 +539,17 @@ class TestWrapperOracle:
     @given(gp_problems())
     def test_log_marginal_likelihood_is_bitwise_the_wrapped_one(self, problem):
         X, y, kernel = problem
+        args = (kernel.length_scales, kernel.sigma_n / kernel.sigma_f, X, y)
         try:
-            want_lml, want_grad = wrapped_log_marginal_likelihood(kernel, X, y, with_grad=True)
+            want_lml, want_grad, want_sigma_f = wrapped_concentrated_log_marginal_likelihood(*args)
         except np.linalg.LinAlgError:
             with pytest.raises(np.linalg.LinAlgError):
-                gpr.log_marginal_likelihood(kernel, X, y, with_grad=True)
+                gpr.log_marginal_likelihood(*args)
             return
-        lml, grad = gpr.log_marginal_likelihood(kernel, X, y, with_grad=True)
+        lml, grad, sigma_f = gpr.log_marginal_likelihood(*args)
         assert lml == want_lml
         assert np.array_equal(grad, want_grad)
-        assert gpr.log_marginal_likelihood(kernel, X, y) == want_lml
+        assert sigma_f == want_sigma_f
 
     @settings(max_examples=40, deadline=None)
     @given(gp_problems())
