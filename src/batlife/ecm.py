@@ -19,10 +19,11 @@ crawls along their flat valleys, so each pass fits by variable projection
 (Golub & Pereyra, *SIAM J. Numer. Anal.* 10, 1973): with the two time
 constants fixed, ocv and the two branch resistances are a linear least
 squares, solved exactly inside their box (``_boxed_project``). Every pair
-of a log-spaced grid over the box's time constants is scored at once, and a
-damped Gauss-Newton over the two time constants alone descends from the
-best pair (``_fit_box``). Branch labels are canonical: the 'e' branch
-carries the smaller time constant.
+of a log-spaced grid over the box's time constants is scored in one batch,
+and a damped Gauss-Newton over the two time constants alone descends from
+the best pair, scoring one pair per step (``_project_pair``, ``_fit_box``).
+Branch labels are canonical: the 'e' branch carries the smaller time
+constant.
 
 A second pass over a wide box runs only when the tight fit does not
 interpolate the data, and its result is adopted only when it does. It never
@@ -268,8 +269,38 @@ def _boxed_project(log_taus: np.ndarray, t: np.ndarray, v_centred: np.ndarray, c
     return basis, scaled, columns, inverse, r, residual, held
 
 
-# Points of the start's log-spaced grid over each time-constant range.
+def _project_pair(pair: np.ndarray, box: tuple):
+    """``_boxed_project`` at one pair (log tau_e, log tau_c), unpacked: the
+    pieces of its one row, with ``held`` a bool.
+
+    A loop step scores one pair, where numpy's per-call overhead on (1, 2, n)
+    stacks outweighs the arithmetic, so the free solve runs on (2, n) arrays
+    with the normal matrix's entries as floats, through the same kernels in
+    the same order as ``_project`` and ``_solve``, and so gives their bits.
+    A pair whose free resistances leave their box, whose ocv may reach its
+    bound, or whose normal matrix is singular (non-finite resistances fail
+    the check) goes to ``_boxed_project``, the one copy of the box logic.
+    """
+    t, v_centred, current, r_lo, r_hi, ocv_room = box
+    scaled = t / np.exp(pair)[:, None]
+    basis = np.exp(-scaled)
+    basis *= -current
+    centred = basis - np.add.reduce(basis, axis=1, keepdims=True) / t.size
+    (g_ee, g_ec), (g_ce, g_cc) = (centred @ centred.T).tolist()
+    inverse = np.array([[g_cc, -g_ce], [-g_ec, g_ee]]) / (g_ee * g_cc - g_ec * g_ce)
+    r = inverse @ (centred @ v_centred)[:, None]
+    r_e, r_c = r[:, 0].tolist()
+    # The check by which _boxed_project keeps the free solution.
+    if (r_lo <= r_e <= r_hi and r_lo <= r_c <= r_hi
+            and 2.0 * current * max(0.0, r_e, r_c) <= ocv_room):
+        return basis, scaled, centred, inverse, r[:, 0], v_centred - (r.T @ centred)[0], False
+    return tuple(piece[0] for piece in _boxed_project(pair[None], *box))
+
+
+# Points of the start's log-spaced grid over each time-constant range, and
+# the grid's index pairs (i, j), i < j, of the pairs tau_e < tau_c.
 _GRID_POINTS = 16
+_GRID_PAIRS = np.transpose(np.triu_indices(_GRID_POINTS, k=1))
 
 
 def _fit_box(curve: RelaxationCurve, tight: bool):
@@ -277,14 +308,15 @@ def _fit_box(curve: RelaxationCurve, tight: bool):
     cost over (log tau_e, log tau_c) alone.
 
     It starts from the best of every pair tau_e < tau_c of a log-spaced grid
-    over the box's time-constant range, each scored at its exact boxed cost,
-    and steps with Kaufman's Jacobian of the projected residual (*BIT* 15,
-    1975). A time constant at a bound that the step would push out is held
-    there. The loop stops when a step gains no more than ``RESIDUAL_REL_TOL``
-    of the cost, moves the time constants by no more than ``STEP_NORM_TOL``,
-    or finds no descent left in the box. Returns the log-parameterized (ocv,
-    r_e, tau_e, r_c, tau_c), the cost, the iteration count and whether a stop
-    rule (rather than the iteration cap) ended it.
+    over the box's time-constant range, scored in one batch at their exact
+    boxed costs, and steps with Kaufman's Jacobian of the projected residual
+    (*BIT* 15, 1975), scoring one candidate pair per step
+    (``_project_pair``). A time constant at a bound that the step would push
+    out is held there. The loop stops when a step gains no more than
+    ``RESIDUAL_REL_TOL`` of the cost, moves the time constants by no more
+    than ``STEP_NORM_TOL``, or finds no descent left in the box. Returns the
+    log-parameterized (ocv, r_e, tau_e, r_c, tau_c), the cost, the iteration
+    count and whether a stop rule (rather than the iteration cap) ended it.
     """
     positive = curve.times_s > 0
     t = curve.times_s[positive]
@@ -294,7 +326,7 @@ def _fit_box(curve: RelaxationCurve, tight: bool):
     r_lo, r_hi = math.exp(lower[1]), math.exp(upper[1])
     lo, hi = lower[2], upper[2]
     grid = np.linspace(lo, hi, _GRID_POINTS)
-    log_taus = np.column_stack([grid[k] for k in np.triu_indices(_GRID_POINTS, k=1)])
+    log_taus = grid[_GRID_PAIRS]
     v_mean = np.add.reduce(v) / v.size
     v_centred = v - v_mean
     ocv_room = float(upper[0] - v_mean)
@@ -312,13 +344,14 @@ def _fit_box(curve: RelaxationCurve, tight: bool):
         if redo.any():
             residual = _boxed_project(log_taus[redo], *box)[5]
             costs[redo] = np.einsum("mn,mn->m", residual, residual)
-        best = int(np.argmin(np.nan_to_num(costs, nan=np.inf)))
+        costs[np.isnan(costs)] = np.inf
+        best = int(np.argmin(costs))
         a_e, a_c = log_taus[best].tolist()
-        state = _boxed_project(log_taus[best:best + 1], *box)
-        cost = float(state[5][0] @ state[5][0])
+        state = _project_pair(log_taus[best], box)
+        cost = float(state[5] @ state[5])
         damping = 1e-3
         for iterations in range(1, MAX_ITERATIONS + 1):
-            basis, scaled, columns, inverse, r, residual, held = (piece[0] for piece in state)
+            basis, scaled, columns, inverse, r, residual, held = state
             # Rows: the Jacobian columns, minus d(model)/d(log tau) projected
             # off the span of the free linear columns (centring takes ocv's).
             slope = basis * scaled
@@ -349,8 +382,8 @@ def _fit_box(curve: RelaxationCurve, tight: bool):
                     step_e, step_c = (u_e / d if free_e else 0.0), (u_c / d if free_c else 0.0)
                 c_e = min(max(a_e + step_e / s_e, lo), hi)
                 c_c = min(max(a_c + step_c / s_c, lo), hi)
-                cand_state = _boxed_project(np.array([[c_e, c_c]]), *box)
-                cand_cost = float(cand_state[5][0] @ cand_state[5][0])
+                cand_state = _project_pair(np.array([c_e, c_c]), box)
+                cand_cost = float(cand_state[5] @ cand_state[5])
                 if math.isfinite(cand_cost) and cand_cost <= cost:
                     break
                 damping *= 4.0
@@ -370,8 +403,8 @@ def _fit_box(curve: RelaxationCurve, tight: bool):
             # A step that holds or frees ocv or a resistance changes the
             # Jacobian's form; damping learnt on the old form would stall the
             # loop on the crease.
-            if (cand_state[6][0] != held
-                    or (cand_state[3][0].diagonal() == 0.0).tolist()
+            if (cand_state[6] != held
+                    or (cand_state[3].diagonal() == 0.0).tolist()
                     != (inverse.diagonal() == 0.0).tolist()):
                 damping = 1e-3
             moved = math.hypot(c_e - a_e, c_c - a_c)
@@ -379,7 +412,7 @@ def _fit_box(curve: RelaxationCurve, tight: bool):
             if improvement <= RESIDUAL_REL_TOL * max(cost, 1e-300) or moved <= STEP_NORM_TOL:
                 converged = True
                 break
-        basis, r, held = state[0][0], state[4][0], state[6][0]
+        basis, r, held = state[0], state[4], state[6]
         ocv = upper[0] if held else v_mean - float(r @ np.add.reduce(basis, axis=1)) / t.size
     theta = np.array([ocv, math.log(r[0]), a_e, math.log(r[1]), a_c])
     return theta, cost, iterations, converged

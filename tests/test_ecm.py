@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import lsq_linear
 
@@ -573,6 +573,51 @@ class TestBoxedProjection:
         assert not inverse[0][~moving].any() and not inverse[0][:, ~moving].any()
 
 
+class TestPairProjection:
+    """A loop step scores its one pair by ``_project_pair``: bit for bit
+    ``_boxed_project`` on the one-row batch, whichever path the pair takes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), tight=st.booleans(), fractions=st.tuples(st.floats(0.0, 1.0),
+                                                                   st.floats(0.0, 1.0)))
+    @pytest.mark.parametrize("case", ["pass", "resistance", "ocv", "singular"])
+    def test_is_bitwise_the_one_row_batch(self, small_fleet, data, tight, fractions, case):
+        # Curves of the simulated fleet, cut or not, or drawn ones.
+        if data.draw(st.booleans(), label="simgen"):
+            cell = data.draw(st.sampled_from(small_fleet), label="cell")
+            curve = data.draw(st.sampled_from(cell.cycles), label="cycle").relaxation
+            curve = curve.truncated(data.draw(st.sampled_from([6, 8, curve.n_samples])))
+        else:
+            curve = data.draw(_curves(), label="curve")
+        t, v, current, lower, upper = _pass_inputs(curve, tight)
+        v_centred = v - np.add.reduce(v) / v.size
+        box = [t, v_centred, current, math.exp(lower[1]), math.exp(upper[1]),
+               float(upper[0] - np.add.reduce(v) / v.size)]
+        pair = lower[2] + np.array(fractions) * (upper[2] - lower[2])
+        if case == "singular":  # tau_e = tau_c: a singular 2 x 2 system
+            pair[1] = pair[0]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            free = ecm._project(pair[None], t, v_centred, current)[4][0]
+            if case == "singular":
+                assert not np.isfinite(free).all()
+            elif case == "resistance":  # the larger free resistance leaves the box
+                assume(np.isfinite(free).all() and free[0] != free[1])
+                box[3:5] = free.min(), (free.min() + free.max()) / 2.0
+            elif case == "ocv":  # ocv held below its bound
+                pieces = ecm._boxed_project(pair[None], *box[:5], np.inf)
+                rise = -float(pieces[4][0] @ pieces[0][0].mean(axis=1))
+                assume(rise > 0.0)
+                box[5] = data.draw(st.floats(0.0, 0.99), label="room") * rise
+            want = [piece[0] for piece in ecm._boxed_project(pair[None], *box)]
+            got = ecm._project_pair(pair, tuple(box))
+        if case == "ocv":
+            assert want[6]
+        assert bool(got[6]) == bool(want[6])
+        for piece, expected in zip(got[:6], want[:6]):
+            assert piece.shape == expected.shape
+            assert piece.tobytes() == expected.tobytes()
+
+
 class TestBoxedFit:
     """The loop over the two time constants is the whole of each pass."""
 
@@ -608,3 +653,26 @@ class TestBoxedFit:
         report = ecm.fit(curve)
         assert report.converged
         assert report.iterations <= 30
+
+    @pytest.mark.parametrize("tight", [True, False])
+    def test_exhausted_damping_stops_at_the_start(self, monkeypatch, tight):
+        # Every candidate scores four times the start's cost: 25 rejected
+        # steps exhaust the damping, and the pass stops, converged, at the
+        # grid pair it started from.
+        project_pair = ecm._project_pair
+        scored = []
+
+        def no_descent(pair, box):
+            state = project_pair(pair, box)
+            scored.append((pair.tolist(), state))
+            return state if len(scored) == 1 else state[:5] + (2.0 * scored[0][1][5],) + state[6:]
+
+        monkeypatch.setattr(ecm, "_project_pair", no_descent)
+        curve = _golden_curves()["noisy_7"]
+        theta, cost, iterations, converged = ecm._fit_box(curve, tight)
+        start_pair, start = scored[0]
+        assert converged and iterations == 1 and len(scored) == 1 + 25
+        assert start_pair in _grid(*_pass_inputs(curve, tight)[3:]).tolist()
+        assert cost == float(start[5] @ start[5]) > 0.0
+        assert [theta[2], theta[4]] == start_pair
+        assert [theta[1], theta[3]] == [math.log(r) for r in start[4]]

@@ -180,6 +180,51 @@ class TestRulExperiment:
             run_rul_experiment(small_fleet, split, config)
 
 
+class TestSkippedSamples:
+    """The RUL driver's two silent skips, pinned as they stand: a cell that
+    never reaches end of life, and a chemistry whose cells give no samples.
+    Each report still verifies and holds no rows for what was skipped: its
+    tables are those of the run without it."""
+
+    CONFIG = RulExperimentConfig(feature_sets=(FeatureSet.ECM,), stride=8,
+                                 restarts=2, max_iters=50)
+
+    @staticmethod
+    def _tables(cells, split):
+        report = run_rul_experiment(cells, split, TestSkippedSamples.CONFIG)
+        assert verify_report(report)
+        return report.tables
+
+    def test_cell_that_never_reaches_eol(self, small_fleet):
+        split = _split_for(small_fleet)
+        skipped = sorted(split.test)[0]
+        cut = []
+        for cell in small_fleet:
+            if cell.cell_id == skipped:  # its history ends before end of life
+                cell = dataclasses.replace(cell, cycles=cell.cycles[:cell.eol_cycle // 2],
+                                           eol_cycle=None)
+                assert min(cell.soh(rec.cycle_index) for rec in cell.cycles) > SOH_EOL
+            cut.append(cell)
+        tables = self._tables(cut, split)
+        assert skipped not in {row["cell_id"] for row in tables["predictions"]}
+        without = DatasetSplit(split.train, split.test - {skipped}, split.seed)
+        assert tables == self._tables(small_fleet, without)
+
+    def test_chemistry_without_samples(self, small_fleet):
+        # One NCM cell in train and one in test, neither reaching end of
+        # life: the chemistry has cells on both sides but no samples.
+        profile = simgen.DriftProfile(initial=simgen.DEFAULT_INITIAL, fade_a=0.25,
+                                      fade_ref_cycles=120.0, seed=2)
+        ncm = [simgen.simulate_cell(profile, simgen.NCM_PROTOCOL, 40, cell_id=f"ncm-{i}",
+                                    discharge_knots=50) for i in range(2)]
+        assert [cell.eol_cycle for cell in ncm] == [None, None]
+        split = _split_for(small_fleet)
+        with_ncm = DatasetSplit(split.train | {"ncm-0"}, split.test | {"ncm-1"}, split.seed)
+        tables = self._tables(small_fleet + ncm, with_ncm)
+        assert "NCM" not in {row["chemistry"] for rows in tables.values() for row in rows}
+        assert tables == self._tables(small_fleet, split)
+
+
 class TestTruncationSweep:
     def test_full_entry_matches_plain_experiment(self, small_fleet):
         split = _split_for(small_fleet)
