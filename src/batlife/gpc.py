@@ -11,6 +11,10 @@ against that latent Gaussian with a fixed 32-node quadrature (Gauss-Hermite
 for narrow latents, a complementary Gauss-Legendre form for wide ones; see
 ``_sigmoid_gaussian_integral``).
 
+Each training builds the inputs' per-feature squared pair differences once
+(``gpr.squared_differences``), and every evidence evaluation takes its
+distances and length-scale gradient from them (see ``gpr``).
+
 Each Newton step factorizes B = I + sqrtW K sqrtW by LAPACK potrf and solves
 with it by two trtrs calls, made directly through ``gpr.checked_lapack``;
 they are the calls the ``scipy.linalg`` wrappers make, so every bit is theirs.
@@ -54,10 +58,12 @@ from .gpr import (
     cholesky_lower,
     kernel_matrix,
     length_scale_contraction,
+    pair_distances,
     require_finite_features,
     require_optimizer_budget,
-    scaled_distance,
     solve_lower,
+    squared_differences,
+    symmetric_matrix,
 )
 
 QUAD_NODES = 32
@@ -208,18 +214,19 @@ def _find_mode(K: np.ndarray, y: np.ndarray, f0: np.ndarray | None = None):
 
 
 def laplace_evidence(
-    kernel: KernelParams, X: np.ndarray, y: np.ndarray,
+    kernel: KernelParams, D: np.ndarray, y: np.ndarray,
     f0: np.ndarray | None = None, with_grad: bool = False,
 ):
     """Laplace-approximate log marginal likelihood; optional gradient.
 
-    Gradient is with respect to (log sigma_f, log l_1 .. log l_d) and
-    accounts for the implicit dependence of the mode on the kernel through
-    the standard explicit-plus-implicit decomposition.
+    ``D`` is the training inputs' ``gpr.squared_differences``. Gradient is
+    with respect to (log sigma_f, log l_1 .. log l_d) and accounts for the
+    implicit dependence of the mode on the kernel through the standard
+    explicit-plus-implicit decomposition.
     """
-    r = scaled_distance(X, X, kernel.length_scales)
-    E = np.exp(-r)
-    K = kernel.sigma_f**2 * E
+    r = pair_distances(D, kernel.length_scales)
+    e = np.exp(-r)
+    K = symmetric_matrix(kernel.sigma_f**2 * e, kernel.sigma_f**2)
     f_hat, grad_mode, sqrt_w, L, evidence = _find_mode(K, y, f0)
     if not with_grad:
         return evidence, f_hat
@@ -236,9 +243,9 @@ def laplace_evidence(
     g = grad_mode
     u = s2 - R @ (K @ s2)
     W = 0.5 * (np.outer(g, g) - R + np.outer(u, g) + np.outer(g, u))
-    grad = np.empty(1 + X.shape[1])
+    grad = np.empty(1 + D.shape[0])
     grad[0] = 2.0 * float(np.vdot(W, K))      # dK / d log sigma_f = 2K
-    grad[1:] = length_scale_contraction(X, r, E, W, kernel)
+    grad[1:] = kernel.sigma_f**2 * length_scale_contraction(D, r, e, W, kernel.length_scales)
     return evidence, f_hat, grad
 
 
@@ -267,13 +274,14 @@ def train_binary(
     require_finite_features(X)
 
     n, d = X.shape
+    D = squared_differences(X)
     warm: dict[str, np.ndarray | None] = {"f": None}
 
     def objective(theta):
         kernel = KernelParams(sigma_f=math.exp(theta[0]), length_scales=np.exp(theta[1:]))
         try:
             evidence, f_hat, grad = laplace_evidence(
-                kernel, X, y, f0=warm["f"], with_grad=True
+                kernel, D, y, f0=warm["f"], with_grad=True
             )
         except (np.linalg.LinAlgError, NoConvergenceError):
             return FAILED_OBJECTIVE, np.zeros_like(theta)
@@ -302,6 +310,7 @@ def train_binary(
     if best_theta is None:
         raise SingularKernelError("no restart produced a usable kernel")
 
+    del D  # posterior_binary builds its own cache; never hold two
     kernel = KernelParams(sigma_f=math.exp(best_theta[0]), length_scales=np.exp(best_theta[1:]))
     return posterior_binary(kernel, X, y, positive_label, negative_label)
 
@@ -317,7 +326,9 @@ def posterior_binary(
 
     Training and model loading both build their models here.
     """
-    f_hat, grad_mode, sqrt_w, L, evidence = _find_mode(kernel_matrix(X, X, kernel), y)
+    r = pair_distances(squared_differences(X), kernel.length_scales)
+    K = symmetric_matrix(kernel.sigma_f**2 * np.exp(-r), kernel.sigma_f**2)
+    f_hat, grad_mode, sqrt_w, L, evidence = _find_mode(K, y)
     return BinaryGpc(
         kernel=kernel,
         X_train=X,

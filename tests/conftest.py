@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.lapack import dtrtri
+from scipy.spatial.distance import squareform
 from scipy.special import expit
 
 from batlife import ecm, gpc, gpr, simgen
@@ -151,14 +152,13 @@ def wrapped_cholesky_inverse(L):
     return L_inv.T @ L_inv
 
 
-def wrapped_concentrated_log_marginal_likelihood(length_scales, noise_ratio, X, y_centered):
+def wrapped_concentrated_log_marginal_likelihood(length_scales, noise_ratio, D, y_centered):
     """Oracle: ``gpr.log_marginal_likelihood`` through the ``scipy.linalg``
     wrappers (``cholesky``, ``cho_solve``), with fresh temporaries."""
-    n, d = X.shape
-    unit = gpr.KernelParams(sigma_f=1.0, length_scales=length_scales)
-    r = gpr.scaled_distance(X, X, unit.length_scales)
-    E = np.exp(-r)
-    A = E.copy()
+    n, d = y_centered.size, D.shape[0]
+    r = gpr.pair_distances(D, length_scales)
+    e = np.exp(-r)
+    A = squareform(e) + np.eye(n)
     A[np.diag_indices(n)] += noise_ratio**2 + 1e-9
     L = cholesky(A, lower=True)
     alpha = cho_solve((L, True), y_centered)
@@ -169,22 +169,23 @@ def wrapped_concentrated_log_marginal_likelihood(length_scales, noise_ratio, X, 
     )
     M = np.outer(alpha / sigma_f2, alpha) - wrapped_cholesky_inverse(L)
     grad = np.empty(d + 1)
-    grad[:d] = 0.5 * gpr.length_scale_contraction(X, r, E, M, unit)
+    grad[:d] = 0.5 * gpr.length_scale_contraction(D, r, e, M, length_scales)
     grad[d] = float(np.trace(M)) * noise_ratio**2
     return lml, grad, math.sqrt(sigma_f2)
 
 
-def wrapped_log_marginal_likelihood(kernel, X, y_centered, with_grad=False):
+def wrapped_log_marginal_likelihood(kernel, D, y_centered, with_grad=False):
     """Oracle: the full log marginal likelihood at (sigma_f, l, sigma_n),
     and its gradient in (log sigma_f, log l_1 ... log l_d, log sigma_n),
-    through the ``scipy.linalg`` wrappers (``cholesky``, ``cho_solve``).
-    The jitter term scales with sigma_f^2 and is included in the sigma_f
-    derivative."""
-    n, d = X.shape
+    through the ``scipy.linalg`` wrappers (``cholesky``, ``cho_solve``), on
+    the inputs' ``gpr.squared_differences`` ``D``. The jitter term scales
+    with sigma_f^2 and is included in the sigma_f derivative."""
+    n, d = y_centered.size, D.shape[0]
     sigma_f = kernel.sigma_f
     sigma_n = kernel.sigma_n
-    r = gpr.scaled_distance(X, X, kernel.length_scales)
-    E = np.exp(-r)
+    r = gpr.pair_distances(D, kernel.length_scales)
+    e = np.exp(-r)
+    E = squareform(e) + np.eye(n)
     jitter = 1e-9 * sigma_f**2
     K_reg = sigma_f**2 * E
     K_reg[np.diag_indices(n)] += sigma_n**2 + jitter
@@ -201,7 +202,8 @@ def wrapped_log_marginal_likelihood(kernel, X, y_centered, with_grad=False):
     trace_m = float(np.trace(M))
     grad = np.empty(d + 2)
     grad[0] = 0.5 * float(np.sum(M * (2.0 * sigma_f**2 * E))) + trace_m * jitter
-    grad[1:1 + d] = 0.5 * gpr.length_scale_contraction(X, r, E, M, kernel)
+    grad[1:1 + d] = 0.5 * sigma_f**2 * gpr.length_scale_contraction(
+        D, r, e, M, kernel.length_scales)
     grad[1 + d] = trace_m * sigma_n**2
     return lml, grad
 
@@ -248,12 +250,12 @@ def wrapped_find_mode(K, y, f0=None):
     return f, (t - pi), sqrt_w, L, psi - float(np.log(np.diag(L)).sum())
 
 
-def wrapped_laplace_evidence(kernel, X, y, f0=None, with_grad=False):
+def wrapped_laplace_evidence(kernel, D, y, f0=None, with_grad=False):
     """Oracle: ``gpc.laplace_evidence`` on ``wrapped_find_mode`` and
     ``solve_triangular``, with fresh temporaries."""
-    r = gpr.scaled_distance(X, X, kernel.length_scales)
-    E = np.exp(-r)
-    K = kernel.sigma_f**2 * E
+    r = gpr.pair_distances(D, kernel.length_scales)
+    e = np.exp(-r)
+    K = kernel.sigma_f**2 * (squareform(e) + np.eye(y.size))
     f_hat, grad_mode, sqrt_w, L, evidence = wrapped_find_mode(K, y, f0)
     if not with_grad:
         return evidence, f_hat
@@ -265,9 +267,9 @@ def wrapped_laplace_evidence(kernel, X, y, f0=None, with_grad=False):
     g = grad_mode
     u = s2 - R @ (K @ s2)
     W = 0.5 * (np.outer(g, g) - R + np.outer(u, g) + np.outer(g, u))
-    grad = np.empty(1 + X.shape[1])
+    grad = np.empty(1 + D.shape[0])
     grad[0] = 2.0 * float(np.vdot(W, K))
-    grad[1:] = gpr.length_scale_contraction(X, r, E, W, kernel)
+    grad[1:] = kernel.sigma_f**2 * gpr.length_scale_contraction(D, r, e, W, kernel.length_scales)
     return evidence, f_hat, grad
 
 

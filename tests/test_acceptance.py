@@ -138,10 +138,11 @@ def test_criterion_3_gpr_gradients():
     n, d = 14, 3
     X = rng.normal(size=(n, d))
     y = rng.normal(size=n)
+    D = gpr.squared_differences(X)
 
     def lml(theta):
         # theta = (log l_1 ... log l_d, log(sigma_n / sigma_f)); sigma_f is concentrated out.
-        return gpr.log_marginal_likelihood(np.exp(theta[:-1]), math.exp(theta[-1]), X, y)
+        return gpr.log_marginal_likelihood(np.exp(theta[:-1]), math.exp(theta[-1]), D, y)
 
     worst = 0.0
     h = 1e-5

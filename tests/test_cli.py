@@ -515,9 +515,9 @@ GOLDEN = {
     "by_config/features.csv": (
         "672c53d2fc2a", "b00cbb213e30087a2248853fe4186d437d78a2760fde5e08870fa190b35dd748"),
     "rul_model.txt": (
-        "efefeadd9222", "2eab5e3dd386ce0e61cc300d09adf15bee474a9b8625a5c7d079c60f1a2d67b2"),
+        "efefeadd9222", "8cc7d01db1e9e8a11fe3d6b08e18755d87e6b335826e0cdd0eb43bb50ba9abd8"),
     "class_model.txt": (
-        "c861099b7e8e", "2def687f1e7e3d60cc15c74c1836143f85e3c68ececdf5e5bb82c84e8425208d"),
+        "c861099b7e8e", "ac046983e76e21f6117753faa60a87a7fd565ac55f08e9e2cd81ba0cf2cba625"),
 }
 
 

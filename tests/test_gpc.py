@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
+from scipy.spatial.distance import squareform
 from scipy.special import expit
 
-from batlife import gpc
+from batlife import gpc, gpr
 from batlife.dataset import SOH_EOL
 from batlife.errors import (
     DataError,
@@ -142,15 +143,16 @@ class TestTrainBinary:
             def kernel_of(t):
                 return KernelParams(sigma_f=math.exp(t[0]), length_scales=np.exp(t[1:]))
 
-            _, _, grad = laplace_evidence(kernel_of(theta), X, y, with_grad=True)
+            D = gpr.squared_differences(X)
+            _, _, grad = laplace_evidence(kernel_of(theta), D, y, with_grad=True)
             fd = np.zeros_like(theta)
             h = 1e-6
             for i in range(theta.size):
                 up, down = theta.copy(), theta.copy()
                 up[i] += h
                 down[i] -= h
-                fd[i] = (laplace_evidence(kernel_of(up), X, y)[0]
-                         - laplace_evidence(kernel_of(down), X, y)[0]) / (2 * h)
+                fd[i] = (laplace_evidence(kernel_of(up), D, y)[0]
+                         - laplace_evidence(kernel_of(down), D, y)[0]) / (2 * h)
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(grad), 1e-12)
             assert rel < 1e-5
 
@@ -162,13 +164,37 @@ class TestTrainBinary:
 
         def evidence(t):
             kernel = KernelParams(sigma_f=math.exp(t[0]), length_scales=np.exp(t[1:]))
-            return laplace_evidence(kernel, X, y, with_grad=True)
+            return laplace_evidence(kernel, gpr.squared_differences(X), y, with_grad=True)
 
         grad = evidence(theta)[2]
         h = 1e-6
         fd = np.array([(evidence(theta + h * e)[0] - evidence(theta - h * e)[0]) / (2 * h)
                        for e in np.eye(theta.size)])
         assert np.linalg.norm(grad - fd) <= 1e-5 * np.linalg.norm(grad)
+
+    def test_pair_cache_is_built_once_per_training(self, monkeypatch):
+        # The number of caches does not grow with the optimizer's iterations.
+        counts = {}
+        real_cache, real_evidence = gpc.squared_differences, gpc.laplace_evidence
+
+        def cache(X):
+            counts["cache"] += 1
+            return real_cache(X)
+
+        def evidence(*args, **kwargs):
+            counts["evidence"] += 1
+            return real_evidence(*args, **kwargs)
+
+        monkeypatch.setattr(gpc, "squared_differences", cache)
+        monkeypatch.setattr(gpc, "laplace_evidence", evidence)
+        X, y = _mirror_data(n_side=10, d=2, seed=7)
+        seen = []
+        for max_iters in (1, 500):
+            counts.update(cache=0, evidence=0)
+            train_binary(X, y, GpcTrainConfig(restarts=2, max_iters=max_iters, seed=0))
+            seen.append(dict(counts))
+        assert seen[0]["cache"] == seen[1]["cache"]
+        assert seen[1]["evidence"] > 5 * seen[0]["evidence"]
 
     @pytest.mark.parametrize("failure", [np.linalg.LinAlgError, NoConvergenceError])
     def test_every_restart_failing_raises(self, monkeypatch, failure):
@@ -355,21 +381,23 @@ class TestWrapperOracle:
     @given(classification_problems())
     def test_mode_and_evidence_are_bitwise_the_wrapped_ones(self, problem):
         X, y, kernel, f0 = problem
-        K = gpc.kernel_matrix(X, X, kernel)
+        D = gpr.squared_differences(X)
+        pairs = gpr.pair_distances(D, kernel.length_scales)
+        K = kernel.sigma_f**2 * (squareform(np.exp(-pairs)) + np.eye(y.size))
         try:
             want_mode = wrapped_find_mode(K, y, f0)
         except (np.linalg.LinAlgError, NoConvergenceError) as exc:
             with pytest.raises(type(exc)):
                 gpc._find_mode(K, y, f0)
             return
-        want = wrapped_laplace_evidence(kernel, X, y, f0, with_grad=True)
+        want = wrapped_laplace_evidence(kernel, D, y, f0, with_grad=True)
         for got, expected in zip(gpc._find_mode(K, y, f0), want_mode):
             assert np.array_equal(got, expected)
-        evidence, f_hat, grad = laplace_evidence(kernel, X, y, f0, with_grad=True)
+        evidence, f_hat, grad = laplace_evidence(kernel, D, y, f0, with_grad=True)
         assert evidence == want[0]
         assert np.array_equal(f_hat, want[1])
         assert np.array_equal(grad, want[2])
-        assert laplace_evidence(kernel, X, y, f0)[0] == want[0]
+        assert laplace_evidence(kernel, D, y, f0)[0] == want[0]
 
     @settings(max_examples=30, deadline=None)
     @given(classification_problems())

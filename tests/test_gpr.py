@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.lapack import dpotrf
+from scipy.spatial.distance import squareform
 
 from batlife import gpr
 from batlife.errors import (
@@ -93,7 +94,8 @@ class TestKernelEval:
 
 def _lml_at(theta, X, y):
     """``gpr.log_marginal_likelihood`` at theta = (log l_1 ... log l_d, log(sigma_n / sigma_f))."""
-    return gpr.log_marginal_likelihood(np.exp(theta[:-1]), math.exp(theta[-1]), X, y)
+    return gpr.log_marginal_likelihood(np.exp(theta[:-1]), math.exp(theta[-1]),
+                                       gpr.squared_differences(X), y)
 
 
 @st.composite
@@ -144,19 +146,21 @@ class TestLogMarginalLikelihood:
     def test_is_the_full_likelihood_at_its_sigma_f_maximum(self, problem):
         X, y, length_scales, ratio = problem
         n = y.size
-        lml, grad, sigma_f = gpr.log_marginal_likelihood(length_scales, ratio, X, y)
+        D = gpr.squared_differences(X)
+        lml, grad, sigma_f = gpr.log_marginal_likelihood(length_scales, ratio, D, y)
         kernel = gpr.KernelParams(sigma_f=sigma_f, length_scales=length_scales,
                                   sigma_n=ratio * sigma_f)
-        full, full_grad = wrapped_log_marginal_likelihood(kernel, X, y, with_grad=True)
+        full, full_grad = wrapped_log_marginal_likelihood(kernel, D, y, with_grad=True)
 
         # Rounding bounds. The two sides round the entries of A (the full
         # kernel is sigma_f^2 A) differently, which moves the value by at
         # most sum_ij |W_ij| |dA_ij| with W = |alpha alpha^T| / sigma_f^2 +
         # |A^-1| (the magnitudes behind 0.5 tr((alpha alpha^T / sigma_f^2 -
         # A^-1) dA)); a gradient entry also carries the condition number of
-        # A, and the contraction's rounding scale sum_ij V_ij (z_im^2 + z_jm^2).
+        # A, times sum_ij V_ij (z_im^2 + z_jm^2), at least half the magnitude
+        # sum_ij V_ij (z_im - z_jm)^2 of the contraction's terms.
         eps = np.finfo(float).eps
-        r = gpr.scaled_distance(X, X, length_scales)
+        r = squareform(gpr.pair_distances(D, length_scales))
         E = np.exp(-r)
         A = E + (ratio**2 + gpr.JITTER_FACTOR) * np.eye(n)
         A_inv = np.linalg.inv(A)
@@ -189,7 +193,7 @@ def _dense_gradient(length_scales, ratio, X, y):
     d dense derivative matrices."""
     n = X.shape[0]
     unit = gpr.KernelParams(sigma_f=1.0, length_scales=length_scales)
-    r = gpr.scaled_distance(X, X, length_scales)
+    r = squareform(gpr.pair_distances(gpr.squared_differences(X), length_scales))
     E = np.exp(-r)
     L = np.linalg.cholesky(E + (ratio**2 + gpr.JITTER_FACTOR) * np.eye(n))
     alpha = cho_solve((L, True), y)
@@ -231,6 +235,58 @@ def _subnormal_weight_inputs(weight, sigma_f, length_scales):
     return X, W, gpr.KernelParams(sigma_f=sigma_f, length_scales=np.array(length_scales))
 
 
+@st.composite
+def _distance_inputs(draw):
+    """n in [2, 40], d in [1, 6], features on mixed scales, a column offset
+    by 1e4, up to three rows copied from others and, at random, a row within
+    1e-9 of the first, with length scales e^-2..e^3."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, d)) * np.exp(rng.uniform(-3.0, 3.0, size=d))
+    X[:, draw(st.integers(0, d - 1))] += 1e4
+    if draw(st.booleans()):
+        X[-1] = X[0] + 1e-9 * rng.normal(size=d)
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=3)):
+        X[dst] = X[src]
+    length_scales = np.exp(draw(st.lists(st.floats(-2.0, 3.0), min_size=d, max_size=d)))
+    return X, length_scales
+
+
+def _distance_matrix(X, length_scales):
+    """The n x n training distances as the trainers build them."""
+    return gpr.symmetric_matrix(gpr.pair_distances(gpr.squared_differences(X), length_scales),
+                                0.0)
+
+
+class TestPairDistances:
+    """The training distances from the cache ``squared_differences``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_distance_inputs())
+    def test_symmetric_and_zero_exactly_where_rows_agree(self, inputs):
+        X, length_scales = inputs
+        r = _distance_matrix(X, length_scales)
+        assert np.array_equal(r, r.T)
+        same = np.all(X[:, None, :] == X[None, :, :], axis=2)  # the diagonal and copied rows
+        assert np.all(r[same] == 0.0)
+        assert np.all(r[~same] > 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_distance_inputs())
+    def test_is_within_a_few_eps_of_an_exact_sum(self, inputs):
+        # Oracle: sqrt of the exactly rounded sum (math.fsum) of the terms
+        # ((x_im - x_jm) / l_m)^2, pair by pair.
+        X, length_scales = inputs
+        n, d = X.shape
+        oracle = np.array([[math.sqrt(math.fsum(((X[i, m] - X[j, m]) / length_scales[m]) ** 2
+                                                for m in range(d)))
+                            for j in range(n)] for i in range(n)])
+        r = _distance_matrix(X, length_scales)
+        assert np.all(np.abs(r - oracle) <= 2 * (d + 2) * np.finfo(float).eps * oracle)
+
+
 class TestLengthScaleContraction:
     @settings(max_examples=200, deadline=None)
     @given(_contraction_inputs())
@@ -239,29 +295,26 @@ class TestLengthScaleContraction:
     def test_matches_dense_oracle(self, inputs):
         X, W, kernel = inputs
         n = X.shape[0]
-        r = gpr.scaled_distance(X, X, kernel.length_scales)
+        D = gpr.squared_differences(X)
+        pairs = gpr.pair_distances(D, kernel.length_scales)
+        got = kernel.sigma_f**2 * gpr.length_scale_contraction(D, pairs, np.exp(-pairs), W,
+                                                               kernel.length_scales)
+        r = squareform(pairs)
         E = np.exp(-r)
-        got = gpr.length_scale_contraction(X, r, E, W, kernel)
         terms = [W * dK for dK in _dense_length_scale_derivatives(X, r, E, kernel)]
         want = np.array([t.sum() for t in terms])
         scale = np.array([np.abs(t).sum() for t in terms])
-        # The identity's own rounding, eps * sum_ij |V_ij| (z_im^2 + z_jm^2)
-        # (see its docstring), is not bounded by scale_m alone: a close pair
-        # that agrees in column m adds to it and nothing to the entry.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            V = np.abs(np.where(r > 0, kernel.sigma_f**2 * W * E / np.where(r > 0, r, 1.0), 0.0))
         Z = (X - X.mean(axis=0)) / kernel.length_scales
-        rounding = 2.0 * n * np.finfo(float).eps * ((Z**2).T @ V.sum(axis=1))
         # A product that underflows rounds to a multiple of the smallest
         # subnormal, not to a relative eps, and the contraction then scales
         # that absolute error by sigma_f^2 and up to two factors of Z.
         underflow = (4.0 * n**2 * np.finfo(float).smallest_subnormal
                      * (1.0 + 2.0 * kernel.sigma_f**2 * (1.0 + np.abs(Z).max(axis=0)) ** 2))
-        assert np.all(np.abs(got - want) <= 1e-12 * scale + rounding + underflow)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale + underflow)
 
     def test_matches_dense_oracle_without_close_pairs(self):
         # On a 1/8 grid with length scales near 1, no distinct pair is close
-        # and the rounding term above is small: 1e-12 * sum|W * dK_m| alone holds.
+        # and no product underflows: 1e-12 * sum|W * dK_m| alone holds.
         rng = np.random.default_rng(17)
         for _ in range(20):
             n, d = int(rng.integers(2, 41)), int(rng.integers(1, 6))
@@ -271,9 +324,12 @@ class TestLengthScaleContraction:
             A = rng.uniform(-1.0, 1.0, size=(n, n))
             kernel = gpr.KernelParams(sigma_f=float(rng.uniform(0.1, 5.0)),
                                       length_scales=rng.uniform(0.5, 2.0, size=d))
-            r = gpr.scaled_distance(X, X, kernel.length_scales)
+            D = gpr.squared_differences(X)
+            pairs = gpr.pair_distances(D, kernel.length_scales)
+            got = kernel.sigma_f**2 * gpr.length_scale_contraction(D, pairs, np.exp(-pairs),
+                                                                   A + A.T, kernel.length_scales)
+            r = squareform(pairs)
             E = np.exp(-r)
-            got = gpr.length_scale_contraction(X, r, E, A + A.T, kernel)
             terms = [(A + A.T) * dK for dK in _dense_length_scale_derivatives(X, r, E, kernel)]
             want = np.array([t.sum() for t in terms])
             scale = np.array([np.abs(t).sum() for t in terms])
@@ -289,7 +345,8 @@ class TestGradientAtScale:
         kernel = gpr.KernelParams(sigma_f=1.3, length_scales=rng.uniform(0.5, 3.0, size=d),
                                   sigma_n=0.1)
         ratio = kernel.sigma_n / kernel.sigma_f
-        _, grad, _ = gpr.log_marginal_likelihood(kernel.length_scales, ratio, X, y)
+        _, grad, _ = gpr.log_marginal_likelihood(kernel.length_scales, ratio,
+                                                 gpr.squared_differences(X), y)
         oracle = _dense_gradient(kernel.length_scales, ratio, X, y)
         assert np.linalg.norm(grad - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
@@ -319,7 +376,8 @@ class TestGradientAtScale:
             "import numpy as np; from batlife import gpr\n"
             "rng = np.random.default_rng(77); X = rng.normal(size=(77, 8))\n"
             "ls = rng.uniform(0.5, 3.0, size=8)\n"
-            "lml, g, s = gpr.log_marginal_likelihood(ls, 0.1 / 1.3, X, rng.normal(size=77))\n"
+            "D = gpr.squared_differences(X)\n"
+            "lml, g, s = gpr.log_marginal_likelihood(ls, 0.1 / 1.3, D, rng.normal(size=77))\n"
             "print(np.append(g, [lml, s]).tobytes().hex())\n"
         )
         outputs = set()
@@ -391,6 +449,30 @@ class TestTrain:
         with pytest.raises(ValidationError, match="must be at least 1") as caught:
             gpr.GprTrainConfig(**budget)
         assert isinstance(caught.value, DataError)  # exit 3
+
+    def test_pair_cache_is_built_once_per_training(self, monkeypatch):
+        # The number of caches does not grow with the optimizer's iterations.
+        counts = {}
+        real_cache, real_lml = gpr.squared_differences, gpr.log_marginal_likelihood
+
+        def cache(X):
+            counts["cache"] += 1
+            return real_cache(X)
+
+        def lml(*args):
+            counts["lml"] += 1
+            return real_lml(*args)
+
+        monkeypatch.setattr(gpr, "squared_differences", cache)
+        monkeypatch.setattr(gpr, "log_marginal_likelihood", lml)
+        X, y = _toy_problem()
+        seen = []
+        for max_iters in (1, 500):
+            counts.update(cache=0, lml=0)
+            gpr.train(X, y, gpr.GprTrainConfig(restarts=2, max_iters=max_iters, seed=0))
+            seen.append(dict(counts))
+        assert seen[0]["cache"] == seen[1]["cache"]
+        assert seen[1]["lml"] > 5 * seen[0]["lml"]
 
     def test_sigma_f_is_the_closed_form_maximizer(self):
         # sigma_f^2 = y^T A^-1 y / n at the trained length scales and noise ratio.
@@ -539,7 +621,8 @@ class TestWrapperOracle:
     @given(gp_problems())
     def test_log_marginal_likelihood_is_bitwise_the_wrapped_one(self, problem):
         X, y, kernel = problem
-        args = (kernel.length_scales, kernel.sigma_n / kernel.sigma_f, X, y)
+        D = gpr.squared_differences(X)
+        args = (kernel.length_scales, kernel.sigma_n / kernel.sigma_f, D, y)
         try:
             want_lml, want_grad, want_sigma_f = wrapped_concentrated_log_marginal_likelihood(*args)
         except np.linalg.LinAlgError:
@@ -556,7 +639,8 @@ class TestWrapperOracle:
     def test_posterior_and_predict_are_bitwise_the_wrapped_ones(self, problem):
         X, y, kernel = problem
         n, d = X.shape
-        K = gpr.kernel_matrix(X, X, kernel)
+        pairs = gpr.pair_distances(gpr.squared_differences(X), kernel.length_scales)
+        K = kernel.sigma_f**2 * (squareform(np.exp(-pairs)) + np.eye(n))
         L, jitter = gpr.factorize_with_jitter(K, kernel.sigma_f, kernel.sigma_n)
         assert np.array_equal(L, cholesky(K + (kernel.sigma_n**2 + jitter) * np.eye(n),
                                            lower=True))
