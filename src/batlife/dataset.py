@@ -14,10 +14,20 @@ capacity trace; discharge rows carry the running discharged charge.
 Ingest is columnar: ``textio.read_columns`` parses the five columns it
 reads in one C pass (``np.loadtxt``), the rows of each phase are grouped
 by one stable sort on (cycle, time), every check runs over whole columns,
-and each cycle's curves are slices of the sorted columns. Rows may come in
-any order; a rejected row is reported with its file line. A rest voltage,
+and each cycle's curves are rows or slices of those columns. Rows may come
+in any order; a rejected row is reported with its file line. A rest voltage,
 discharge value or capacity that is not a finite number is rejected, so
 no NaN reaches a circuit fit.
+
+Each record type's checks are one function over a block of records
+(``relaxation_fault``, ``discharge_fault``, ``cycle_fault``; see
+``Fault``), and its constructor runs that function on the one record. Code
+that builds a whole cell runs each check once per cell, not once per cycle:
+``ingest_cell`` on the cell's (cycles x samples) rest block and its sorted
+discharge columns, ``simgen.simulate_cell`` on its voltage block, and
+``build_history`` on the cycle indices and capacities. The records are then
+made without running the checks again (``RelaxationCurve.trusted``,
+``DischargeCurve.trusted``).
 
 Two bookkeeping quantities are derived, not stored, so that a write/ingest
 round trip is exact:
@@ -43,6 +53,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -113,6 +124,71 @@ def parse_condition(code: str) -> tuple[float, float, float]:
     return temperature, charge, discharge
 
 
+class Fault(NamedTuple):
+    """Where and why a block of records fails its record type's checks.
+
+    A block check (``relaxation_fault``, ``discharge_fault``, ``cycle_fault``)
+    runs the checks of a record type's constructor over many records at
+    once, in the constructor's order. The first check that some record
+    fails is the fault: ``record`` is the first record that fails it,
+    ``item`` the first sample or point of that record that does, and
+    ``problem`` the constructor's message. That record, built alone, fails
+    with the same message, and a block of one record fails as its
+    constructor does: each constructor runs its block check on itself.
+    """
+
+    record: int
+    item: int
+    problem: str
+
+
+def _refuse(fault: Fault | None) -> None:
+    if fault is not None:
+        raise ValidationError(fault.problem)
+
+
+def _unchecked(cls, **fields):
+    """A ``cls`` of ``fields`` that a block check has passed, built without
+    running the checks again."""
+    record = object.__new__(cls)
+    for name, value in fields.items():
+        # Not vars(record).update: materializing the instance dict costs memory.
+        object.__setattr__(record, name, value)
+    return record
+
+
+def relaxation_fault(times_s: np.ndarray, voltages_v: np.ndarray, sampling_interval_s: float,
+                     cutoff_current_a: float) -> Fault | None:
+    """``RelaxationCurve``'s checks over a block of curves (see ``Fault``).
+
+    ``voltages_v`` holds one curve, or one curve per row, and ``times_s``
+    their times: one row that every curve shares, or one row per curve.
+    """
+    t, v = times_s, voltages_v
+    n = v.shape[-1]
+    if n < 2:
+        return Fault(0, 0, "relaxation curve needs at least 2 samples")
+    if t[..., 0].any():  # NaN is nonzero too
+        return Fault(int(np.flatnonzero(t[..., 0])[0]), 0, "relaxation curve must start at t = 0")
+    # Every comparison is false for NaN, and increasing times from 0 up to
+    # a finite last time are all finite.
+    rising = t[..., 1:] - t[..., :-1] > 0
+    if not (rising.all() and math.isfinite(t[..., -1].max())):
+        rising = np.atleast_2d(rising)
+        k = int(np.argmin(rising.all(axis=1) & np.isfinite(np.atleast_1d(t[..., -1]))))
+        j = int(np.argmin(rising[k])) + 1 if not rising[k].all() else n - 1
+        return Fault(k, j, "relaxation times must be finite and strictly increasing")
+    in_range = (v >= VOLTAGE_MIN_V) & (v <= VOLTAGE_MAX_V)
+    if not in_range.all():
+        return Fault(*divmod(int(np.argmin(in_range)), n),
+                     f"relaxation voltage is not a number in [{VOLTAGE_MIN_V}, {VOLTAGE_MAX_V}] V")
+    if not 0 < sampling_interval_s < math.inf:
+        return Fault(0, 0, "sampling interval must be finite and positive")
+    if not 0 < cutoff_current_a < math.inf:
+        return Fault(0, 0, "cutoff current must be finite and positive")
+    return None
+
+
 @dataclass(frozen=True)
 class RelaxationCurve:
     """Voltage transient during the rest after charging.
@@ -134,22 +210,16 @@ class RelaxationCurve:
         object.__setattr__(self, "voltages_v", v)
         if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
             raise ValidationError("relaxation times and voltages must be 1-D and equal length")
-        if t.size < 2:
-            raise ValidationError("relaxation curve needs at least 2 samples")
-        if t[0] != 0.0:
-            raise ValidationError("relaxation curve must start at t = 0")
-        # Every comparison below is false for NaN, and increasing times
-        # from 0 up to a finite last time are all finite.
-        if not ((t[1:] - t[:-1] > 0).all() and math.isfinite(t[-1])):
-            raise ValidationError("relaxation times must be finite and strictly increasing")
-        if not ((v >= VOLTAGE_MIN_V) & (v <= VOLTAGE_MAX_V)).all():
-            raise ValidationError(
-                f"relaxation voltage is not a number in [{VOLTAGE_MIN_V}, {VOLTAGE_MAX_V}] V"
-            )
-        if not 0 < self.sampling_interval_s < math.inf:
-            raise ValidationError("sampling interval must be finite and positive")
-        if not 0 < self.cutoff_current_a < math.inf:
-            raise ValidationError("cutoff current must be finite and positive")
+        _refuse(relaxation_fault(t, v, self.sampling_interval_s, self.cutoff_current_a))
+
+    @classmethod
+    def trusted(cls, times_s: np.ndarray, voltages_v: np.ndarray, sampling_interval_s: float,
+                cutoff_current_a: float) -> RelaxationCurve:
+        """The curve of float arrays that passed ``relaxation_fault`` within
+        a block; the checks are not run again."""
+        return _unchecked(cls, times_s=times_s, voltages_v=voltages_v,
+                          sampling_interval_s=sampling_interval_s,
+                          cutoff_current_a=cutoff_current_a)
 
     @property
     def n_samples(self) -> int:
@@ -169,6 +239,43 @@ class RelaxationCurve:
             self.sampling_interval_s,
             self.cutoff_current_a,
         )
+
+
+def discharge_fault(charges_ah: np.ndarray | None, voltages_v: np.ndarray, bounds: np.ndarray,
+                    durations_s: np.ndarray) -> Fault | None:
+    """``DischargeCurve``'s checks over a block of curves laid end to end
+    (see ``Fault``).
+
+    Curve k is items ``bounds[k]:bounds[k + 1]`` of ``charges_ah`` and
+    ``voltages_v`` and lasts ``durations_s[k]``. With ``charges_ah`` None
+    the curves are ramps, whose charges are checked through their capacity.
+    """
+    sizes = np.diff(bounds)
+    if (sizes < 2).any():
+        return Fault(int(np.argmax(sizes < 2)), 0, "discharge curve needs at least 2 points")
+    first, last = bounds[:-1], bounds[1:] - 1
+    for x, compare, problem in [
+        (charges_ah, np.greater_equal, "discharged charge must be finite and non-decreasing"),
+        (voltages_v, np.less_equal, "discharge voltage must be finite and non-increasing"),
+    ]:
+        if x is None:
+            continue
+        # Each item steps from the one before it in the curve's direction, and
+        # the curve's ends are finite: a monotone sequence without NaN steps
+        # and with finite ends is finite. A first item steps from no item.
+        accepted = np.empty(x.size, dtype=bool)
+        compare(x[1:] - x[:-1], 0.0, out=accepted[1:])
+        accepted[first] = np.isfinite(x[first])
+        accepted[last] &= np.isfinite(x[last])
+        if not accepted.all():
+            i = int(np.argmin(accepted))
+            k = int(np.searchsorted(bounds, i, side="right")) - 1
+            return Fault(k, i - int(bounds[k]), problem)
+    accepted = (durations_s > 0) & (durations_s < math.inf)
+    if not accepted.all():
+        k = int(np.argmin(accepted))
+        return Fault(k, int(sizes[k]) - 1, "discharge duration must be finite and positive")
+    return None
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -197,13 +304,17 @@ class DischargeCurve:
         v = np.asarray(voltages_v, dtype=float)
         if q.ndim != 1 or v.ndim != 1 or q.size != v.size:
             raise ValidationError("discharge charges and voltages must be 1-D and equal length")
-        if q.size < 2:
-            raise ValidationError("discharge curve needs at least 2 points")
-        # A monotone sequence without NaN steps and with finite ends is finite.
-        if not ((q[1:] - q[:-1] >= 0).all() and math.isfinite(q[0]) and math.isfinite(q[-1])):
-            raise ValidationError("discharged charge must be finite and non-decreasing")
-        _check_discharge_voltages(v)
+        _refuse(discharge_fault(q, v, np.array([0, q.size]), np.array([duration_s])))
         self._fill(v, duration_s, float(q[-1]), q)
+
+    @classmethod
+    def trusted(cls, charges_ah: np.ndarray, voltages_v: np.ndarray,
+                duration_s: float) -> DischargeCurve:
+        """The curve of float arrays that passed ``discharge_fault`` within a
+        block; the checks are not run again."""
+        curve = cls.__new__(cls)
+        curve._fill(voltages_v, duration_s, float(charges_ah[-1]), charges_ah)
+        return curve
 
     @classmethod
     def ramp(cls, capacity_ah: float, voltages_v, duration_s: float) -> DischargeCurve:
@@ -215,7 +326,7 @@ class DischargeCurve:
         if v.size < 2:
             raise ValidationError("discharge curve needs at least 2 points")
         _check_ramp_capacity(capacity_ah)
-        _check_discharge_voltages(v)
+        _refuse(discharge_fault(None, v, np.array([0, v.size]), np.array([duration_s])))
         curve = cls.__new__(cls)
         curve._fill(v, duration_s, float(capacity_ah), None)
         return curve
@@ -223,13 +334,13 @@ class DischargeCurve:
     def ramp_to(self, capacity_ah: float, duration_s: float) -> DischargeCurve:
         """``ramp`` on this curve's voltages, which are shared and not checked again."""
         _check_ramp_capacity(capacity_ah)
+        if not 0 < duration_s < math.inf:
+            raise ValidationError("discharge duration must be finite and positive")
         curve = type(self).__new__(type(self))
         curve._fill(self.voltages_v, duration_s, float(capacity_ah), None)
         return curve
 
     def _fill(self, v: np.ndarray, duration_s: float, capacity_ah: float, charges) -> None:
-        if not 0 < duration_s < math.inf:
-            raise ValidationError("discharge duration must be finite and positive")
         object.__setattr__(self, "voltages_v", v)
         object.__setattr__(self, "duration_s", duration_s)
         object.__setattr__(self, "capacity_ah", capacity_ah)
@@ -249,9 +360,15 @@ def _check_ramp_capacity(capacity_ah: float) -> None:
         raise ValidationError("discharge capacity must be finite and positive")
 
 
-def _check_discharge_voltages(v: np.ndarray) -> None:
-    if not ((v[1:] - v[:-1] <= 0).all() and math.isfinite(v[0]) and math.isfinite(v[-1])):
-        raise ValidationError("discharge voltage must be finite and non-increasing")
+def cycle_fault(cycle_indices: np.ndarray, capacities_ah: np.ndarray) -> Fault | None:
+    """``CycleRecord``'s checks over a block of cycles (see ``Fault``)."""
+    for accepted, problem in [
+        (~(cycle_indices < 1), "cycle index must be a positive integer"),
+        ((capacities_ah > 0) & (capacities_ah < math.inf), "capacity must be finite and positive"),
+    ]:
+        if not accepted.all():
+            return Fault(int(np.argmin(accepted)), 0, problem)
+    return None
 
 
 @dataclass(frozen=True)
@@ -266,10 +383,7 @@ class CycleRecord:
     discharge: DischargeCurve | None = None
 
     def __post_init__(self):
-        if self.cycle_index < 1:
-            raise ValidationError("cycle index must be a positive integer")
-        if not 0 < self.capacity_ah < math.inf:
-            raise ValidationError("capacity must be finite and positive")
+        _refuse(cycle_fault(np.array([self.cycle_index]), np.array([self.capacity_ah])))
 
 
 @dataclass(frozen=True)
@@ -454,33 +568,29 @@ def build_history(
     ``cycle_data`` rows are (cycle_index, relaxation, discharge, capacity_ah).
     A cycle lasts its CC charge, post-charge rest, CC discharge and
     post-discharge rest at the condition's C-rates; the CV charge tail is
-    not modeled.
+    not modeled. The cycle indices and capacities are checked once, as a
+    block (``cycle_fault``); the curves come checked.
     """
     _, chg_rate, dis_rate = parse_condition(meta.condition)
     charge_a = chg_rate * meta.nominal_capacity_ah
     discharge_a = dis_rate * meta.nominal_capacity_ah
+    indices = [row[0] for row in cycle_data]
+    capacities = [row[3] for row in cycle_data]
+    _refuse(cycle_fault(np.array(indices), np.array(capacities)))
     records: list[CycleRecord] = []
     cumulative = 0.0
     calendar_s = 0.0
     for cycle_index, relaxation, discharge, capacity in cycle_data:
         cumulative += 2.0 * capacity
-        records.append(
-            CycleRecord(
-                cycle_index=cycle_index,
-                relaxation=relaxation,
-                discharge=discharge,
-                capacity_ah=capacity,
-                cumulative_ah=cumulative,
-                calendar_days=calendar_s / SECONDS_PER_DAY,
-            )
-        )
+        records.append(_unchecked(
+            CycleRecord, cycle_index=cycle_index, relaxation=relaxation, capacity_ah=capacity,
+            cumulative_ah=cumulative, calendar_days=calendar_s / SECONDS_PER_DAY,
+            discharge=discharge,
+        ))
         calendar_s += (capacity / charge_a * 3600.0 + capacity / discharge_a * 3600.0
                        + 2.0 * meta.rest_duration_s)
     try:
-        eol = compute_eol(
-            [r.capacity_ah for r in records], meta.nominal_capacity_ah,
-            cycle_indices=[r.cycle_index for r in records],
-        )
+        eol = compute_eol(capacities, meta.nominal_capacity_ah, cycle_indices=indices)
     except NeverReachedError:
         eol = None  # unlabeled: kept for feature extraction only
     return CellHistory(
@@ -519,8 +629,10 @@ def ingest_cell(path, meta: CellMeta | None = None) -> CellHistory:
     ``meta`` is the cell's record from a manifest; without one it is parsed
     from the file's header line. The columns are parsed once, in bulk
     (``textio.read_columns``); rows are grouped by one stable sort on
-    (cycle, time) per phase and checked in bulk, and each cycle's curves are
-    slices of the sorted columns. A rest's last sample must fall within the
+    (cycle, time) per phase and checked in bulk. Each cycle's rest is a row
+    of one (cycles x samples) block and its discharge a slice of the sorted
+    discharge columns; each block passes its record type's check once, and
+    the first row it refuses is named. A rest's last sample must fall within the
     last interval of the declared rest, so a rest spans exactly the grid
     points of ``rest_duration_s``. A rest whose samples are all on the grid
     is kept verbatim, so canonical files round trip exactly; any other rest
@@ -584,34 +696,54 @@ def ingest_cell(path, meta: CellMeta | None = None) -> CellHistory:
              f"{expected}")
     first_rest = np.minimum.reduceat(rest, starts)
 
-    dis, dis_cycles, dis_starts, dis_ends = _phase_rows(cycle, phase, t_s, "discharge")
-    dis_spans = dict(zip(dis_cycles.tolist(), zip(dis_starts.tolist(), dis_ends.tolist())))
+    # Each cycle's rest on the grid is a row of one block, checked once.
+    grid = np.arange(expected) * interval
+    times = np.empty((cycles.size, expected))
+    voltages = np.empty_like(times)
+    take = starts[on_grid, None] + np.arange(expected)
+    times[on_grid], voltages[on_grid] = rest_t[take], rest_v[take]
+    for k in np.flatnonzero(~on_grid).tolist():
+        times[k] = grid
+        voltages[k] = np.interp(grid, rest_t[starts[k]:ends[k]], rest_v[starts[k]:ends[k]])
+    if fault := relaxation_fault(times, voltages, interval, cutoff_current):
+        k = fault.record
+        fail(rest[starts[k] + fault.item] if on_grid[k] else rest[starts[k]],
+             f"cycle {cycles[k]}: {fault.problem}")
+
+    dis, dis_cycles, dis_starts, _ = _phase_rows(cycle, phase, t_s, "discharge")
     dis_t, dis_v, dis_q = t_s[dis], volts[dis], capacity[dis]
     finite = np.isfinite(dis_t) & np.isfinite(dis_v) & np.isfinite(dis_q)
     if not finite.all():
         i = np.argmin(finite)
         fail(dis[i], f"cycle {cycle[dis[i]]} discharge row holds a number that is not finite")
+    bounds = np.append(dis_starts, dis.size)
+    durations = dis_t[bounds[1:] - 1]
+    if fault := discharge_fault(dis_q, dis_v, bounds, durations):
+        fail(dis[bounds[fault.record] + fault.item],
+             f"cycle {dis_cycles[fault.record]}: {fault.problem}")
 
-    cycle_data = []
-    for k, (index, start, end) in enumerate(zip(cycles.tolist(), starts.tolist(), ends.tolist())):
-        times, voltages = rest_t[start:end], rest_v[start:end]
-        if not on_grid[k]:
-            grid = np.arange(expected) * interval
-            times, voltages = grid, np.interp(grid, times, voltages)
-        relaxation = RelaxationCurve(times, voltages, interval, cutoff_current)
+    # Where each discharge's cycle is among the cycles (each has a rest).
+    slot = np.searchsorted(cycles, dis_cycles)
+    caps = capacity[first_rest]
+    # A rest row whose capacity is not positive defers to the discharged charge.
+    deferred = caps[slot] <= 0.0
+    caps[slot[deferred]] = dis_q[bounds[1:] - 1][deferred]
+    refused = ~((caps > 0.0) & (caps < math.inf))
+    if refused.any():
+        k = int(np.argmax(refused))
+        fail(first_rest[k], f"cycle {cycles[k]} carries no finite positive capacity")
+    if fault := cycle_fault(cycles, caps):
+        fail(first_rest[fault.record], f"cycle {cycles[fault.record]}: {fault.problem}")
 
-        discharge = None
-        if index in dis_spans:
-            lo, hi = dis_spans[index]
-            discharge = DischargeCurve(dis_q[lo:hi], dis_v[lo:hi], float(dis_t[hi - 1]))
-
-        cap = float(capacity[first_rest[k]])
-        if cap <= 0.0 and discharge is not None:
-            cap = discharge.capacity_ah
-        if not 0.0 < cap < math.inf:
-            fail(first_rest[k], f"cycle {index} carries no finite positive capacity")
-        cycle_data.append((index, relaxation, discharge, cap))
-
+    discharges = [None] * cycles.size
+    for k, lo, hi, duration in zip(slot.tolist(), bounds[:-1].tolist(), bounds[1:].tolist(),
+                                   durations.tolist()):
+        discharges[k] = DischargeCurve.trusted(dis_q[lo:hi], dis_v[lo:hi], duration)
+    cycle_data = [
+        (index, RelaxationCurve.trusted(t, v, interval, cutoff_current), discharge, cap)
+        for index, t, v, discharge, cap in zip(cycles.tolist(), times, voltages, discharges,
+                                               caps.tolist())
+    ]
     return build_history(meta, cycle_data)
 
 

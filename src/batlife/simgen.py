@@ -52,6 +52,7 @@ from .dataset import (
     RelaxationCurve,
     build_history,
     parse_condition,
+    relaxation_fault,
 )
 from .ecm import EcmParams, relaxation_model
 from .errors import DriftUnderflowError, ValidationError
@@ -169,10 +170,16 @@ def simulate_cell(
     """Simulate one cell for ``horizon_cycles`` full cycles.
 
     Deterministic given ``profile.seed``; two calls with identical arguments
-    produce bit-identical histories. A cell the drift law or a curve check
-    rejects raises what a cycle-by-cycle loop raises first: per cycle, in
-    order, ``drifted_params``, the relaxation curve, the capacity and the
-    discharge curve.
+    produce bit-identical histories. The relaxation curves are checked once,
+    as one block (``dataset.relaxation_fault`` on the shared time grid and
+    the voltage block), and made without checking each again; the first
+    cycle checks the discharge template, and ``build_history`` checks the
+    indices and capacities once. A cell whose voltage block is refused, or
+    whose drift may break the branch order, is built with the checked
+    constructors at every cycle instead, so that a cell the drift law or a
+    curve check rejects raises what a cycle-by-cycle loop raises first: per
+    cycle, in order, ``drifted_params``, the relaxation curve, the capacity
+    and the discharge curve.
     """
     if horizon_cycles < 1:
         raise ValidationError("horizon must be at least one cycle")
@@ -200,13 +207,18 @@ def simulate_cell(
     _, _, dis_rate = parse_condition(protocol.condition)
     discharge_a = dis_rate * protocol.nominal_capacity_ah
 
+    interval = protocol.sampling_interval_s
+    checked = (bool(suspect.any())
+               or relaxation_fault(times, voltages, interval, current) is not None)
+    relaxation_of = RelaxationCurve if checked else RelaxationCurve.trusted
+
     cycle_data = []
     discharge = None
     for m, bad, volts, capacity in zip(cycles, suspect.tolist(), _read_only(voltages),
                                        capacities):
         if bad:
             drifted_params(profile, m)  # raises what cycle m's state violates, if anything
-        relaxation = RelaxationCurve(times, volts, protocol.sampling_interval_s, current)
+        relaxation = relaxation_of(times, volts, interval, current)
         duration = capacity / discharge_a * 3600.0
         # The first cycle checks the template; later cycles share it.
         discharge = (DischargeCurve.ramp(capacity, template, duration) if discharge is None

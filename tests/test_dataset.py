@@ -1,3 +1,5 @@
+import collections
+import math
 import re
 import tempfile
 from dataclasses import replace
@@ -5,10 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from batlife import simgen
+from batlife import dataset, simgen
 from batlife.cli import main
 from batlife.dataset import (
     CANONICAL_COLUMNS,
@@ -421,6 +423,13 @@ class TestColumnarIngest:
         pytest.param({7: "2,rest_post_charge,120.5,4.13,0.0,3.3"}, 8, id="short-rest"),
         pytest.param({8: "2,rest_post_charge,360.0,4.14,0.0,3.3"}, 8, id="rest-one-interval-long"),
         pytest.param({2: "1,rest_post_charge,1.2e7,4.13,0.0,3.4"}, 3, id="rest-1.2e7-s-long"),
+        # Kept as given (within 1e-9 s of the grid), so the curve starts after 0.
+        pytest.param({5: "2,rest_post_charge,1e-10,4.10,0.175,3.3"}, 8, id="rest-start-after-0"),
+        pytest.param({4: "1,discharge,3600.0,3.0,-1.75,-0.5"}, 7, id="falling-discharge-charge"),
+        pytest.param({4: "1,discharge,3600.0,4.3,-1.75,3.4"}, 7, id="rising-discharge-voltage"),
+        pytest.param({3: "1,charge,0.0,4.2,-1.75,0.0"}, 7, id="one-discharge-row"),
+        pytest.param({4: "1,discharge,0.0,3.0,-1.75,3.4"}, 7, id="zero-discharge-duration"),
+        pytest.param({i: "0" + GOOD_ROWS[i][1:] for i in (5, 6, 7)}, 8, id="cycle-index-0"),
     ])
     def test_rejection_names_file_and_line(self, tmp_path, capsys, edit, line):
         rows = [edit.get(i, row) for i, row in enumerate(GOOD_ROWS)]
@@ -447,6 +456,252 @@ class TestColumnarIngest:
         assert [rec.cycle_index for rec in cell.cycles] == [1, 2]
         assert cell.cycles[0].discharge.duration_s == 3600.0
         assert cell.cycles[1].discharge is None
+
+
+def _relaxation_checks(times, volts, interval, current) -> list[tuple[str, bool]]:
+    """Oracle: each check of one relaxation curve in the constructor's order,
+    as (message, passed), one value at a time."""
+    t, v = times.tolist(), volts.tolist()
+    return [
+        ("relaxation curve needs at least 2 samples", len(t) >= 2),
+        ("relaxation curve must start at t = 0", bool(t) and t[0] == 0.0),
+        ("relaxation times must be finite and strictly increasing",
+         all(b - a > 0 for a, b in zip(t, t[1:])) and bool(t) and math.isfinite(t[-1])),
+        ("relaxation voltage is not a number in [2.0, 4.5] V", all(2.0 <= x <= 4.5 for x in v)),
+        ("sampling interval must be finite and positive", 0 < interval < math.inf),
+        ("cutoff current must be finite and positive", 0 < current < math.inf),
+    ]
+
+
+def _discharge_checks(charges, volts, duration) -> list[tuple[str, bool]]:
+    """Oracle: each check of one stored-charge discharge curve, as
+    ``_relaxation_checks``."""
+    q, v = charges.tolist(), volts.tolist()
+
+    def monotone(x, step_ok):
+        return (all(step_ok(b - a) for a, b in zip(x, x[1:]))
+                and bool(x) and math.isfinite(x[0]) and math.isfinite(x[-1]))
+
+    return [
+        ("discharge curve needs at least 2 points", len(q) >= 2),
+        ("discharged charge must be finite and non-decreasing", monotone(q, lambda d: d >= 0)),
+        ("discharge voltage must be finite and non-increasing", monotone(v, lambda d: d <= 0)),
+        ("discharge duration must be finite and positive", 0 < duration < math.inf),
+    ]
+
+
+def _cycle_checks(index, capacity) -> list[tuple[str, bool]]:
+    """Oracle: each check of one cycle record, as ``_relaxation_checks``."""
+    return [("cycle index must be a positive integer", not index < 1),
+            ("capacity must be finite and positive", 0 < capacity < math.inf)]
+
+
+def _block_refusal(records) -> tuple[int, str] | None:
+    """Oracle: a block check's (record, problem) from each record's checks:
+    the first check that some record fails, at the first record failing it."""
+    for check in range(len(records[0])):
+        for k, checks in enumerate(records):
+            problem, passed = checks[check]
+            if not passed:
+                return k, problem
+    return None
+
+
+def _own_refusal(checks) -> str | None:
+    return next((problem for problem, passed in checks if not passed), None)
+
+
+def _refusal_of(make) -> str | None:
+    """The message of the ValidationError ``make()`` raises, or None."""
+    try:
+        make()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _located(fault):
+    return None if fault is None else (fault.record, fault.problem)
+
+
+def _curve_bits(curve) -> list:
+    """A relaxation or discharge curve's fields, arrays as bytes."""
+    if isinstance(curve, RelaxationCurve):
+        return [curve.times_s.tobytes(), curve.voltages_v.tobytes(), curve.sampling_interval_s,
+                curve.cutoff_current_a]
+    return [curve.charges_ah.tobytes(), curve.voltages_v.tobytes(), curve.duration_s,
+            curve.capacity_ah]
+
+
+NOT_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def _relaxation_blocks(draw):
+    """A (records x samples) voltage block with its times (one row that all
+    records share, 1-D or not, or one row each), interval and current, with
+    bad entries."""
+    k, n = draw(st.integers(1, 5)), draw(st.integers(2, 6))
+    interval = draw(st.sampled_from([0.5, 30.0, 120.0]))
+    current = draw(st.sampled_from([0.05, 0.175]))
+    rows = draw(st.sampled_from([1, k]))
+    t = np.tile(np.arange(n) * interval, (rows, 1))
+    v = np.array(draw(st.lists(VOLTS, min_size=k * n, max_size=k * n))).reshape(k, n)
+    for _ in range(draw(st.integers(0, 3))):
+        r, i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, k - 1)), draw(st.integers(1, n - 1))
+        kind = draw(st.sampled_from(["voltage", "start", "order", "time", "interval", "current"]))
+        if kind == "voltage":
+            v[i, j - draw(st.integers(0, 1))] = draw(st.sampled_from([np.nan, 1.99, 4.51, np.inf]))
+        elif kind == "start":
+            t[r, 0] = draw(st.sampled_from([1e-10, -1e-10, np.nan, 0.5 * interval]))
+        elif kind == "order":
+            t[r, j] = t[r, j - 1] - draw(st.sampled_from([0.0, 1e-9, interval]))
+        elif kind == "time":
+            t[r, j] = draw(NOT_FINITE)
+        elif kind == "interval":
+            interval = draw(st.sampled_from([0.0, -1.0, np.inf, np.nan]))
+        else:
+            current = draw(st.sampled_from([0.0, -0.1, np.inf, np.nan]))
+    if draw(st.integers(0, 9)) == 0:
+        t, v = t[:, :1], v[:, :1]
+    if rows == 1 and draw(st.booleans()):
+        t = t[0]  # the shared row as simulation passes it
+    return t, v, interval, current
+
+
+@st.composite
+def _discharge_blocks(draw):
+    """Discharge curves laid end to end (charges, voltages, bounds,
+    durations), as ingest sorts them, with bad entries."""
+    curves = []
+    for _ in range(draw(st.integers(1, 5))):
+        m = draw(st.integers(2, 6))
+        q = sorted(draw(st.lists(st.floats(0.0, 10.0), min_size=m, max_size=m)))
+        v = sorted(draw(st.lists(VOLTS, min_size=m, max_size=m)), reverse=True)
+        curves.append([q, v, draw(st.floats(1e-3, 1e9))])
+    for _ in range(draw(st.integers(0, 3))):
+        q, v, _ = curve = curves[draw(st.integers(0, len(curves) - 1))]
+        j = draw(st.integers(0, len(q) - 1))
+        kind = draw(st.sampled_from(["falling", "rising", "charge", "voltage", "duration",
+                                     "short"]))
+        if kind == "falling" and j:
+            q[j] = q[j - 1] - draw(st.sampled_from([1e-12, 1.0]))
+        elif kind == "rising" and j:
+            v[j] = v[j - 1] + draw(st.sampled_from([1e-12, 0.1]))
+        elif kind == "charge":
+            q[j] = draw(NOT_FINITE)
+        elif kind == "voltage":
+            v[j] = draw(NOT_FINITE)
+        elif kind == "duration":
+            curve[2] = draw(st.sampled_from([0.0, -1.0, np.inf, np.nan]))
+        elif kind == "short":
+            del q[1:], v[1:]
+    bounds = np.cumsum([0] + [len(q) for q, _, _ in curves])
+    return ([np.array(q, dtype=float) for q, _, _ in curves],
+            [np.array(v, dtype=float) for _, v, _ in curves], bounds,
+            np.array([d for _, _, d in curves]))
+
+
+class TestBlockChecks:
+    """A block check refuses as its records' constructors do, one at a time."""
+
+    # An infinite entry next to another subtracts to NaN, as one record's check does.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    @settings(max_examples=300, deadline=None)
+    @given(block=_relaxation_blocks())
+    def test_relaxation_block(self, block):
+        t, v, interval, current = block
+        times = [t if t.ndim == 1 else t[k if len(t) > 1 else 0] for k in range(len(v))]
+        records = [_relaxation_checks(times[k], v[k], interval, current) for k in range(len(v))]
+        fault = dataset.relaxation_fault(t, v, interval, current)
+        assert _located(fault) == _block_refusal(records)
+        if fault is not None:
+            assert 0 <= fault.item < v.shape[1]
+        for k, checks in enumerate(records):
+            refusal = _refusal_of(lambda: RelaxationCurve(times[k], v[k], interval, current))
+            assert refusal == _own_refusal(checks)
+            if refusal is None:
+                built = RelaxationCurve.trusted(times[k], v[k], interval, current)
+                assert _curve_bits(built) == _curve_bits(
+                    RelaxationCurve(times[k], v[k], interval, current))
+
+    # An infinite entry next to another subtracts to NaN, as one record's check does.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    @settings(max_examples=300, deadline=None)
+    @given(block=_discharge_blocks())
+    # A non-finite first item whose step to the next one is monotone.
+    @example(block=([np.array([-np.inf, 1.0])], [np.array([4.2, 3.0])], np.array([0, 2]),
+                    np.array([10.0])))
+    @example(block=([np.array([0.0, 1.0]), np.array([0.0, 2.0])],
+                    [np.array([4.2, 3.0]), np.array([np.inf, 3.0])], np.array([0, 2, 4]),
+                    np.array([10.0, 10.0])))
+    def test_discharge_block(self, block):
+        charges, volts, bounds, durations = block
+        records = [_discharge_checks(q, v, d) for q, v, d in zip(charges, volts, durations)]
+        fault = dataset.discharge_fault(np.concatenate(charges), np.concatenate(volts), bounds,
+                                        durations)
+        assert _located(fault) == _block_refusal(records)
+        if fault is not None:
+            assert 0 <= fault.item < max(charges[fault.record].size, 1)
+        for q, v, d, checks in zip(charges, volts, durations.tolist(), records):
+            refusal = _refusal_of(lambda: DischargeCurve(q, v, d))
+            assert refusal == _own_refusal(checks)
+            if refusal is None:
+                assert _curve_bits(DischargeCurve.trusted(q, v, d)) == \
+                    _curve_bits(DischargeCurve(q, v, d))
+
+    @settings(max_examples=200, deadline=None)
+    @given(indices=st.lists(st.integers(-2, 400), min_size=1, max_size=6, unique=True),
+           capacities=st.lists(st.one_of(CAPACITY, st.sampled_from([0.0, -1.0, np.nan, np.inf])),
+                               min_size=6, max_size=6))
+    def test_cycle_block(self, indices, capacities):
+        indices, capacities = sorted(indices), capacities[:len(indices)]
+        records = [_cycle_checks(i, c) for i, c in zip(indices, capacities)]
+        want = _block_refusal(records)
+        assert _located(dataset.cycle_fault(np.array(indices), np.array(capacities))) == want
+        curve = RelaxationCurve(np.array([0.0, 120.0]), np.array([4.1, 4.11]), 120.0, 0.175)
+        for i, c, checks in zip(indices, capacities, records):
+            assert _refusal_of(lambda: CycleRecord(i, curve, c, 0.0, 0.0)) == _own_refusal(checks)
+        meta = CellMeta("block", Chemistry.NCA, "CY25-0.5/1", 3.5, 120.0, 120.0)
+        made = []
+        refusal = _refusal_of(lambda: made.append(
+            build_history(meta, [(i, curve, None, c) for i, c in zip(indices, capacities)])))
+        assert refusal == (want and want[1])
+        if made:
+            cumulative = np.cumsum(2.0 * np.array(capacities)).tolist()
+            for rec, i, c, total in zip(made[0].cycles, indices, capacities, cumulative):
+                assert rec == CycleRecord(i, curve, c, total, rec.calendar_days)
+
+    def test_block_checks_run_once_per_cell(self, monkeypatch, tmp_path):
+        # The number of block checks does not grow with the cell's cycles.
+        counts = collections.Counter()
+
+        def counted(name, check):
+            def count(*args):
+                counts[name] += 1
+                return check(*args)
+            return count
+
+        for name in ("relaxation_fault", "discharge_fault", "cycle_fault"):
+            monkeypatch.setattr(dataset, name, counted(name, getattr(dataset, name)))
+        monkeypatch.setattr(simgen, "relaxation_fault", dataset.relaxation_fault)
+        profile = simgen.condition_profile(300.0, seed=5, noise_sigma_v=2e-4)
+        seen = []
+        for horizon in (3, 40):
+            counts.clear()
+            cell = simgen.simulate_cell(profile, simgen.NCA_PROTOCOL, horizon, discharge_knots=50)
+            simulated = dict(counts)
+            write_cell(cell, tmp_path / "cell.csv")
+            counts.clear()
+            assert ingest_cell(tmp_path / "cell.csv").n_cycles == horizon
+            seen.append((simulated, dict(counts)))
+        assert seen[0] == seen[1]
+        # Simulation checks its voltage block, its template (the first ramp)
+        # and, in build_history, the indices and capacities; ingest checks its
+        # two blocks, the indices and capacities to name a refused row, and
+        # build_history checks those again.
+        assert seen[1] == ({"relaxation_fault": 1, "discharge_fault": 1, "cycle_fault": 1},
+                           {"relaxation_fault": 1, "discharge_fault": 1, "cycle_fault": 2})
 
 
 def _same_as_oracle(cell, directory: Path) -> None:
