@@ -59,7 +59,7 @@ from .features import (
     relaxation_curve,
 )
 from .gpc import classify as dag_classify, train_dag
-from .gpr import predict as gpr_predict, train as gpr_train
+from .gpr import one_blas_thread, predict as gpr_predict, train as gpr_train
 from .plots import emit_plots
 from .textio import fingerprint, header_comment, read_keys, spell, write_table
 
@@ -543,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parse_args(build_parser(), argv)
-        return args.handler(args)
+        with one_blas_thread():
+            return args.handler(args)
     except (NumericalError, DataError) as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 4 if isinstance(exc, NumericalError) else 3

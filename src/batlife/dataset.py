@@ -12,12 +12,13 @@ measured capacity in ``capacity_ah`` so relaxation-only logs still have a
 capacity trace; discharge rows carry the running discharged charge.
 
 Ingest is columnar: ``textio.read_columns`` parses the five columns it
-reads in one C pass (``np.loadtxt``), the rows of each phase are grouped
-by one stable sort on (cycle, time), every check runs over whole columns,
-and each cycle's curves are rows or slices of those columns. Rows may come
-in any order; a rejected row is reported with its file line. A rest voltage,
-discharge value or capacity that is not a finite number is rejected, so
-no NaN reaches a circuit fit.
+reads in one C pass (``np.loadtxt`` reads the file from its path in large
+chunks), each phase's rows are found by one comparison of the phase column
+and grouped by one stable sort on (cycle, time), every check runs over whole
+columns, and each cycle's curves are rows or slices of those columns. Rows
+may come in any order; a rejected row is reported with its file line. A rest
+voltage, discharge value or capacity that is not a finite number is
+rejected, so no NaN reaches a circuit fit.
 
 Each record type's checks are one function over a block of records
 (``relaxation_fault``, ``discharge_fault``, ``cycle_fault``; see
@@ -336,6 +337,11 @@ class DischargeCurve:
         _check_ramp_capacity(capacity_ah)
         if not 0 < duration_s < math.inf:
             raise ValidationError("discharge duration must be finite and positive")
+        return self.trusted_ramp_to(capacity_ah, duration_s)
+
+    def trusted_ramp_to(self, capacity_ah: float, duration_s: float) -> DischargeCurve:
+        """``ramp_to`` of a capacity and duration that passed its checks within
+        a block; the checks are not run again."""
         curve = type(self).__new__(type(self))
         curve._fill(self.voltages_v, duration_s, float(capacity_ah), None)
         return curve
@@ -614,10 +620,11 @@ _COLUMN_DTYPES = {"cycle": np.int64, "phase": f"U{max(map(len, PHASES)) + 1}",
                   "t_s": np.float64, "voltage_v": np.float64, "capacity_ah": np.float64}
 
 
-def _phase_rows(cycle, phase, t_s, name: str):
-    """Row indices of one phase sorted by (cycle, time), file order among ties;
-    its cycles, and where each cycle's run of sorted rows starts and ends."""
-    rows = np.flatnonzero(phase == name)
+def _phase_rows(cycle, t_s, in_phase: np.ndarray):
+    """Row indices of one phase (the rows ``in_phase`` marks) sorted by (cycle,
+    time), file order among ties; its cycles, and where each cycle's run of
+    sorted rows starts and ends."""
+    rows = np.flatnonzero(in_phase)
     rows = rows[np.lexsort((t_s[rows], cycle[rows]))]
     cycles, starts = np.unique(cycle[rows], return_index=True)
     return rows, cycles, starts, np.append(starts[1:], rows.size)
@@ -660,10 +667,14 @@ def ingest_cell(path, meta: CellMeta | None = None) -> CellHistory:
     def fail(row, problem: str):
         raise ValidationError(f"{table.where(int(row))}: {problem}")
 
-    unknown = np.flatnonzero(~np.isin(phase, PHASES))
+    # Each phase is compared once; only rows in neither consumed phase are
+    # looked up among the others.
+    in_rest, in_discharge = phase == "rest_post_charge", phase == "discharge"
+    other = np.flatnonzero(~(in_rest | in_discharge))
+    unknown = other[~np.isin(phase[other], PHASES)]
     if unknown.size:
         fail(unknown[0], f"unknown phase {phase[unknown[0]]!r}")
-    rest, cycles, starts, ends = _phase_rows(cycle, phase, t_s, "rest_post_charge")
+    rest, cycles, starts, ends = _phase_rows(cycle, t_s, in_rest)
     all_cycles, first_rows = np.unique(cycle, return_index=True)
     no_rest = np.flatnonzero(~np.isin(all_cycles, cycles))
     if no_rest.size:
@@ -710,7 +721,7 @@ def ingest_cell(path, meta: CellMeta | None = None) -> CellHistory:
         fail(rest[starts[k] + fault.item] if on_grid[k] else rest[starts[k]],
              f"cycle {cycles[k]}: {fault.problem}")
 
-    dis, dis_cycles, dis_starts, _ = _phase_rows(cycle, phase, t_s, "discharge")
+    dis, dis_cycles, dis_starts, _ = _phase_rows(cycle, t_s, in_discharge)
     dis_t, dis_v, dis_q = t_s[dis], volts[dis], capacity[dis]
     finite = np.isfinite(dis_t) & np.isfinite(dis_v) & np.isfinite(dis_q)
     if not finite.all():

@@ -58,6 +58,7 @@ from .gpr import (
     cholesky_lower,
     kernel_matrix,
     length_scale_contraction,
+    one_blas_thread,
     pair_distances,
     require_finite_features,
     require_optimizer_budget,
@@ -298,15 +299,16 @@ def train_binary(
 
     bounds = [(math.log(1e-3), math.log(1e3))] * (1 + d)
     best_theta, best_value = None, FAILED_OBJECTIVE
-    for theta0 in starts:
-        warm["f"] = None
-        result = minimize(
-            objective, theta0, jac=True, method="L-BFGS-B", bounds=bounds,
-            options={"maxiter": config.max_iters, "ftol": 1e-12, "gtol": 1e-8},
-        )
-        if result.fun < best_value:
-            best_value = float(result.fun)
-            best_theta = result.x
+    with one_blas_thread():
+        for theta0 in starts:
+            warm["f"] = None
+            result = minimize(
+                objective, theta0, jac=True, method="L-BFGS-B", bounds=bounds,
+                options={"maxiter": config.max_iters, "ftol": 1e-12, "gtol": 1e-8},
+            )
+            if result.fun < best_value:
+                best_value = float(result.fun)
+                best_theta = result.x
     if best_theta is None:
         raise SingularKernelError("no restart produced a usable kernel")
 

@@ -59,6 +59,10 @@ reading (relevance ~ 1/l) is exposed separately as
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import importlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -174,6 +178,48 @@ def checked_lapack(routine, *args, **kwargs) -> np.ndarray:
     if info != 0:
         raise np.linalg.LinAlgError(f"{routine.__name__} failed with info={info}")
     return result
+
+
+@functools.cache
+def _blas_pools() -> tuple:
+    """(get, set) of the thread count of each OpenBLAS pool found: numpy's
+    and scipy's bundled builds, each reached through an extension module
+    linked to it. A build without these symbols (MKL, Accelerate) is left
+    out."""
+    pools = []
+    for module, suffix in [("numpy._core._multiarray_umath", "64_"), ("scipy.linalg._flapack", "")]:
+        try:
+            library = ctypes.CDLL(importlib.import_module(module).__file__)
+            get = getattr(library, f"scipy_openblas_get_num_threads{suffix}")
+            set_count = getattr(library, f"scipy_openblas_set_num_threads{suffix}")
+        except (ImportError, OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_count.argtypes, set_count.restype = [ctypes.c_int], None
+        pools.append((get, set_count))
+    return tuple(pools)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with every OpenBLAS pool at one thread, then restore
+    each pool's previous count (so nesting is safe).
+
+    numpy and scipy each bundle their own OpenBLAS with its own thread pool,
+    and GP training alternates between them on every evaluation. Unpinned,
+    the two pools slow each other down many times over, and sums split
+    across threads round differently, so bytes change with the thread
+    count. Where the symbols are absent this does nothing.
+    """
+    pools = _blas_pools()
+    previous = [get() for get, _ in pools]
+    for _, set_count in pools:
+        set_count(1)
+    try:
+        yield
+    finally:
+        for (_, set_count), count in zip(pools, previous):
+            set_count(count)
 
 
 def require_optimizer_budget(restarts: int, max_iters: int) -> None:
@@ -402,14 +448,15 @@ def train(
     bounds = [(-LOG_BOUND, LOG_BOUND)] * (d + 1)
     best_theta = None
     best_value = FAILED_OBJECTIVE
-    for theta0 in starts:
-        result = minimize(
-            objective, theta0, jac=True, method="L-BFGS-B", bounds=bounds,
-            options={"maxiter": config.max_iters, "ftol": 1e-10, "gtol": 1e-9},
-        )
-        if result.fun < best_value:
-            best_value = float(result.fun)
-            best_theta = result.x
+    with one_blas_thread():
+        for theta0 in starts:
+            result = minimize(
+                objective, theta0, jac=True, method="L-BFGS-B", bounds=bounds,
+                options={"maxiter": config.max_iters, "ftol": 1e-10, "gtol": 1e-9},
+            )
+            if result.fun < best_value:
+                best_value = float(result.fun)
+                best_theta = result.x
     if best_theta is None:
         raise SingularKernelError("no restart produced a usable kernel")
     length_scales, noise_ratio = np.exp(best_theta[:-1]), math.exp(best_theta[-1])

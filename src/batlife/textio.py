@@ -11,7 +11,8 @@ comma-joined list of floats reads back through ``parse_floats``.
 time with ``",".join``; a chunk with a field that needs quoting goes
 through the ``csv`` writer, the one definition of quoting. ``read_table``
 reads a table as text rows; ``read_columns`` parses chosen columns of a
-large table to typed arrays in one C pass (``np.loadtxt``).
+large table to typed arrays in one C pass: ``np.loadtxt`` reads the body
+from the file's path in large chunks, not line by line.
 """
 
 from __future__ import annotations
@@ -195,39 +196,41 @@ class Columns:
 def read_columns(path, dtypes: dict[str, object]) -> Columns:
     """The columns named by ``dtypes``, each parsed to its dtype, in one C pass.
 
-    Comments and header are read as ``read_table`` reads them; the body goes
-    through ``np.loadtxt`` (``,``-separated, ``"``-quoted, blank lines
-    skipped); columns not named are not parsed. A named column that is
-    missing or duplicated raises ``SchemaError``; a row with too few fields,
-    or a field its dtype does not parse, raises ``ValidationError`` naming
-    the line.
+    Comments and header are read as ``read_table`` reads them; then
+    ``np.loadtxt`` is given the file's path, skips those lines and reads the
+    body in large chunks in C (``,``-separated, ``"``-quoted, blank lines
+    skipped); columns not named are not parsed. It reads the path with
+    universal newlines, so a line break inside a quoted field reads as
+    ``\\n``. A named column that is missing or duplicated raises
+    ``SchemaError``; a row with too few fields, or a field its dtype does not
+    parse, raises ``ValidationError`` naming the line.
     """
     path = Path(path)
     with path.open(newline="") as fh:
         comments, header, reader = _read_head(fh, path)
         head_lines = len(comments) + reader.line_num
-        for name in dtypes:
-            if header.count(name) != 1:
-                problem = "duplicated" if name in header else "missing"
-                raise SchemaError(f"{path} line {head_lines}: {problem} column {name!r}")
+    for name in dtypes:
+        if header.count(name) != 1:
+            problem = "duplicated" if name in header else "missing"
+            raise SchemaError(f"{path} line {head_lines}: {problem} column {name!r}")
 
-        def parse(lines):
-            with warnings.catch_warnings():
-                # An empty body is the caller's to judge, not a warning.
-                warnings.simplefilter("ignore", UserWarning)
-                return np.loadtxt(lines, dtype=list(dtypes.items()), delimiter=",", comments=None,
-                                  quotechar='"', usecols=[header.index(name) for name in dtypes],
-                                  ndmin=1)
+    def parse(source, skiprows=0):
+        with warnings.catch_warnings():
+            # An empty body is the caller's to judge, not a warning.
+            warnings.simplefilter("ignore", UserWarning)
+            return np.loadtxt(source, dtype=list(dtypes.items()), delimiter=",", comments=None,
+                              quotechar='"', usecols=[header.index(name) for name in dtypes],
+                              skiprows=skiprows, ndmin=1)
 
-        try:
-            table = parse(fh)
-        except ValueError as exc:
-            with path.open(newline="") as again:
-                lines = again.readlines()[head_lines:]
-            bad = _first_refused(lines, parse)
-            reason = str(exc).partition(" at row")[0]
-            raise ValidationError(f"{path} line {head_lines + bad + 1}: {reason} in "
-                                  f"{lines[bad].rstrip()!r}") from None
+    try:
+        table = parse(path, head_lines)
+    except ValueError as exc:
+        with path.open(newline="") as fh:
+            lines = fh.readlines()[head_lines:]
+        bad = _first_refused(lines, parse)
+        reason = str(exc).partition(" at row")[0]
+        raise ValidationError(f"{path} line {head_lines + bad + 1}: {reason} in "
+                              f"{lines[bad].rstrip()!r}") from None
     return Columns(path, comments, {name: table[name] for name in dtypes}, head_lines)
 
 

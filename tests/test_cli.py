@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batlife import ecm, modelio
+from batlife import cli, ecm, modelio
 from batlife.cli import main
 from batlife.dataset import (
     CellMeta,
@@ -218,6 +219,28 @@ class TestModelCommands:
         lines = out.read_text().splitlines()
         assert lines[1] == "cell_id,cycle,soh,label,probability"
         assert len(lines) == 8  # six cells classified
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("argv, code", [
+        (["fit-ecm", "--truncate", "6"], 0),
+        (["train-rul", "--restarts", "0"], 3),
+    ], ids=["fit-ecm", "refused"])
+    def test_each_command_runs_inside_one_blas_thread_once(self, dataset_dir, tmp_path,
+                                                          monkeypatch, argv, code):
+        entered = []
+        one_blas_thread = cli.one_blas_thread
+
+        @contextlib.contextmanager
+        def counting():
+            entered.append(argv[0])
+            with one_blas_thread():
+                yield
+
+        monkeypatch.setattr(cli, "one_blas_thread", counting)
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--manifest", _manifest(dataset_dir), "--out", str(out)]) == code
+        assert entered == [argv[0]]
 
 
 class TestOptimizerBudget:

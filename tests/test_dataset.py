@@ -457,6 +457,40 @@ class TestColumnarIngest:
         assert cell.cycles[0].discharge.duration_s == 3600.0
         assert cell.cycles[1].discharge is None
 
+    # Rows of the phases ingest skips, before, between and after the rows it reads.
+    SKIPPED = {0: "1,charge,0.0,3.9,1.75,0.0", 4: "1,rest_post_discharge,0.0,3.7,0.0,0.0",
+               6: '2,"charge",9.0,3.9,1.75,0.0', 10: "2,rest_post_discharge,5.0,3.7,0.0,0.0",
+               11: "2,charge,0.0,3.9,1.75,0.0"}
+
+    def _with_skipped(self, extra=None):
+        rows = list(GOOD_ROWS)
+        for at, row in sorted({**self.SKIPPED, **(extra or {})}.items()):
+            rows.insert(at, row)
+        return rows
+
+    def test_skipped_phases_are_accepted_and_ignored(self, tmp_path):
+        path = tmp_path / "cell.csv"
+        path.write_text(_cell_text(GOOD_ROWS))
+        plain = history_bits(ingest_cell(path))
+        path.write_text(_cell_text(self._with_skipped()))
+        assert history_bits(ingest_cell(path)) == plain
+
+    @pytest.mark.parametrize("unknown, line", [
+        ({1: "1,Charge,0.0,3.9,1.75,0.0"}, 4),
+        ({7: "2,rest_post_discharge_x,3600.0,3.0,-1.75,3.4", 12: "2,discharg,0.0,3.9,1.75,0.0"},
+         10),
+        ({13: "2,,0.0,3.9,1.75,0.0"}, 16),
+        ({5: "1,rest_post_discharge_and_more,0.0,3.9,1.75,0.0"}, 8),
+    ], ids=["before-the-rest", "first-of-two", "empty", "cut-to-21-characters"])
+    def test_first_unknown_phase_is_named(self, tmp_path, unknown, line):
+        path = tmp_path / "cell.csv"
+        rows = self._with_skipped(unknown)
+        path.write_text(_cell_text(rows))
+        phase = rows[line - 3].split(",")[1][:len("rest_post_discharge") + 1]
+        with pytest.raises(ValidationError) as caught:
+            ingest_cell(path)
+        assert str(caught.value) == f"{path} line {line}: unknown phase {np.str_(phase)!r}"
+
 
 def _relaxation_checks(times, volts, interval, current) -> list[tuple[str, bool]]:
     """Oracle: each check of one relaxation curve in the constructor's order,

@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.lapack import dpotrf
+from scipy.optimize import minimize
 from scipy.spatial.distance import squareform
 
-from batlife import gpr
+from batlife import gpc, gpr
 from batlife.errors import (
     DataError,
     DegenerateTargetsError,
@@ -485,6 +486,59 @@ class TestTrain:
         y_centered = y - y.mean()
         closed_form = math.sqrt(y_centered @ np.linalg.solve(A, y_centered) / y.size)
         assert k.sigma_f == pytest.approx(closed_form, rel=1e-10)
+
+
+@pytest.mark.skipif(len(gpr._blas_pools()) < 2,
+                    reason="numpy's or scipy's OpenBLAS thread-count symbols are absent")
+class TestOneBlasThread:
+    def _counts(self):
+        return [get() for get, _ in gpr._blas_pools()]
+
+    def _set(self, counts):
+        for (_, set_count), count in zip(gpr._blas_pools(), counts):
+            set_count(count)
+
+    @pytest.mark.parametrize("trainer", ["gpr", "gpc"])
+    def test_one_thread_inside_the_objective_then_restored(self, monkeypatch, trainer):
+        X, y = _toy_problem()
+        module, train = {
+            "gpr": (gpr, lambda: gpr.train(X, y, gpr.GprTrainConfig(restarts=2, max_iters=20))),
+            "gpc": (gpc, lambda: gpc.train_binary(X, np.where(y > np.median(y), 1.0, -1.0),
+                                                  gpc.GpcTrainConfig(restarts=2, max_iters=20))),
+        }[trainer]
+        seen = []
+
+        def recording_minimize(objective, *args, **kwargs):
+            def recorded(theta):
+                seen.append(self._counts())
+                return objective(theta)
+            return minimize(recorded, *args, **kwargs)
+
+        monkeypatch.setattr(module, "minimize", recording_minimize)
+        previous = self._counts()
+        self._set([2, 3])
+        try:
+            train()
+            after = self._counts()
+        finally:
+            self._set(previous)
+        assert len(seen) > 2
+        assert seen == [[1, 1]] * len(seen)
+        assert after == [2, 3]
+
+    def test_nested_use_restores_each_level(self):
+        previous = self._counts()
+        self._set([2, 2])
+        try:
+            with gpr.one_blas_thread():
+                with gpr.one_blas_thread():
+                    inner = self._counts()
+                middle = self._counts()
+            after = self._counts()
+        finally:
+            self._set(previous)
+        assert inner == middle == [1, 1]
+        assert after == [2, 2]
 
 
 class TestPredict:

@@ -243,6 +243,18 @@ class TestWholeCell:
         assert _quiet_outcome(profile, protocol, horizon, discharge_knots=knots) == want
         assert isinstance(want, list)
 
+    def test_refused_discharge_duration_is_raised_as_the_loop_raises_it(self):
+        # A discharge rate of 1e-320 C gives an infinite duration at every cycle.
+        protocol = replace(simgen.NCA_PROTOCOL, condition="CY25-0.5/0." + "0" * 319 + "1")
+        got = _quiet_outcome(_profile(), protocol, 3, discharge_knots=7)
+        assert got == (ValidationError, "discharge duration must be finite and positive")
+        assert got == _outcome(simulate_cell_per_cycle, _profile(), protocol, 3,
+                               discharge_knots=7)
+        # With a 1e-5 Ah cell the discharge current underflows to 0 A; the
+        # loop divided by it (ZeroDivisionError), the block refuses the duration.
+        tiny = replace(protocol, nominal_capacity_ah=1e-5)
+        assert _quiet_outcome(_profile(), tiny, 3, discharge_knots=7) == got
+
     def test_shared_arrays_are_one_read_only_object(self):
         cell = simgen.simulate_cell(_profile(noise_sigma_v=1e-3), simgen.NCA_PROTOCOL, 5,
                                     discharge_knots=50)

@@ -248,6 +248,102 @@ class TestColumns:
             read_columns(path, DTYPES)
 
 
+def _read_columns_by_handle(path: Path, dtypes):
+    """Oracle: ``read_columns`` as it was with ``np.loadtxt`` given the open
+    file handle, which numpy reads one line at a time: (comments, columns,
+    head lines), or the ``ValidationError`` text."""
+    with path.open(newline="") as fh:
+        comments, header, reader = textio._read_head(fh, path)
+        head_lines = len(comments) + reader.line_num
+
+        def parse(lines):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                return np.loadtxt(lines, dtype=list(dtypes.items()), delimiter=",", comments=None,
+                                  quotechar='"', usecols=[header.index(name) for name in dtypes],
+                                  ndmin=1)
+
+        try:
+            table = parse(fh)
+        except ValueError as exc:
+            with path.open(newline="") as again:
+                lines = again.readlines()[head_lines:]
+            bad = textio._first_refused(lines, parse)
+            reason = str(exc).partition(" at row")[0]
+            return f"{path} line {head_lines + bad + 1}: {reason} in {lines[bad].rstrip()!r}"
+    return comments, {name: _column_bits(table[name]) for name in dtypes}, head_lines
+
+
+def _column_bits(column: np.ndarray):
+    return column.dtype.str, column.tobytes()
+
+
+# Field spellings: one a column's dtype reads, or one it may refuse.
+_WORD = st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters='",'),
+                max_size=9)
+_QUOTED = st.text(st.characters(min_codepoint=32, max_codepoint=126, include_characters="\n"),
+                  max_size=9).map(lambda text: '"' + text.replace('"', '""') + '"')
+_REFUSED = st.sampled_from(["4.1V", "1_0", "", " ", "nan", "-inf", "1.5", "x", '"1', '"2"x'])
+_FIELDS = {
+    "n": st.one_of(st.integers(-(10**12), 10**12).map(str), st.integers(0, 9).map('"{}"'.format)),
+    "name": st.one_of(_WORD, _QUOTED),
+    "x": st.one_of(FLOATS.map(repr), FLOATS.map('"{!r}"'.format)),
+    "skip": st.one_of(_WORD, _QUOTED, _REFUSED),
+}
+
+
+@st.composite
+def _column_files(draw):
+    """The text of a commented CSV: comments (some holding a quote), a header
+    of the three read columns and a skipped one in any order (a name now
+    and then quoted, one with a line break inside its quotes), and a body
+    of rows with ``\\n``, ``\\r\\n`` or ``\\r`` line ends, blank lines,
+    quoted fields, short rows and refused fields; or no body at all."""
+    comments = draw(st.lists(st.sampled_from(["# a=1", '# say "hi', "#", "# x,y"]), max_size=2))
+    columns = draw(st.permutations(["n", "name", "x", "skip"]))
+    header = [draw(st.sampled_from([name, f'"{name}"'])) if name != "skip"
+              else draw(st.sampled_from(["skip", '"sk,ip"', '"sk\nip"'])) for name in columns]
+    lines = [*comments, ",".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "short", "refused"]))
+        fields = [draw(_FIELDS[name]) for name in columns]
+        if kind == "refused":
+            fields[draw(st.integers(0, 3))] = draw(_REFUSED)
+        elif kind == "short":
+            fields = fields[:draw(st.integers(1, 3))]
+        lines.append("" if kind == "blank" else ",".join(fields))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+class TestColumnsFromPath:
+    """``read_columns`` (``np.loadtxt`` on the path, in chunks) against the
+    parse of the open handle, line by line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_column_files())
+    def test_same_columns_or_refusal_as_the_handle_parse(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            path.write_text(text, newline="")
+            expected = _read_columns_by_handle(path, DTYPES)
+            try:
+                table = read_columns(path, DTYPES)
+                got = (table.comments, {name: _column_bits(table.values[name]) for name in DTYPES},
+                       table.head_lines)
+            except ValidationError as exc:
+                got = str(exc)
+            assert got == expected
+
+    def test_line_break_inside_quotes_reads_as_newline(self, tmp_path):
+        # The path is read with universal newlines; the handle kept the text.
+        path = tmp_path / "table.csv"
+        path.write_text('n,name,x\n1,"a\r\nb",2.0\n2,"c\rd",3.0\n', newline="")
+        assert read_columns(path, DTYPES).values["name"].tolist() == ["a\nb", "c\nd"]
+
+
 class TestFloats:
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(FLOATS, min_size=1, max_size=20))
