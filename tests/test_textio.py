@@ -249,10 +249,13 @@ class TestColumns:
 
 
 def _read_columns_by_handle(path: Path, dtypes):
-    """Oracle: ``read_columns`` as it was with ``np.loadtxt`` given the open
-    file handle, which numpy reads one line at a time: (comments, columns,
-    head lines), or the ``ValidationError`` text."""
-    with path.open(newline="") as fh:
+    """Oracle: ``read_columns`` with ``np.loadtxt`` given the open file
+    handle, which numpy reads one line at a time: (comments, columns, head
+    lines), or the ``ValidationError`` text. The handle reads with universal
+    newlines, as numpy reads a path, so a line break inside quotes reads as
+    ``\\n``, in a value and in the reason of a refusal; the refused line is
+    found and quoted in the file's own text."""
+    with path.open() as fh:
         comments, header, reader = textio._read_head(fh, path)
         head_lines = len(comments) + reader.line_num
 
