@@ -337,11 +337,6 @@ class DischargeCurve:
         _check_ramp_capacity(capacity_ah)
         if not 0 < duration_s < math.inf:
             raise ValidationError("discharge duration must be finite and positive")
-        return self.trusted_ramp_to(capacity_ah, duration_s)
-
-    def trusted_ramp_to(self, capacity_ah: float, duration_s: float) -> DischargeCurve:
-        """``ramp_to`` of a capacity and duration that passed its checks within
-        a block; the checks are not run again."""
         curve = type(self).__new__(type(self))
         curve._fill(self.voltages_v, duration_s, float(capacity_ah), None)
         return curve

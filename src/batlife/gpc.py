@@ -250,6 +250,7 @@ def laplace_evidence(
     return evidence, f_hat, grad
 
 
+@one_blas_thread()
 def train_binary(
     X: np.ndarray,
     y: np.ndarray,
@@ -261,7 +262,8 @@ def train_binary(
 
     ``X`` is expected on comparable scales (the DAG standardizes before
     delegating here); ``y`` holds labels in {-1, +1} with both classes
-    present. Deterministic given ``config.seed``.
+    present. Deterministic given ``config.seed``. Runs at one BLAS thread
+    (``gpr.one_blas_thread``), so its bytes do not depend on the thread count.
     """
     config = config or GpcTrainConfig()
     X = np.asarray(X, dtype=float)
@@ -299,16 +301,15 @@ def train_binary(
 
     bounds = [(math.log(1e-3), math.log(1e3))] * (1 + d)
     best_theta, best_value = None, FAILED_OBJECTIVE
-    with one_blas_thread():
-        for theta0 in starts:
-            warm["f"] = None
-            result = minimize(
-                objective, theta0, jac=True, method="L-BFGS-B", bounds=bounds,
-                options={"maxiter": config.max_iters, "ftol": 1e-12, "gtol": 1e-8},
-            )
-            if result.fun < best_value:
-                best_value = float(result.fun)
-                best_theta = result.x
+    for theta0 in starts:
+        warm["f"] = None
+        result = minimize(
+            objective, theta0, jac=True, method="L-BFGS-B", bounds=bounds,
+            options={"maxiter": config.max_iters, "ftol": 1e-12, "gtol": 1e-8},
+        )
+        if result.fun < best_value:
+            best_value = float(result.fun)
+            best_theta = result.x
     if best_theta is None:
         raise SingularKernelError("no restart produced a usable kernel")
 

@@ -390,6 +390,7 @@ def log_marginal_likelihood(
 # Training
 # ---------------------------------------------------------------------------
 
+@one_blas_thread()
 def train(
     X: np.ndarray,
     y: np.ndarray,
@@ -402,7 +403,8 @@ def train(
     likelihood concentrated over sigma_f (``log_marginal_likelihood``);
     sigma_f is its closed-form maximizer at the best point. Deterministic
     given ``config.seed``; restarts are compared by final likelihood with
-    ties broken by restart index.
+    ties broken by restart index. Runs at one BLAS thread
+    (``one_blas_thread``), so its bytes do not depend on the thread count.
     """
     config = config or GprTrainConfig()
     X = np.asarray(X, dtype=float)
@@ -448,15 +450,14 @@ def train(
     bounds = [(-LOG_BOUND, LOG_BOUND)] * (d + 1)
     best_theta = None
     best_value = FAILED_OBJECTIVE
-    with one_blas_thread():
-        for theta0 in starts:
-            result = minimize(
-                objective, theta0, jac=True, method="L-BFGS-B", bounds=bounds,
-                options={"maxiter": config.max_iters, "ftol": 1e-10, "gtol": 1e-9},
-            )
-            if result.fun < best_value:
-                best_value = float(result.fun)
-                best_theta = result.x
+    for theta0 in starts:
+        result = minimize(
+            objective, theta0, jac=True, method="L-BFGS-B", bounds=bounds,
+            options={"maxiter": config.max_iters, "ftol": 1e-10, "gtol": 1e-9},
+        )
+        if result.fun < best_value:
+            best_value = float(result.fun)
+            best_theta = result.x
     if best_theta is None:
         raise SingularKernelError("no restart produced a usable kernel")
     length_scales, noise_ratio = np.exp(best_theta[:-1]), math.exp(best_theta[-1])

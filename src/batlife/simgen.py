@@ -38,7 +38,6 @@ round alike for a non-integer exponent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -173,15 +172,14 @@ def simulate_cell(
     Deterministic given ``profile.seed``; two calls with identical arguments
     produce bit-identical histories. The relaxation curves are checked once,
     as one block (``dataset.relaxation_fault`` on the shared time grid and
-    the voltage block), and so are the discharge capacities and durations;
-    the curves are made without checking each again. The first cycle checks
-    the discharge template, and ``build_history`` checks the indices and
-    capacities once. A cell whose voltage block, capacities or durations
-    are refused, or whose drift may break the branch order, is built with
-    the checked constructors at every cycle instead, so that a cell the
-    drift law or a curve check rejects raises what a cycle-by-cycle loop
-    raises first: per cycle, in order, ``drifted_params``, the relaxation
-    curve, the capacity and the discharge curve.
+    the voltage block), and made without checking each again; the first
+    cycle checks the discharge template, and ``build_history`` checks the
+    indices and capacities once. A cell whose voltage block is refused, or
+    whose drift may break the branch order, is built with the checked
+    constructors at every cycle instead, so that a cell the drift law or a
+    curve check rejects raises what a cycle-by-cycle loop raises first: per
+    cycle, in order, ``drifted_params``, the relaxation curve, the capacity
+    and the discharge curve.
     """
     if horizon_cycles < 1:
         raise ValidationError("horizon must be at least one cycle")
@@ -203,32 +201,30 @@ def simulate_cell(
     # cross tau_c(m) (and NaN fails every comparison).
     suspect = ~(tau_e <= tau_c)[:, 0]
     # Capacity fades monotonically: none fails before the horizon's.
-    capacities = np.array([capacity_at(profile, m, protocol.nominal_capacity_ah)
-                           for m in cycles])
+    capacities = [capacity_at(profile, m, protocol.nominal_capacity_ah) for m in cycles]
     lower, upper = protocol.voltage_window
     template = _read_only(_pseudo_ocv_template(upper, lower, discharge_knots))
     _, _, dis_rate = parse_condition(protocol.condition)
-    with np.errstate(all="ignore"):  # as float division: an overflow is inf, refused below
-        durations = capacities / (dis_rate * protocol.nominal_capacity_ah) * 3600.0
+    discharge_a = dis_rate * protocol.nominal_capacity_ah
+    if not discharge_a > 0:  # the product underflows to 0 A: every duration is infinite
+        raise ValidationError("discharge duration must be finite and positive")
 
     interval = protocol.sampling_interval_s
-    ramps_pass = ((capacities > 0) & (capacities < math.inf)
-                  & (durations > 0) & (durations < math.inf)).all()
-    checked = (bool(suspect.any()) or not ramps_pass
+    checked = (bool(suspect.any())
                or relaxation_fault(times, voltages, interval, current) is not None)
     relaxation_of = RelaxationCurve if checked else RelaxationCurve.trusted
-    ramp_to = DischargeCurve.ramp_to if checked else DischargeCurve.trusted_ramp_to
 
     cycle_data = []
     discharge = None
-    for m, bad, volts, capacity, duration in zip(cycles, suspect.tolist(), _read_only(voltages),
-                                                 capacities.tolist(), durations.tolist()):
+    for m, bad, volts, capacity in zip(cycles, suspect.tolist(), _read_only(voltages),
+                                       capacities):
         if bad:
             drifted_params(profile, m)  # raises what cycle m's state violates, if anything
         relaxation = relaxation_of(times, volts, interval, current)
+        duration = capacity / discharge_a * 3600.0
         # The first cycle checks the template; later cycles share it.
         discharge = (DischargeCurve.ramp(capacity, template, duration) if discharge is None
-                     else ramp_to(discharge, capacity, duration))
+                     else discharge.ramp_to(capacity, duration))
         cycle_data.append((m, relaxation, discharge, capacity))
 
     meta = CellMeta(cell_id, protocol.chemistry, protocol.condition,

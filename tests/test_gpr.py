@@ -12,7 +12,7 @@ from scipy.linalg.lapack import dpotrf
 from scipy.optimize import minimize
 from scipy.spatial.distance import squareform
 
-from batlife import gpc, gpr
+from batlife import gpc, gpr, modelio
 from batlife.errors import (
     DataError,
     DegenerateTargetsError,
@@ -525,6 +525,24 @@ class TestOneBlasThread:
         assert len(seen) > 2
         assert seen == [[1, 1]] * len(seen)
         assert after == [2, 3]
+
+    def test_trained_model_bytes_do_not_depend_on_the_pool_counts(self, tmp_path):
+        # At n = 400 two threads round the fit differently unless training pins them.
+        X, y = _toy_problem(n=400, d=8)
+        config = gpr.GprTrainConfig(restarts=1, max_iters=50)
+        previous = self._counts()
+        built = []
+        try:
+            for counts in ([2, 3], [1, 1]):
+                self._set(counts)
+                model = gpr.train(X, y, config)
+                path = tmp_path / "model.txt"
+                modelio.save_model(model, path)
+                built.append((path.read_bytes(), model.alpha.tobytes(),
+                              model.chol_lower.tobytes()))
+        finally:
+            self._set(previous)
+        assert built[0] == built[1]
 
     def test_nested_use_restores_each_level(self):
         previous = self._counts()

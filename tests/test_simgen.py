@@ -243,15 +243,15 @@ class TestWholeCell:
         assert _quiet_outcome(profile, protocol, horizon, discharge_knots=knots) == want
         assert isinstance(want, list)
 
-    def test_refused_discharge_duration_is_raised_as_the_loop_raises_it(self):
+    def test_zero_amp_discharge_is_refused_as_an_infinite_duration(self):
         # A discharge rate of 1e-320 C gives an infinite duration at every cycle.
         protocol = replace(simgen.NCA_PROTOCOL, condition="CY25-0.5/0." + "0" * 319 + "1")
         got = _quiet_outcome(_profile(), protocol, 3, discharge_knots=7)
         assert got == (ValidationError, "discharge duration must be finite and positive")
         assert got == _outcome(simulate_cell_per_cycle, _profile(), protocol, 3,
                                discharge_knots=7)
-        # With a 1e-5 Ah cell the discharge current underflows to 0 A; the
-        # loop divided by it (ZeroDivisionError), the block refuses the duration.
+        # With a 1e-5 Ah cell the discharge current underflows to 0 A, which
+        # is refused the same way (not divided by).
         tiny = replace(protocol, nominal_capacity_ah=1e-5)
         assert _quiet_outcome(_profile(), tiny, 3, discharge_knots=7) == got
 
