@@ -56,7 +56,6 @@ from .features import (
     WindowSpec,
     assemble,
     feature_cycles,
-    relaxation_curve,
 )
 from .gpc import classify as dag_classify, train_dag
 from .gpr import one_blas_thread, predict as gpr_predict, train as gpr_train
@@ -236,9 +235,9 @@ def cmd_fit_ecm(args) -> int:
             raise ValidationError(f"manifest has no cell {args.cell!r}")
     rows = []
     for cell in cells:
-        for record in cell.cycles:
-            report = ecm.fit(relaxation_curve(cell, record.cycle_index, args.truncate))
-            rows.append([cell.cell_id, spell(record.cycle_index),
+        for m in cell.cycle_indices.tolist():
+            report = ecm.fit(cell.relaxation(m, args.truncate))
+            rows.append([cell.cell_id, spell(m),
                          *map(spell, report.params.as_array()),
                          spell(report.residual_rms_v), spell(report.converged)])
     _write_csv(args, out, "ecm-params",

@@ -11,24 +11,26 @@ other phases are accepted and ignored. Rest rows carry the cycle's
 measured capacity in ``capacity_ah`` so relaxation-only logs still have a
 capacity trace; discharge rows carry the running discharged charge.
 
+A cell is columnar (``CellHistory``): per-cycle arrays, one (cycles x
+samples) block of post-charge rest voltages on a shared time row, and the
+CC discharges as one template or as sorted columns (``Discharges``). A
+checked per-cycle view (``CellHistory.record``) is built only on request.
+
 Ingest is columnar: ``textio.read_columns`` parses the five columns it
 reads in one C pass (``np.loadtxt`` reads the file from its path in large
 chunks), each phase's rows are found by one comparison of the phase column
 and grouped by one stable sort on (cycle, time), every check runs over whole
-columns, and each cycle's curves are rows or slices of those columns. Rows
-may come in any order; a rejected row is reported with its file line. A rest
-voltage, discharge value or capacity that is not a finite number is
-rejected, so no NaN reaches a circuit fit.
+columns, and the rests and discharges are blocks of those columns. Rows
+may come in any order; a rejected row is reported with its file line. A rest voltage, discharge value or capacity that is not a finite
+number is rejected, so no NaN reaches a circuit fit.
 
 Each record type's checks are one function over a block of records
 (``relaxation_fault``, ``discharge_fault``, ``cycle_fault``; see
-``Fault``), and its constructor runs that function on the one record. Code
-that builds a whole cell runs each check once per cell, not once per cycle:
-``ingest_cell`` on the cell's (cycles x samples) rest block and its sorted
-discharge columns, ``simgen.simulate_cell`` on its voltage block, and
-``build_history`` on the cycle indices and capacities. The records are then
-made without running the checks again (``RelaxationCurve.trusted``,
-``DischargeCurve.trusted``).
+``Fault``), and its constructor runs that function on the one record. They
+are a cell's own checks, run once per cell by the code that builds it:
+``ingest_cell`` on the cell's rest block and its sorted discharge columns,
+``simgen.simulate_cell`` on its voltage block and discharge template, and
+``build_history`` on the cycle indices and capacities.
 
 Two bookkeeping quantities are derived, not stored, so that a write/ingest
 round trip is exact:
@@ -51,7 +53,7 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
@@ -148,16 +150,6 @@ def _refuse(fault: Fault | None) -> None:
         raise ValidationError(fault.problem)
 
 
-def _unchecked(cls, **fields):
-    """A ``cls`` of ``fields`` that a block check has passed, built without
-    running the checks again."""
-    record = object.__new__(cls)
-    for name, value in fields.items():
-        # Not vars(record).update: materializing the instance dict costs memory.
-        object.__setattr__(record, name, value)
-    return record
-
-
 def relaxation_fault(times_s: np.ndarray, voltages_v: np.ndarray, sampling_interval_s: float,
                      cutoff_current_a: float) -> Fault | None:
     """``RelaxationCurve``'s checks over a block of curves (see ``Fault``).
@@ -213,33 +205,9 @@ class RelaxationCurve:
             raise ValidationError("relaxation times and voltages must be 1-D and equal length")
         _refuse(relaxation_fault(t, v, self.sampling_interval_s, self.cutoff_current_a))
 
-    @classmethod
-    def trusted(cls, times_s: np.ndarray, voltages_v: np.ndarray, sampling_interval_s: float,
-                cutoff_current_a: float) -> RelaxationCurve:
-        """The curve of float arrays that passed ``relaxation_fault`` within
-        a block; the checks are not run again."""
-        return _unchecked(cls, times_s=times_s, voltages_v=voltages_v,
-                          sampling_interval_s=sampling_interval_s,
-                          cutoff_current_a=cutoff_current_a)
-
     @property
     def n_samples(self) -> int:
         return int(self.times_s.size)
-
-    def truncated(self, n_samples: int) -> "RelaxationCurve":
-        """First ``n_samples`` samples (shorter observation of the same rest)."""
-        if n_samples < 2:
-            raise ValidationError("truncation must keep at least 2 samples")
-        if n_samples > self.n_samples:
-            raise ValidationError(
-                f"truncation to {n_samples} samples exceeds the {self.n_samples} recorded"
-            )
-        return RelaxationCurve(
-            self.times_s[:n_samples],
-            self.voltages_v[:n_samples],
-            self.sampling_interval_s,
-            self.cutoff_current_a,
-        )
 
 
 def discharge_fault(charges_ah: np.ndarray | None, voltages_v: np.ndarray, bounds: np.ndarray,
@@ -249,7 +217,8 @@ def discharge_fault(charges_ah: np.ndarray | None, voltages_v: np.ndarray, bound
 
     Curve k is items ``bounds[k]:bounds[k + 1]`` of ``charges_ah`` and
     ``voltages_v`` and lasts ``durations_s[k]``. With ``charges_ah`` None
-    the curves are ramps, whose charges are checked through their capacity.
+    the curves are ramps (see ``Discharges``), whose charges are checked
+    through the cell's capacities.
     """
     sizes = np.diff(bounds)
     if (sizes < 2).any():
@@ -279,86 +248,31 @@ def discharge_fault(charges_ah: np.ndarray | None, voltages_v: np.ndarray, bound
     return None
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True)
 class DischargeCurve:
     """Capacity/voltage trace of the CC discharge.
 
     ``charges_ah`` is the running discharged charge (non-decreasing),
     ``voltages_v`` the terminal voltage (non-increasing), ``duration_s``
     the total CC discharge time and ``capacity_ah`` the last charge.
-
-    ``DischargeCurve(charges, voltages, duration)`` stores its charges, as
-    ingest does. A ramp curve (``ramp``, as simulation builds) stores only
-    its capacity: its charges rise linearly from 0 to the capacity over the
-    knots of its voltages and are computed on each read, as a read-only
-    ``np.linspace(0.0, capacity_ah, n)``. A finite positive capacity gives a
-    finite, non-decreasing ramp, so a ramp's charge check is a capacity check.
     """
 
+    charges_ah: np.ndarray
     voltages_v: np.ndarray
     duration_s: float
-    capacity_ah: float
-    _charges: np.ndarray | None = field(repr=False)
 
-    def __init__(self, charges_ah, voltages_v, duration_s: float):
-        q = np.asarray(charges_ah, dtype=float)
-        v = np.asarray(voltages_v, dtype=float)
+    def __post_init__(self):
+        q = np.asarray(self.charges_ah, dtype=float)
+        v = np.asarray(self.voltages_v, dtype=float)
+        object.__setattr__(self, "charges_ah", q)
+        object.__setattr__(self, "voltages_v", v)
         if q.ndim != 1 or v.ndim != 1 or q.size != v.size:
             raise ValidationError("discharge charges and voltages must be 1-D and equal length")
-        _refuse(discharge_fault(q, v, np.array([0, q.size]), np.array([duration_s])))
-        self._fill(v, duration_s, float(q[-1]), q)
-
-    @classmethod
-    def trusted(cls, charges_ah: np.ndarray, voltages_v: np.ndarray,
-                duration_s: float) -> DischargeCurve:
-        """The curve of float arrays that passed ``discharge_fault`` within a
-        block; the checks are not run again."""
-        curve = cls.__new__(cls)
-        curve._fill(voltages_v, duration_s, float(charges_ah[-1]), charges_ah)
-        return curve
-
-    @classmethod
-    def ramp(cls, capacity_ah: float, voltages_v, duration_s: float) -> DischargeCurve:
-        """The curve whose charges rise linearly from 0 to ``capacity_ah``
-        over the knots of ``voltages_v``; the charges are not stored."""
-        v = np.asarray(voltages_v, dtype=float)
-        if v.ndim != 1:
-            raise ValidationError("discharge charges and voltages must be 1-D and equal length")
-        if v.size < 2:
-            raise ValidationError("discharge curve needs at least 2 points")
-        _check_ramp_capacity(capacity_ah)
-        _refuse(discharge_fault(None, v, np.array([0, v.size]), np.array([duration_s])))
-        curve = cls.__new__(cls)
-        curve._fill(v, duration_s, float(capacity_ah), None)
-        return curve
-
-    def ramp_to(self, capacity_ah: float, duration_s: float) -> DischargeCurve:
-        """``ramp`` on this curve's voltages, which are shared and not checked again."""
-        _check_ramp_capacity(capacity_ah)
-        if not 0 < duration_s < math.inf:
-            raise ValidationError("discharge duration must be finite and positive")
-        curve = type(self).__new__(type(self))
-        curve._fill(self.voltages_v, duration_s, float(capacity_ah), None)
-        return curve
-
-    def _fill(self, v: np.ndarray, duration_s: float, capacity_ah: float, charges) -> None:
-        object.__setattr__(self, "voltages_v", v)
-        object.__setattr__(self, "duration_s", duration_s)
-        object.__setattr__(self, "capacity_ah", capacity_ah)
-        object.__setattr__(self, "_charges", charges)
+        _refuse(discharge_fault(q, v, np.array([0, q.size]), np.array([self.duration_s])))
 
     @property
-    def charges_ah(self) -> np.ndarray:
-        if self._charges is not None:
-            return self._charges
-        charges = np.linspace(0.0, self.capacity_ah, self.voltages_v.size)
-        charges.flags.writeable = False
-        return charges
-
-
-def _check_ramp_capacity(capacity_ah: float) -> None:
-    if not 0 < capacity_ah < math.inf:
-        raise ValidationError("discharge capacity must be finite and positive")
+    def capacity_ah(self) -> float:
+        return float(self.charges_ah[-1])
 
 
 def cycle_fault(cycle_indices: np.ndarray, capacities_ah: np.ndarray) -> Fault | None:
@@ -388,48 +302,123 @@ class CycleRecord:
 
 
 @dataclass(frozen=True)
+class Discharges:
+    """The CC discharges of a cell's cycles; row k's lasts ``durations_s[k]``.
+
+    With ``bounds`` None (simulation), every row ramps over the template
+    ``voltages_v``: its charges, ``np.linspace(0, capacity, knots)``, are
+    computed on read, so a cell holds no (cycles x knots) array. Otherwise
+    (ingest) row k's points are items ``bounds[k]:bounds[k + 1]`` of
+    ``charges_ah`` and ``voltages_v``; a row without points has none.
+    """
+
+    voltages_v: np.ndarray
+    durations_s: np.ndarray
+    charges_ah: np.ndarray | None = None
+    bounds: np.ndarray | None = None
+
+
+@dataclass(frozen=True, eq=False)
 class CellHistory:
-    """Complete cycling history of one cell, immutable after construction."""
+    """Complete cycling history of one cell, as columns; immutable after construction.
+
+    Row k of every per-cycle array is cycle ``cycle_indices[k]`` (strictly
+    increasing). ``times_s`` is the rests' time row that every cycle shares,
+    or one row per cycle where ingest kept near-grid times verbatim.
+    """
 
     cell_id: str
     chemistry: Chemistry
     condition: str
     nominal_capacity_ah: float
-    cycles: tuple[CycleRecord, ...]
+    sampling_interval_s: float
+    cycle_indices: np.ndarray
+    capacities_ah: np.ndarray
+    cumulative_ah: np.ndarray
+    calendar_days: np.ndarray
+    times_s: np.ndarray
+    voltages_v: np.ndarray
+    discharges: Discharges
     eol_cycle: int | None
-    # cycle_index -> record, built once so that lookups are O(1).
-    _by_index: dict[int, CycleRecord] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.nominal_capacity_ah <= 0:
             raise ValidationError("nominal capacity must be positive")
         parse_condition(self.condition)
-        indices = [c.cycle_index for c in self.cycles]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
+        if (np.diff(self.cycle_indices) <= 0).any():
             raise ValidationError("cycle indices must be strictly increasing")
-        cum = [c.cumulative_ah for c in self.cycles]
-        if any(b < a for a, b in zip(cum, cum[1:])):
+        if (np.diff(self.cumulative_ah) < 0).any():
             raise ValidationError("cumulative throughput must be non-decreasing")
-        object.__setattr__(self, "_by_index", dict(zip(indices, self.cycles)))
 
     @property
     def n_cycles(self) -> int:
-        return len(self.cycles)
+        return int(self.cycle_indices.size)
 
-    def record(self, cycle_index: int) -> CycleRecord:
-        try:
-            return self._by_index[cycle_index]
-        except KeyError:
-            raise UnknownCycleError(f"cell {self.cell_id} has no cycle {cycle_index}") from None
+    @property
+    def cutoff_current_a(self) -> float:
+        return CUTOFF_C_RATE * self.nominal_capacity_ah
+
+    def row(self, cycle_index: int) -> int:
+        """The row of cycle ``cycle_index``; UnknownCycleError if it is not recorded."""
+        indices = self.cycle_indices
+        k = int(indices.searchsorted(cycle_index))
+        if k == indices.size or indices[k] != cycle_index:
+            raise UnknownCycleError(f"cell {self.cell_id} has no cycle {cycle_index}")
+        return k
 
     def has_cycle(self, cycle_index: int) -> bool:
-        return cycle_index in self._by_index
+        indices = self.cycle_indices
+        k = int(indices.searchsorted(cycle_index))
+        return bool(k < indices.size and indices[k] == cycle_index)
+
+    def rest(self, cycle_index: int, truncate: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """A cycle's rest (times, voltages): rows of the cell's blocks, cut to
+        their first ``truncate`` samples when given."""
+        k = self.row(cycle_index)
+        times = self._times(k)
+        if truncate is None:
+            return times, self.voltages_v[k]
+        if truncate < 2:
+            raise ValidationError("truncation must keep at least 2 samples")
+        if truncate > times.size:
+            raise ValidationError(
+                f"truncation to {truncate} samples exceeds the {times.size} recorded")
+        return times[:truncate], self.voltages_v[k, :truncate]
+
+    def relaxation(self, cycle_index: int, truncate: int | None = None) -> RelaxationCurve:
+        """A cycle's rest as a checked curve, cut to its first ``truncate`` samples when given."""
+        return RelaxationCurve(*self.rest(cycle_index, truncate), self.sampling_interval_s,
+                               self.cutoff_current_a)
+
+    def discharge(self, cycle_index: int) -> tuple[np.ndarray, np.ndarray, float] | None:
+        """A cycle's discharge (charges, voltages, duration), or None if it has none."""
+        return self._discharge(self.row(cycle_index))
+
+    def _times(self, k: int) -> np.ndarray:
+        return self.times_s if self.times_s.ndim == 1 else self.times_s[k]
+
+    def _discharge(self, k: int) -> tuple[np.ndarray, np.ndarray, float] | None:
+        dis = self.discharges
+        if dis.bounds is None:
+            charges = np.linspace(0.0, float(self.capacities_ah[k]), dis.voltages_v.size)
+            charges.flags.writeable = False
+            return charges, dis.voltages_v, float(dis.durations_s[k])
+        lo, hi = dis.bounds[k:k + 2].tolist()
+        if lo == hi:
+            return None
+        return dis.charges_ah[lo:hi], dis.voltages_v[lo:hi], float(dis.durations_s[k])
+
+    def record(self, cycle_index: int) -> CycleRecord:
+        """A checked view of one cycle."""
+        k = self.row(cycle_index)
+        discharge = self._discharge(k)
+        return CycleRecord(int(self.cycle_indices[k]), self.relaxation(cycle_index),
+                           float(self.capacities_ah[k]), float(self.cumulative_ah[k]),
+                           float(self.calendar_days[k]),
+                           None if discharge is None else DischargeCurve(*discharge))
 
     def soh(self, cycle_index: int) -> float:
-        return self.record(cycle_index).capacity_ah / self.nominal_capacity_ah
-
-    def capacities(self) -> np.ndarray:
-        return np.array([rec.capacity_ah for rec in self.cycles])
+        return float(self.capacities_ah[self.row(cycle_index)]) / self.nominal_capacity_ah
 
 
 @dataclass(frozen=True)
@@ -465,11 +454,10 @@ class CellMeta:
 
     @staticmethod
     def of(history: CellHistory) -> CellMeta:
-        """The record of a history; interval and rest length from its first relaxation."""
-        first = history.cycles[0].relaxation
+        """The record of a history; rest length from its first relaxation."""
         return CellMeta(history.cell_id, history.chemistry, history.condition,
-                        history.nominal_capacity_ah, first.sampling_interval_s,
-                        float(first.times_s[-1]))
+                        history.nominal_capacity_ah, history.sampling_interval_s,
+                        float(history._times(0)[-1]))
 
     def fields(self) -> list[tuple[str, str]]:
         """The spelled ``(key, value)`` pairs, in header and manifest order."""
@@ -560,48 +548,42 @@ def compute_eol(
 # History assembly (shared by simulation and ingestion)
 # ---------------------------------------------------------------------------
 
-def build_history(
-    meta: CellMeta,
-    cycle_data: list[tuple[int, RelaxationCurve, DischargeCurve | None, float]],
-) -> CellHistory:
+def build_history(meta: CellMeta, cycle_indices: np.ndarray, capacities_ah: np.ndarray,
+                  times_s: np.ndarray, voltages_v: np.ndarray,
+                  discharges: Discharges) -> CellHistory:
     """Assemble a CellHistory, deriving throughput, calendar time, and EOL.
 
-    ``cycle_data`` rows are (cycle_index, relaxation, discharge, capacity_ah).
-    A cycle lasts its CC charge, post-charge rest, CC discharge and
-    post-discharge rest at the condition's C-rates; the CV charge tail is
-    not modeled. The cycle indices and capacities are checked once, as a
-    block (``cycle_fault``); the curves come checked.
+    Row k of ``cycle_indices``, ``capacities_ah``, ``voltages_v`` and
+    ``discharges`` is one cycle, and ``times_s`` is the rest's time row (or
+    one per cycle); see ``CellHistory``. A cycle lasts its CC charge,
+    post-charge rest, CC discharge and post-discharge rest at the
+    condition's C-rates; the CV charge tail is not modeled. The per-cycle
+    terms are summed in cycle order (``np.cumsum``). The cycle indices and
+    capacities are checked once, as a block (``cycle_fault``); the rest and
+    discharge blocks come checked. Every array is made read-only.
     """
     _, chg_rate, dis_rate = parse_condition(meta.condition)
     charge_a = chg_rate * meta.nominal_capacity_ah
     discharge_a = dis_rate * meta.nominal_capacity_ah
-    indices = [row[0] for row in cycle_data]
-    capacities = [row[3] for row in cycle_data]
-    _refuse(cycle_fault(np.array(indices), np.array(capacities)))
-    records: list[CycleRecord] = []
-    cumulative = 0.0
-    calendar_s = 0.0
-    for cycle_index, relaxation, discharge, capacity in cycle_data:
-        cumulative += 2.0 * capacity
-        records.append(_unchecked(
-            CycleRecord, cycle_index=cycle_index, relaxation=relaxation, capacity_ah=capacity,
-            cumulative_ah=cumulative, calendar_days=calendar_s / SECONDS_PER_DAY,
-            discharge=discharge,
-        ))
-        calendar_s += (capacity / charge_a * 3600.0 + capacity / discharge_a * 3600.0
-                       + 2.0 * meta.rest_duration_s)
+    cycle_indices = np.asarray(cycle_indices)
+    capacities_ah = np.asarray(capacities_ah, dtype=float)
+    _refuse(cycle_fault(cycle_indices, capacities_ah))
+    with np.errstate(over="ignore"):  # as Python floats overflow: to inf, silently
+        cumulative = np.cumsum(2.0 * capacities_ah)
+        cycle_s = (capacities_ah / charge_a * 3600.0 + capacities_ah / discharge_a * 3600.0
+                   + 2.0 * meta.rest_duration_s)
+        calendar_days = np.concatenate(([0.0], np.cumsum(cycle_s[:-1]))) / SECONDS_PER_DAY
     try:
-        eol = compute_eol(capacities, meta.nominal_capacity_ah, cycle_indices=indices)
+        eol = compute_eol(capacities_ah, meta.nominal_capacity_ah, cycle_indices=cycle_indices)
     except NeverReachedError:
         eol = None  # unlabeled: kept for feature extraction only
-    return CellHistory(
-        cell_id=meta.cell_id,
-        chemistry=meta.chemistry,
-        condition=meta.condition,
-        nominal_capacity_ah=meta.nominal_capacity_ah,
-        cycles=tuple(records),
-        eol_cycle=eol,
-    )
+    arrays = [cycle_indices, capacities_ah, cumulative, calendar_days, times_s, voltages_v,
+              *(x for x in vars(discharges).values() if x is not None)]
+    for array in arrays:
+        array.flags.writeable = False
+    return CellHistory(meta.cell_id, meta.chemistry, meta.condition, meta.nominal_capacity_ah,
+                       meta.sampling_interval_s, cycle_indices, capacities_ah, cumulative,
+                       calendar_days, times_s, voltages_v, discharges, eol)
 
 
 # ---------------------------------------------------------------------------
@@ -631,15 +613,17 @@ def ingest_cell(path, meta: CellMeta | None = None) -> CellHistory:
     ``meta`` is the cell's record from a manifest; without one it is parsed
     from the file's header line. The columns are parsed once, in bulk
     (``textio.read_columns``); rows are grouped by one stable sort on
-    (cycle, time) per phase and checked in bulk. Each cycle's rest is a row
-    of one (cycles x samples) block and its discharge a slice of the sorted
-    discharge columns; each block passes its record type's check once, and
-    the first row it refuses is named. A rest's last sample must fall within the
-    last interval of the declared rest, so a rest spans exactly the grid
-    points of ``rest_duration_s``. A rest whose samples are all on the grid
-    is kept verbatim, so canonical files round trip exactly; any other rest
-    is linearly interpolated onto the grid. The capacity is the first rest
-    row's, in file order.
+    (cycle, time) per phase and checked in bulk. The rests on the grid are
+    the rows of the cell's (cycles x samples) block and the discharges its
+    sorted discharge columns; each block passes its record type's check
+    once, and the first row it refuses is named. A rest's last sample must
+    fall within the last interval of the declared rest, so a rest spans
+    exactly the grid points of ``rest_duration_s``. A rest whose samples are
+    all on the grid is kept verbatim, so canonical files round trip
+    exactly; any other rest is linearly interpolated onto the grid. The
+    cell keeps one time row when every rest's times are the grid's, and one
+    row per cycle otherwise. The capacity is the first rest row's, in file
+    order.
 
     Raises SchemaError when a column or a metadata key is missing or a
     column duplicated, ValidationError on structural violations or a number
@@ -668,7 +652,7 @@ def ingest_cell(path, meta: CellMeta | None = None) -> CellHistory:
     other = np.flatnonzero(~(in_rest | in_discharge))
     unknown = other[~np.isin(phase[other], PHASES)]
     if unknown.size:
-        fail(unknown[0], f"unknown phase {phase[unknown[0]]!r}")
+        fail(unknown[0], f"unknown phase {str(phase[unknown[0]])!r}")
     rest, cycles, starts, ends = _phase_rows(cycle, t_s, in_rest)
     all_cycles, first_rows = np.unique(cycle, return_index=True)
     no_rest = np.flatnonzero(~np.isin(all_cycles, cycles))
@@ -741,32 +725,29 @@ def ingest_cell(path, meta: CellMeta | None = None) -> CellHistory:
     if fault := cycle_fault(cycles, caps):
         fail(first_rest[fault.record], f"cycle {cycles[fault.record]}: {fault.problem}")
 
-    discharges = [None] * cycles.size
-    for k, lo, hi, duration in zip(slot.tolist(), bounds[:-1].tolist(), bounds[1:].tolist(),
-                                   durations.tolist()):
-        discharges[k] = DischargeCurve.trusted(dis_q[lo:hi], dis_v[lo:hi], duration)
-    cycle_data = [
-        (index, RelaxationCurve.trusted(t, v, interval, cutoff_current), discharge, cap)
-        for index, t, v, discharge, cap in zip(cycles.tolist(), times, voltages, discharges,
-                                               caps.tolist())
-    ]
-    return build_history(meta, cycle_data)
+    # Each cycle's discharge points, laid end to end in cycle order.
+    points = np.zeros(cycles.size, dtype=np.int64)
+    points[slot] = np.diff(bounds)
+    per_cycle = np.zeros(cycles.size)
+    per_cycle[slot] = durations
+    discharges = Discharges(dis_v, per_cycle, dis_q, np.concatenate(([0], np.cumsum(points))))
+    shared = (times == grid).all()
+    return build_history(meta, cycles, caps, grid if shared else times, voltages, discharges)
 
 
 def write_cell(history: CellHistory, path, header_comment: str | None = None) -> None:
     """Serialize a CellHistory in the canonical CSV layout.
 
     Floats are spelled by ``textio`` so a write/ingest round trip
-    reproduces every field bit for bit. An array that a cycle shares with
-    the cycle before it (a simulated cell's rest-time grid and discharge
-    template) is spelled once. The first-line comment opens with
-    ``header_comment`` (callers pass ``textio.header_comment(fp,
-    kind="cell")``, which already names the kind; without one it opens
-    ``kind=cell``) and goes on with the cell's ``CellMeta`` fields as
-    ``key=value`` tokens.
+    reproduces every field bit for bit. An array that every cycle shares (a
+    simulated cell's rest-time row and discharge template) is spelled once.
+    The first-line comment opens with ``header_comment`` (callers pass
+    ``textio.header_comment(fp, kind="cell")``, which already names the
+    kind; without one it opens ``kind=cell``) and goes on with the cell's
+    ``CellMeta`` fields as ``key=value`` tokens.
     """
     meta = " ".join(f"{key}={value}" for key, value in CellMeta.of(history).fields())
-    cutoff = spell(history.cycles[0].relaxation.cutoff_current_a)
+    cutoff = spell(history.cutoff_current_a)
     _, _, dis_rate = parse_condition(history.condition)
     discharge_current = itertools.repeat(spell(-dis_rate * history.nominal_capacity_ah))
     rest, discharge = itertools.repeat("rest_post_charge"), itertools.repeat("discharge")
@@ -780,20 +761,20 @@ def write_cell(history: CellHistory, path, header_comment: str | None = None) ->
 
     def phases():
         # Whole columns are spelled at once: per-value formatting dominates the write.
-        for rec in history.cycles:
-            rel = rec.relaxation
-            cycle = itertools.repeat(spell(rec.cycle_index))
-            times, currents = rest_times(rel.times_s)
-            yield zip(cycle, rest, times, spell_floats(rel.voltages_v), currents,
-                      itertools.repeat(spell(rec.capacity_ah)))
-            if rec.discharge is not None:
-                dis = rec.discharge
-                n = dis.voltages_v.size
+        rows = zip(history.cycle_indices.tolist(), history.voltages_v,
+                   history.capacities_ah.tolist())
+        for k, (index, voltages, capacity) in enumerate(rows):
+            cycle = itertools.repeat(spell(index))
+            times, currents = rest_times(history._times(k))
+            yield zip(cycle, rest, times, spell_floats(voltages), currents,
+                      itertools.repeat(spell(capacity)))
+            if (dis := history._discharge(k)) is not None:
+                charges, volts, duration = dis
+                n = volts.size
                 if n not in ramps:
                     ramps[n] = np.arange(n) / (n - 1)
-                yield zip(cycle, discharge, spell_floats(dis.duration_s * ramps[n]),
-                          discharge_voltages(dis.voltages_v), discharge_current,
-                          spell_floats(dis.charges_ah))
+                yield zip(cycle, discharge, spell_floats(duration * ramps[n]),
+                          discharge_voltages(volts), discharge_current, spell_floats(charges))
 
     write_table(path, [f"{header_comment or 'kind=cell'} {meta}"], CANONICAL_COLUMNS,
                 itertools.chain.from_iterable(phases()))

@@ -544,8 +544,7 @@ def run_truncation_sweep(
         if count is not None and count < MIN_FIT_SAMPLES:
             raise ValidationError(
                 f"truncation below {MIN_FIT_SAMPLES} samples cannot support the circuit fit")
-    grids = {(rec.relaxation.sampling_interval_s, rec.relaxation.n_samples)
-             for cell in cells for rec in cell.cycles}
+    grids = {(cell.sampling_interval_s, cell.voltages_v.shape[1]) for cell in cells}
     if len(grids) > 1:
         raise ValidationError(
             "truncation sweep needs one relaxation grid across cells, got "

@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from . import ecm
-from .dataset import CellHistory, DischargeCurve, RelaxationCurve
+from .dataset import CellHistory
 from .errors import (
     MissingDischargeDataError,
     NoVoltageOverlapError,
@@ -117,13 +117,20 @@ def feature_cycles(
     cycle the window allows, if later: 2 for adjacent windows, the
     reference plus one for a fixed reference) up to ``last`` (default: the
     last recorded cycle). A candidate m is kept when m and
-    ``window.reference_for(m)`` are both recorded.
+    ``window.reference_for(m)`` are both recorded, looked up for every
+    candidate at once in the cell's sorted cycle indices.
     """
     lowest = 2 if window.mode is WindowMode.ADJACENT else window.reference_cycle + 1
-    stop = history.cycles[-1].cycle_index if last is None else last
-    for m in range(max(first, lowest), stop + 1, stride):
-        if history.has_cycle(m) and history.has_cycle(window.reference_for(m)):
-            yield m
+    recorded = history.cycle_indices
+    stop = int(recorded[-1]) if last is None else last
+    candidates = range(max(first, lowest), stop + 1, stride)
+    m = np.arange(candidates.start, candidates.stop, candidates.step)
+    n = m - 1 if window.mode is WindowMode.ADJACENT else np.full_like(m, window.reference_cycle)
+
+    def is_recorded(cycles):
+        return recorded[np.minimum(recorded.searchsorted(cycles), recorded.size - 1)] == cycles
+
+    return iter(m[is_recorded(m) & is_recorded(n)].tolist())
 
 
 @dataclass(frozen=True)
@@ -151,13 +158,14 @@ class FeatureVector:
 # Relaxed-voltage differences
 # ---------------------------------------------------------------------------
 
-def delta_v(curve_m: RelaxationCurve, curve_n: RelaxationCurve) -> np.ndarray:
-    """Pointwise voltage difference V_m(t) - V_n(t) on the shared grid."""
-    if curve_m.times_s.size != curve_n.times_s.size or not np.array_equal(
-        curve_m.times_s, curve_n.times_s
-    ):
+def delta_v(rest_m, rest_n) -> np.ndarray:
+    """Pointwise voltage difference V_m(t) - V_n(t) of two rests' (times,
+    voltages) on their shared grid (``CellHistory.rest``)."""
+    (times_m, volts_m), (times_n, volts_n) = rest_m, rest_n
+    if times_m is not times_n and (times_m.size != times_n.size
+                                   or not np.array_equal(times_m, times_n)):
         raise TimeGridMismatchError("relaxation curves are not on an identical time grid")
-    return curve_m.voltages_v - curve_n.voltages_v
+    return volts_m - volts_n
 
 
 def delta_v_features(dv: np.ndarray) -> tuple[float, float]:
@@ -209,36 +217,37 @@ def stats_features(dv: np.ndarray) -> dict[str, float]:
 # Discharge-curve differences
 # ---------------------------------------------------------------------------
 
-def _charge_of_voltage(curve: DischargeCurve, grid_v: np.ndarray) -> np.ndarray:
+def _charge_of_voltage(charges_ah: np.ndarray, voltages_v: np.ndarray,
+                       grid_v: np.ndarray) -> np.ndarray:
     # Discharge voltage is non-increasing along q: flip to ascending for interp.
-    v_ascending = curve.voltages_v[::-1]
-    q_matching = curve.charges_ah[::-1]
-    return np.interp(grid_v, v_ascending, q_matching)
+    return np.interp(grid_v, voltages_v[::-1], charges_ah[::-1])
 
 
-def delta_q_variance(disc_m: DischargeCurve, disc_n: DischargeCurve) -> float:
+def delta_q_variance(disc_m, disc_n) -> float:
     """log10 sample variance of Q_m(V) - Q_n(V) on a shared voltage grid.
 
-    Both capacity-vs-voltage curves are linearly interpolated onto a
-    uniform ``DELTA_Q_GRID_POINTS`` grid over their voltage overlap; the
-    variance is floored at 1e-12 Ah^2 so identical curves return -12
-    instead of -inf.
+    ``disc_m`` and ``disc_n`` are (charges, voltages, ...) of two discharges
+    (``CellHistory.discharge``). Both capacity-vs-voltage curves are
+    linearly interpolated onto a uniform ``DELTA_Q_GRID_POINTS`` grid over
+    their voltage overlap; the variance is floored at 1e-12 Ah^2 so
+    identical curves return -12 instead of -inf.
     """
-    lo = max(disc_m.voltages_v.min(), disc_n.voltages_v.min())
-    hi = min(disc_m.voltages_v.max(), disc_n.voltages_v.max())
+    (q_m, v_m, *_), (q_n, v_n, *_) = disc_m, disc_n
+    lo = max(v_m.min(), v_n.min())
+    hi = min(v_m.max(), v_n.max())
     if lo >= hi:
         raise NoVoltageOverlapError(
             f"discharge curves share no voltage range ([{lo:.3f}, {hi:.3f}])"
         )
     grid = np.linspace(lo, hi, DELTA_Q_GRID_POINTS)
-    dq = _charge_of_voltage(disc_m, grid) - _charge_of_voltage(disc_n, grid)
+    dq = _charge_of_voltage(q_m, v_m, grid) - _charge_of_voltage(q_n, v_n, grid)
     variance = float(np.var(dq, ddof=1))
     return math.log10(max(variance, DELTA_Q_VARIANCE_FLOOR))
 
 
-def delta_t(disc_m: DischargeCurve, disc_n: DischargeCurve) -> float:
-    """log10 absolute difference of the two discharge durations (seconds)."""
-    gap = abs(disc_m.duration_s - disc_n.duration_s)
+def delta_t(duration_m_s: float, duration_n_s: float) -> float:
+    """log10 absolute difference of two discharge durations (seconds)."""
+    gap = abs(duration_m_s - duration_n_s)
     return math.log10(max(gap, DELTA_T_FLOOR_S))
 
 
@@ -248,8 +257,8 @@ def delta_t(disc_m: DischargeCurve, disc_n: DischargeCurve) -> float:
 
 def benchmark_features(history: CellHistory, cycle_index: int) -> tuple[float, float]:
     """Cumulative ampere-hours and calendar days up to a cycle."""
-    record = history.record(cycle_index)
-    return record.cumulative_ah, record.calendar_days
+    k = history.row(cycle_index)
+    return float(history.cumulative_ah[k]), float(history.calendar_days[k])
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +274,10 @@ def _fitted_params(
     key = (cycle_index, truncate)
     if cache is not None and key in cache:
         return cache[key]
-    params = ecm.fit(relaxation_curve(history, cycle_index, truncate)).params
+    params = ecm.fit(history.relaxation(cycle_index, truncate)).params
     if cache is not None:
         cache[key] = params
     return params
-
-
-def relaxation_curve(
-    history: CellHistory, cycle_index: int, truncate: int | None
-) -> RelaxationCurve:
-    """A cycle's relaxation transient, cut to its first ``truncate`` samples when given."""
-    curve = history.record(cycle_index).relaxation
-    return curve.truncated(truncate) if truncate is not None else curve
 
 
 def assemble(
@@ -308,9 +309,7 @@ def assemble(
 
     if feature_set in (FeatureSet.STATS, FeatureSet.NOVEL_PRED):
         reference = window.reference_for(cycle_index)
-        curve_m = relaxation_curve(history, cycle_index, truncate)
-        curve_n = relaxation_curve(history, reference, truncate)
-        dv = delta_v(curve_m, curve_n)
+        dv = delta_v(history.rest(cycle_index, truncate), history.rest(reference, truncate))
         if feature_set is FeatureSet.STATS:
             # Shape statistics over the polarization-decay window (t > 0),
             # the same span the summation feature is defined on.
@@ -320,14 +319,14 @@ def assemble(
 
     if feature_set in DISCHARGE_SETS:
         reference = window.reference_for(cycle_index)
-        record_m = history.record(cycle_index)
-        record_n = history.record(reference)
-        if record_m.discharge is None or record_n.discharge is None:
+        disc_m = history.discharge(cycle_index)
+        disc_n = history.discharge(reference)
+        if disc_m is None or disc_n is None:
             raise MissingDischargeDataError(
                 f"cell {history.cell_id}: cycles {reference},{cycle_index} lack discharge data"
             )
-        values["dq_var_log10"] = delta_q_variance(record_m.discharge, record_n.discharge)
-        values["dt_log10"] = delta_t(record_m.discharge, record_n.discharge)
+        values["dq_var_log10"] = delta_q_variance(disc_m, disc_n)
+        values["dt_log10"] = delta_t(disc_m[2], disc_n[2])
 
     if feature_set is FeatureSet.BENCHMARK:
         sum_ah, sum_days = benchmark_features(history, cycle_index)

@@ -23,17 +23,16 @@ variance.
 
 The drift law is written once (``_drift``): ``drifted_params`` evaluates it
 at one cycle, as the closed-form oracle, and ``simulate_cell`` at every
-cycle of a cell as one (cycles x 6) array. A cell is built whole: its
-relaxation voltages are one (cycles x samples) block
-(``ecm.relaxation_model``) with the noise drawn in one call. Every cycle
-shares one rest-time grid and one discharge template. These arrays are
-read-only, and each cycle's relaxation voltages are a row of the block. A
-cycle's discharge curve is the shared template plus its capacity and
-duration (``DischargeCurve.ramp``): its charges are not stored but
-computed on read, bitwise the ``np.linspace(0, capacity, knots)`` that a
-cycle-by-cycle loop stores, so a cell holds no (cycles x knots) array.
-Capacities stay on ``capacity_at``'s scalar power: an array power does not
-round alike for a non-integer exponent.
+cycle of a cell as one (cycles x 6) array. A cell is built whole, as the
+columns of a ``CellHistory``: its relaxation voltages are one (cycles x
+samples) block (``ecm.relaxation_model``) with the noise drawn in one call,
+on one rest-time row that every cycle shares, and its discharges are one
+template that every cycle ramps over to its capacity, with one duration
+per cycle (``dataset.Discharges``). These arrays are read-only. The
+charges of a discharge are not stored but computed on read, so a cell
+holds no (cycles x knots) array. Capacities stay on ``capacity_at``'s
+scalar power: an array power does not round alike for a non-integer
+exponent.
 """
 
 from __future__ import annotations
@@ -49,8 +48,10 @@ from .dataset import (
     CellMeta,
     Chemistry,
     DischargeCurve,
+    Discharges,
     RelaxationCurve,
     build_history,
+    discharge_fault,
     parse_condition,
     relaxation_fault,
 )
@@ -170,16 +171,15 @@ def simulate_cell(
     """Simulate one cell for ``horizon_cycles`` full cycles.
 
     Deterministic given ``profile.seed``; two calls with identical arguments
-    produce bit-identical histories. The relaxation curves are checked once,
-    as one block (``dataset.relaxation_fault`` on the shared time grid and
-    the voltage block), and made without checking each again; the first
-    cycle checks the discharge template, and ``build_history`` checks the
-    indices and capacities once. A cell whose voltage block is refused, or
-    whose drift may break the branch order, is built with the checked
-    constructors at every cycle instead, so that a cell the drift law or a
-    curve check rejects raises what a cycle-by-cycle loop raises first: per
-    cycle, in order, ``drifted_params``, the relaxation curve, the capacity
-    and the discharge curve.
+    produce bit-identical histories. The cell's blocks are checked once
+    each: the voltage block on the shared time row
+    (``dataset.relaxation_fault``), the discharge template with the first
+    cycle's duration (``dataset.discharge_fault``) and then every duration,
+    and, in ``build_history``, the indices and capacities. A cell that one
+    of these refuses, or whose drift may break the branch order, is checked
+    again cycle by cycle with the checked constructors, so that it raises
+    what a cycle-by-cycle loop raises first: per cycle, in order,
+    ``drifted_params``, the relaxation curve and the discharge curve.
     """
     if horizon_cycles < 1:
         raise ValidationError("horizon must be at least one cycle")
@@ -189,9 +189,9 @@ def simulate_cell(
 
     rng = np.random.default_rng(np.random.SeedSequence([profile.seed & 0xFFFFFFFF]))
     current = protocol.cutoff_current_a
-    cycles = range(1, horizon_cycles + 1)
-    times = _read_only(protocol.rest_times())
-    ocv, r_o, r_e, c_e, r_c, c_c = _drift(profile, np.array(cycles)).T[:, :, None]
+    cycles = np.arange(1, horizon_cycles + 1)
+    times = protocol.rest_times()
+    ocv, r_o, r_e, c_e, r_c, c_c = _drift(profile, cycles).T[:, :, None]
     tau_e, tau_c = r_e * c_e, r_c * c_c
     voltages = relaxation_model(ocv, np.maximum(r_o, 0.0), r_e, tau_e, r_c, tau_c, current, times)
     if profile.noise_sigma_v > 0:
@@ -201,41 +201,35 @@ def simulate_cell(
     # cross tau_c(m) (and NaN fails every comparison).
     suspect = ~(tau_e <= tau_c)[:, 0]
     # Capacity fades monotonically: none fails before the horizon's.
-    capacities = [capacity_at(profile, m, protocol.nominal_capacity_ah) for m in cycles]
+    capacities = np.array([capacity_at(profile, m, protocol.nominal_capacity_ah)
+                           for m in range(1, horizon_cycles + 1)])
     lower, upper = protocol.voltage_window
-    template = _read_only(_pseudo_ocv_template(upper, lower, discharge_knots))
+    template = _pseudo_ocv_template(upper, lower, discharge_knots)
     _, _, dis_rate = parse_condition(protocol.condition)
     discharge_a = dis_rate * protocol.nominal_capacity_ah
     if not discharge_a > 0:  # the product underflows to 0 A: every duration is infinite
         raise ValidationError("discharge duration must be finite and positive")
+    with np.errstate(over="ignore"):  # an infinite duration is refused below
+        durations = capacities / discharge_a * 3600.0
 
     interval = protocol.sampling_interval_s
-    checked = (bool(suspect.any())
-               or relaxation_fault(times, voltages, interval, current) is not None)
-    relaxation_of = RelaxationCurve if checked else RelaxationCurve.trusted
-
-    cycle_data = []
-    discharge = None
-    for m, bad, volts, capacity in zip(cycles, suspect.tolist(), _read_only(voltages),
-                                       capacities):
-        if bad:
-            drifted_params(profile, m)  # raises what cycle m's state violates, if anything
-        relaxation = relaxation_of(times, volts, interval, current)
-        duration = capacity / discharge_a * 3600.0
-        # The first cycle checks the template; later cycles share it.
-        discharge = (DischargeCurve.ramp(capacity, template, duration) if discharge is None
-                     else discharge.ramp_to(capacity, duration))
-        cycle_data.append((m, relaxation, discharge, capacity))
+    if (suspect.any()
+            or relaxation_fault(times, voltages, interval, current) is not None
+            or discharge_fault(None, template, np.array([0, template.size]),
+                               durations[:1]) is not None
+            or not ((durations > 0) & (durations < np.inf)).all()):
+        for m, bad, volts, capacity, duration in zip(cycles.tolist(), suspect.tolist(), voltages,
+                                                     capacities.tolist(), durations.tolist()):
+            if bad:
+                drifted_params(profile, m)  # raises what cycle m's state violates, if anything
+            RelaxationCurve(times, volts, interval, current)
+            DischargeCurve(np.linspace(0.0, capacity, template.size), template, duration)
 
     meta = CellMeta(cell_id, protocol.chemistry, protocol.condition,
                     protocol.nominal_capacity_ah, protocol.sampling_interval_s,
                     protocol.rest_duration_s)
-    return build_history(meta, cycle_data)
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+    return build_history(meta, cycles, capacities, times, voltages,
+                         Discharges(template, durations))
 
 
 def spread_profile(profile: DriftProfile, cell_index: int) -> DriftProfile:

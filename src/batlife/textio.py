@@ -186,11 +186,21 @@ class Columns:
     head_lines: int  # comment lines plus the header line
 
     def where(self, row: int) -> str:
-        """``<path> line <n>``: the file line of data row ``row`` (blank lines hold no row)."""
+        """``<path> line <n>``: the file line on which data row ``row`` starts.
+
+        Blank lines hold no row, and a quoted field may span lines: the
+        ``csv`` reader counts the lines each row takes.
+        """
         with self.path.open(newline="") as fh:
-            body = enumerate(itertools.islice(fh, self.head_lines, None), self.head_lines + 1)
-            numbers = (number for number, line in body if line.rstrip("\r\n"))
-            return f"{self.path} line {next(itertools.islice(numbers, row, None))}"
+            reader = csv.reader(itertools.islice(fh, self.head_lines, None))
+            start = self.head_lines + 1
+            for fields in reader:
+                if fields:
+                    if row == 0:
+                        return f"{self.path} line {start}"
+                    row -= 1
+                start = self.head_lines + reader.line_num + 1
+        raise IndexError(f"{self.path} has no data row {row}")
 
 
 def read_columns(path, dtypes: dict[str, object]) -> Columns:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import itertools
 import math
@@ -13,7 +14,8 @@ from scipy.special import expit
 
 from batlife import ecm, gpc, gpr, simgen
 from batlife.dataset import (
-    CANONICAL_COLUMNS, CellMeta, DischargeCurve, RelaxationCurve, build_history, parse_condition,
+    CANONICAL_COLUMNS, CellMeta, DischargeCurve, Discharges, RelaxationCurve, build_history,
+    parse_condition,
 )
 from batlife.ecm import EcmParams, predict_relaxation
 from batlife.errors import NoConvergenceError, ValidationError
@@ -362,7 +364,51 @@ def simulate_cell_per_cycle(profile, protocol, horizon_cycles, cell_id="sim-000"
     meta = CellMeta(cell_id, protocol.chemistry, protocol.condition,
                     protocol.nominal_capacity_ah, protocol.sampling_interval_s,
                     protocol.rest_duration_s)
-    return build_history(meta, cycle_data)
+    return history_of_cycles(meta, cycle_data)
+
+
+def history_of_cycles(meta, cycle_data):
+    """A cell of per-cycle rows (cycle index, ``RelaxationCurve``,
+    ``DischargeCurve`` or None, capacity): the rows stacked into the blocks
+    ``build_history`` takes, one time row per cycle and the discharges laid
+    end to end. The cell's sampling interval and cutoff current are
+    ``meta``'s."""
+    indices, curves, discharges, capacities = zip(*cycle_data)
+    present = [d for d in discharges if d is not None]
+    columns = Discharges(
+        np.concatenate([np.empty(0), *(d.voltages_v for d in present)]),
+        np.array([0.0 if d is None else d.duration_s for d in discharges]),
+        np.concatenate([np.empty(0), *(d.charges_ah for d in present)]),
+        np.cumsum([0, *(0 if d is None else d.voltages_v.size for d in discharges)]),
+    )
+    return build_history(meta, np.array(indices), np.array(capacities, dtype=float),
+                         np.array([c.times_s for c in curves]),
+                         np.array([c.voltages_v for c in curves]), columns)
+
+
+def without_cycles(cell, dropped, **changes):
+    """``cell`` without the cycles ``dropped`` names, each kept cycle with its
+    own bookkeeping; ``changes`` replace other fields (``eol_cycle``)."""
+    rows = np.flatnonzero(~np.isin(cell.cycle_indices, list(dropped)))
+    dis = cell.discharges
+    if dis.bounds is None:
+        discharges = Discharges(dis.voltages_v, dis.durations_s[rows])
+    else:
+        points = np.concatenate([np.arange(dis.bounds[k], dis.bounds[k + 1]) for k in rows]
+                                + [np.empty(0, dtype=int)])
+        discharges = Discharges(dis.voltages_v[points], dis.durations_s[rows],
+                                dis.charges_ah[points],
+                                np.cumsum([0, *np.diff(dis.bounds)[rows].tolist()]))
+    return dataclasses.replace(
+        cell, cycle_indices=cell.cycle_indices[rows], capacities_ah=cell.capacities_ah[rows],
+        cumulative_ah=cell.cumulative_ah[rows], calendar_days=cell.calendar_days[rows],
+        times_s=cell.times_s if cell.times_s.ndim == 1 else cell.times_s[rows],
+        voltages_v=cell.voltages_v[rows], discharges=discharges, **changes)
+
+
+def records(cell) -> list:
+    """The checked view of every cycle of a cell, in cycle order."""
+    return [cell.record(m) for m in cell.cycle_indices.tolist()]
 
 
 def history_bits(cell) -> list:
@@ -370,7 +416,7 @@ def history_bits(cell) -> list:
     bit-identical histories."""
     out = [cell.cell_id, cell.chemistry, cell.condition, cell.nominal_capacity_ah,
            cell.eol_cycle]
-    for rec in cell.cycles:
+    for rec in records(cell):
         rel, dis = rec.relaxation, rec.discharge
         out += [rec.cycle_index, rec.capacity_ah, rec.cumulative_ah, rec.calendar_days,
                 rel.times_s.tobytes(), rel.voltages_v.tobytes(), rel.sampling_interval_s,
@@ -409,12 +455,12 @@ def write_cell_per_cycle(history, path, header_comment=None) -> None:
     """Oracle: ``dataset.write_cell`` spelling every array of every cycle
     afresh and rendering rows through ``write_table_per_row``."""
     meta = " ".join(f"{key}={value}" for key, value in CellMeta.of(history).fields())
-    cutoff = spell(history.cycles[0].relaxation.cutoff_current_a)
+    cutoff = spell(records(history)[0].relaxation.cutoff_current_a)
     _, _, dis_rate = parse_condition(history.condition)
     discharge_current = spell(-dis_rate * history.nominal_capacity_ah)
 
     def rows():
-        for rec in history.cycles:
+        for rec in records(history):
             rel = rec.relaxation
             cycle = itertools.repeat(rec.cycle_index)
             capacity = itertools.repeat(spell(rec.capacity_ah))

@@ -28,6 +28,8 @@ from batlife.experiments import build_classification_samples
 from batlife.features import FeatureSet
 from batlife.gpc import NCA_POLICY
 
+from conftest import without_cycles
+
 
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
@@ -74,14 +76,14 @@ class TestSimulateIngest:
         entry = next(e for e in read_manifest(dataset_dir / "manifest.txt")
                      if e.cell_id == "syn25-00")
         by_manifest = ingest_cell(path, entry)
-        rel = cell.cycles[0].relaxation
+        rel = cell.relaxation(1)
         assert (cell.cell_id, cell.chemistry, cell.condition, cell.nominal_capacity_ah,
                 rel.sampling_interval_s, rel.times_s[-1]) == (
             entry.cell_id, entry.chemistry, entry.condition, entry.nominal_capacity_ah,
             entry.sampling_interval_s, entry.rest_duration_s)
         assert CellMeta.of(by_manifest) == CellMeta.of(cell)
         # The rest duration also sets calendar time.
-        assert cell.cycles[-1].calendar_days == by_manifest.cycles[-1].calendar_days
+        assert cell.calendar_days[-1] == by_manifest.calendar_days[-1]
 
     @pytest.mark.parametrize("source", ["manifest", "header"])
     @pytest.mark.parametrize("key, value", [
@@ -459,11 +461,6 @@ def _write_fleet(cells, entries, directory: Path) -> str:
     return str(directory / "manifest.txt")
 
 
-def _without(cell, cycles):
-    return dataclasses.replace(
-        cell, cycles=tuple(r for r in cell.cycles if r.cycle_index not in cycles))
-
-
 def _written_cycles(path) -> dict[str, list[int]]:
     with open(path, newline="") as fh:
         rows = list(csv.reader(line for line in fh if not line.startswith("#")))[1:]
@@ -780,12 +777,12 @@ class TestMissingCycles:
         assert main(["train-rul", "--manifest", _manifest(dataset_dir), "--stride", "10",
                      "--restarts", "1", "--max-iters", "50", "--out", str(model)]) == 0
         cells = {c.cell_id: c for c in ingest_manifest(_manifest(dataset_dir))}
-        gapped = [_without(cells["syn25-00"], {1}), _without(cells["syn25-01"], {20})]
+        gapped = [without_cycles(cells["syn25-00"], {1}), without_cycles(cells["syn25-01"], {20})]
         manifest = _write_fleet(gapped, read_manifest(_manifest(dataset_dir)), tmp_path / "gapped")
         out = tmp_path / "pred.csv"
         assert main(["predict-rul", "--manifest", manifest, "--model", str(model),
                      "--out", str(out)]) == 0
-        last = cells["syn25-01"].cycles[-1].cycle_index
+        last = int(cells["syn25-01"].cycle_indices[-1])
         # The window starts at cycle 1: syn25-00 has no reference cycle left.
         assert _written_cycles(out) == {"syn25-01": [m for m in range(2, last + 1) if m != 20]}
 
@@ -793,11 +790,11 @@ class TestMissingCycles:
     @given(data=st.data())
     def test_rate_features_follow_the_rule(self, dataset_dir, data):
         cell = next(c for c in ingest_manifest(_manifest(dataset_dir)) if c.cell_id == "syn25-00")
-        n = cell.cycles[-1].cycle_index
+        n = int(cell.cycle_indices[-1])
         dropped = data.draw(st.sets(st.integers(1, n), max_size=n // 2), label="dropped")
         stride = data.draw(st.integers(1, 4), label="stride")
-        gapped = _without(cell, dropped)
-        recorded = {r.cycle_index for r in gapped.cycles}
+        gapped = without_cycles(cell, dropped)
+        recorded = set(gapped.cycle_indices.tolist())
 
         def admitted(first, last):
             return [m for m in range(max(first, 2), last + 1, stride)

@@ -190,8 +190,8 @@ def _golden_curves() -> dict[str, RelaxationCurve]:
                                               rng=np.random.default_rng(13), interval=30.0,
                                               current=0.125),
         "noiseless_full": full,
-        "noiseless_6": full.truncated(6),
-        "noiseless_7": full.truncated(7),
+        "noiseless_6": RelaxationCurve(full.times_s[:6], full.voltages_v[:6], 120.0, CUTOFF_A),
+        "noiseless_7": RelaxationCurve(full.times_s[:7], full.voltages_v[:7], 120.0, CUTOFF_A),
         "noisy_7": noisy_7,
         "sub_interval_tau": relaxation_curve(sub_interval),
         "flat": RelaxationCurve(np.arange(16) * 120.0, np.full(16, 4.20), 120.0, CUTOFF_A),
@@ -585,8 +585,8 @@ class TestPairProjection:
         # Curves of the simulated fleet, cut or not, or drawn ones.
         if data.draw(st.booleans(), label="simgen"):
             cell = data.draw(st.sampled_from(small_fleet), label="cell")
-            curve = data.draw(st.sampled_from(cell.cycles), label="cycle").relaxation
-            curve = curve.truncated(data.draw(st.sampled_from([6, 8, curve.n_samples])))
+            m = data.draw(st.sampled_from(cell.cycle_indices.tolist()), label="cycle")
+            curve = cell.relaxation(m, data.draw(st.sampled_from([6, 8, cell.times_s.size])))
         else:
             curve = data.draw(_curves(), label="curve")
         t, v, current, lower, upper = _pass_inputs(curve, tight)
@@ -649,7 +649,7 @@ class TestBoxedFit:
         cells = simgen.benchmark_fleet(seed=21, cells_per_condition=5,
                                        fade_refs=(150.0, 400.0, 1000.0), temperatures=(25, 35, 45))
         cell = next(cell for cell in cells if cell.cell_id == "syn45-00")
-        curve = next(rec.relaxation for rec in cell.cycles if rec.cycle_index == 577)
+        curve = cell.relaxation(577)
         report = ecm.fit(curve)
         assert report.converged
         assert report.iterations <= 30

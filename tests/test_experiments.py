@@ -28,6 +28,8 @@ from batlife.experiments import (
 )
 from batlife.features import FeatureSet, WindowSpec
 
+from conftest import without_cycles
+
 
 class TestRmse:
     def test_identity(self):
@@ -201,9 +203,9 @@ class TestSkippedSamples:
         cut = []
         for cell in small_fleet:
             if cell.cell_id == skipped:  # its history ends before end of life
-                cell = dataclasses.replace(cell, cycles=cell.cycles[:cell.eol_cycle // 2],
-                                           eol_cycle=None)
-                assert min(cell.soh(rec.cycle_index) for rec in cell.cycles) > SOH_EOL
+                cell = without_cycles(cell, cell.cycle_indices[cell.eol_cycle // 2:],
+                                      eol_cycle=None)
+                assert min(cell.soh(m) for m in cell.cycle_indices.tolist()) > SOH_EOL
             cut.append(cell)
         tables = self._tables(cut, split)
         assert skipped not in {row["cell_id"] for row in tables["predictions"]}
@@ -275,13 +277,12 @@ class TestRulSamples:
     def test_emits_exactly_the_admitted_cycles(self, small_fleet, data):
         cell = small_fleet[0]
         eol = cell.eol_cycle
-        n = cell.cycles[-1].cycle_index
+        n = int(cell.cycle_indices[-1])
         dropped = data.draw(st.sets(st.integers(1, n), max_size=n // 2), label="dropped")
         stride = data.draw(st.integers(1, 6), label="stride")
         window_start = data.draw(st.integers(1, eol), label="window_start")
-        gapped = dataclasses.replace(
-            cell, cycles=tuple(r for r in cell.cycles if r.cycle_index not in dropped))
-        recorded = {r.cycle_index for r in gapped.cycles}
+        gapped = without_cycles(cell, dropped)
+        recorded = set(gapped.cycle_indices.tolist())
         samples = build_rul_samples(
             {cell.cell_id: gapped}, [cell.cell_id], FeatureSet.STATS,
             WindowSpec(reference_cycle=window_start), None, stride, {},

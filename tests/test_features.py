@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batlife import features, simgen
-from batlife.dataset import DischargeCurve, RelaxationCurve
+from batlife.dataset import DischargeCurve, Discharges, RelaxationCurve
 from batlife.errors import (
     MissingDischargeDataError,
     NoVoltageOverlapError,
@@ -34,6 +34,14 @@ def _curve(voltages) -> RelaxationCurve:
     return RelaxationCurve(GRID, np.asarray(voltages, dtype=float), 120.0, 0.175)
 
 
+def _rest(curve: RelaxationCurve):
+    return curve.times_s, curve.voltages_v
+
+
+def _rows(curve: DischargeCurve):
+    return curve.charges_ah, curve.voltages_v, curve.duration_s
+
+
 def _linear_discharge(capacity_ah, v_hi=4.2, v_lo=2.65, duration_s=3600.0, n=200):
     v = np.linspace(v_hi, v_lo, n)
     q = np.linspace(0.0, capacity_ah, n)
@@ -43,19 +51,19 @@ def _linear_discharge(capacity_ah, v_hi=4.2, v_lo=2.65, duration_s=3600.0, n=200
 class TestDeltaV:
     def test_self_difference_is_zero(self):
         curve = _curve(np.linspace(4.1, 4.19, 16))
-        assert np.all(delta_v(curve, curve) == 0.0)
+        assert np.all(delta_v(_rest(curve), _rest(curve)) == 0.0)
 
     def test_constant_offset(self):
         a = _curve(np.linspace(4.1, 4.19, 16))
         b = _curve(np.linspace(4.1, 4.19, 16) - 0.001)
-        assert np.allclose(delta_v(b, a), -0.001)
+        assert np.allclose(delta_v(_rest(b), _rest(a)), -0.001)
 
     def test_grid_mismatch(self):
         a = _curve(np.linspace(4.1, 4.19, 16))
         times = np.arange(16) * 60.0
         b = RelaxationCurve(times, np.linspace(4.1, 4.19, 16), 60.0, 0.175)
         with pytest.raises(TimeGridMismatchError):
-            delta_v(a, b)
+            delta_v(_rest(a), _rest(b))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
@@ -63,11 +71,10 @@ class TestDeltaV:
         rng = np.random.default_rng(seed)
         a = _curve(4.1 + 0.05 * rng.random(16))
         b = _curve(4.1 + 0.05 * rng.random(16))
-        assert np.array_equal(delta_v(a, b), -delta_v(b, a))
+        assert np.array_equal(delta_v(_rest(a), _rest(b)), -delta_v(_rest(b), _rest(a)))
 
     def test_aged_cell_difference_negative(self, drifting_cell):
-        dv = delta_v(drifting_cell.record(50).relaxation,
-                     drifting_cell.record(1).relaxation)
+        dv = delta_v(drifting_cell.rest(50), drifting_cell.rest(1))
         assert np.all(dv[1:] < 0.0)
 
 
@@ -86,8 +93,7 @@ class TestDeltaVFeatures:
         window = WindowSpec(WindowMode.FIXED_REFERENCE, 1)
         sums, lasts = [], []
         for m in range(2, 60, 4):
-            dv = delta_v(drifting_cell.record(m).relaxation,
-                         drifting_cell.record(1).relaxation)
+            dv = delta_v(drifting_cell.rest(m), drifting_cell.rest(1))
             total, last = delta_v_features(dv)
             sums.append(total)
             lasts.append(last)
@@ -131,7 +137,7 @@ class TestStatsFeatures:
 class TestDeltaQVariance:
     def test_identical_curves_hit_floor(self):
         disc = _linear_discharge(3.5)
-        assert delta_q_variance(disc, disc) == -12.0
+        assert delta_q_variance(_rows(disc), _rows(disc)) == -12.0
 
     def test_uniform_ramp_against_brute_force(self):
         # Q_m adds a ramp growing linearly in V with total span 0.01 Ah;
@@ -145,13 +151,13 @@ class TestDeltaQVariance:
         shifted = DischargeCurve(base.charges_ah + ramp, v, base.duration_s)
         oracle = math.log10(np.var(ramp_span * np.arange(p) / (p - 1), ddof=1))
         assert oracle == pytest.approx(-5.077875, abs=1e-4)
-        assert delta_q_variance(shifted, base) == pytest.approx(oracle, abs=1e-9)
+        assert delta_q_variance(_rows(shifted), _rows(base)) == pytest.approx(oracle, abs=1e-9)
 
     def test_no_overlap(self):
         a = _linear_discharge(3.5, v_hi=4.2, v_lo=3.6)
         b = _linear_discharge(3.5, v_hi=3.5, v_lo=2.7)
         with pytest.raises(NoVoltageOverlapError):
-            delta_q_variance(a, b)
+            delta_q_variance(_rows(a), _rows(b))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
@@ -159,37 +165,38 @@ class TestDeltaQVariance:
         rng = np.random.default_rng(seed)
         a = _linear_discharge(3.5 * (0.9 + 0.1 * rng.random()))
         b = _linear_discharge(3.5 * (0.8 + 0.1 * rng.random()))
+        a, b = _rows(a), _rows(b)
         assert delta_q_variance(a, b) == pytest.approx(delta_q_variance(b, a), abs=1e-12)
 
     def test_fade_grows_variance(self, small_fleet):
         cell = small_fleet[0]
-        first = cell.record(2)
-        later = cell.record(min(40, cell.cycles[-1].cycle_index))
-        near = delta_q_variance(first.discharge, cell.record(1).discharge)
-        far = delta_q_variance(later.discharge, cell.record(1).discharge)
+        later = min(40, int(cell.cycle_indices[-1]))
+        near = delta_q_variance(cell.discharge(2), cell.discharge(1))
+        far = delta_q_variance(cell.discharge(later), cell.discharge(1))
         assert far > near
 
 
 class TestDeltaT:
     def test_equal_durations_hit_floor(self):
         disc = _linear_discharge(3.5)
-        assert delta_t(disc, disc) == -3.0
+        assert delta_t(disc.duration_s, disc.duration_s) == -3.0
 
     def test_log_identity(self):
         a = _linear_discharge(3.5, duration_s=3700.0)
         b = _linear_discharge(3.5, duration_s=3600.0)
-        assert delta_t(a, b) == pytest.approx(2.0)
+        assert delta_t(a.duration_s, b.duration_s) == pytest.approx(2.0)
 
     def test_grows_with_cycle_gap(self, small_fleet):
         cell = small_fleet[0]
-        d1 = cell.record(1).discharge
-        assert delta_t(cell.record(30).discharge, d1) > delta_t(cell.record(5).discharge, d1)
+        d1 = cell.record(1).discharge.duration_s
+        assert delta_t(cell.record(30).discharge.duration_s, d1) > \
+            delta_t(cell.record(5).discharge.duration_s, d1)
 
 
 class TestBenchmarkFeatures:
     def test_first_cycle(self, drifting_cell):
         sum_ah, sum_days = benchmark_features(drifting_cell, 1)
-        assert sum_ah == pytest.approx(2.0 * drifting_cell.cycles[0].capacity_ah)
+        assert sum_ah == pytest.approx(2.0 * drifting_cell.capacities_ah[0])
         assert sum_days == 0.0
 
     def test_constant_throughput_accumulates(self):
@@ -235,8 +242,9 @@ class TestAssemble:
         profile = simgen.condition_profile(300.0, seed=5, noise_sigma_v=0.0, cell_spread=0.0)
         cell = simgen.simulate_cell(profile, simgen.NCA_PROTOCOL, 10, discharge_knots=50)
         from dataclasses import replace
-        stripped = replace(
-            cell, cycles=tuple(replace(r, discharge=None) for r in cell.cycles))
+        n = cell.n_cycles
+        stripped = replace(cell, discharges=Discharges(np.empty(0), np.zeros(n), np.empty(0),
+                                                       np.zeros(n + 1, dtype=int)))
         with pytest.raises(MissingDischargeDataError):
             assemble(stripped, 5, self.ADJACENT, FeatureSet.NOVEL_CLASS)
         assemble(stripped, 5, self.WINDOW, FeatureSet.NOVEL_PRED)  # relaxation-only is fine

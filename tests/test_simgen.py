@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batlife import ecm, simgen
-from batlife.dataset import DischargeCurve
+from batlife.dataset import CellMeta, Discharges, build_history
 from batlife.errors import DriftUnderflowError, ValidationError
 
-from conftest import history_bits, make_discharge, simulate_cell_per_cycle
+from conftest import history_bits, make_discharge, records, simulate_cell_per_cycle
 
 
 def _profile(**kwargs):
@@ -23,9 +23,9 @@ def _profile(**kwargs):
 class TestDrift:
     def test_zero_drift_zero_noise_curves_identical(self):
         cell = simgen.simulate_cell(_profile(), simgen.NCA_PROTOCOL, 12, discharge_knots=50)
-        first = cell.cycles[0].relaxation.voltages_v
-        for record in cell.cycles[1:]:
-            assert np.array_equal(record.relaxation.voltages_v, first)
+        first = cell.voltages_v[0]
+        for volts in cell.voltages_v[1:]:
+            assert np.array_equal(volts, first)
 
     def test_ocv_drift_closed_form(self):
         # A drift of -2e-5 V per cycle reaches exactly -0.01 V at cycle 500.
@@ -44,7 +44,7 @@ class TestDrift:
     def test_capacity_strictly_decreasing(self):
         cell = simgen.simulate_cell(_profile(fade_a=0.25, fade_ref_cycles=200.0),
                                     simgen.NCA_PROTOCOL, 100, discharge_knots=50)
-        caps = cell.capacities()
+        caps = cell.capacities_ah
         assert np.all(np.diff(caps) < 0)
 
     def test_invalid_fade_rejected(self):
@@ -70,24 +70,21 @@ class TestDeterminism:
         profile = _profile(noise_sigma_v=0.001, seed=77)
         a = simgen.simulate_cell(profile, simgen.NCA_PROTOCOL, 10, discharge_knots=50)
         b = simgen.simulate_cell(profile, simgen.NCA_PROTOCOL, 10, discharge_knots=50)
-        for ra, rb in zip(a.cycles, b.cycles):
-            assert np.array_equal(ra.relaxation.voltages_v, rb.relaxation.voltages_v)
+        assert np.array_equal(a.voltages_v, b.voltages_v)
 
     def test_different_seeds_differ(self):
         a = simgen.simulate_cell(_profile(noise_sigma_v=0.001, seed=1),
                                  simgen.NCA_PROTOCOL, 5, discharge_knots=50)
         b = simgen.simulate_cell(_profile(noise_sigma_v=0.001, seed=2),
                                  simgen.NCA_PROTOCOL, 5, discharge_knots=50)
-        assert not np.array_equal(a.cycles[0].relaxation.voltages_v,
-                                  b.cycles[0].relaxation.voltages_v)
+        assert not np.array_equal(a.voltages_v[0], b.voltages_v[0])
 
     def test_fleet_stable_under_cell_count(self):
         # Cell k is identical whether simulated in a fleet of 2 or of 4.
         profile = _profile(noise_sigma_v=0.0005, cell_spread=0.05, seed=9)
         two = simgen.simulate_fleet(profile, simgen.NCA_PROTOCOL, 5, 2, discharge_knots=50)
         four = simgen.simulate_fleet(profile, simgen.NCA_PROTOCOL, 5, 4, discharge_knots=50)
-        assert np.array_equal(two[1].cycles[0].relaxation.voltages_v,
-                              four[1].cycles[0].relaxation.voltages_v)
+        assert np.array_equal(two[1].voltages_v[0], four[1].voltages_v[0])
 
 
 class TestRoundTripOracle:
@@ -112,7 +109,7 @@ class TestRoundTripOracle:
         profile = _profile(initial=truth, noise_sigma_v=0.001, seed=31)
         cell = simgen.simulate_cell(profile, simgen.NCA_PROTOCOL, 100, discharge_knots=50)
         amp_truth = truth.r_e + truth.r_c
-        for record in cell.cycles:
+        for record in records(cell):
             fitted = ecm.fit(record.relaxation).params
             amp = fitted.r_e + fitted.r_c
             assert abs(amp - amp_truth) / amp_truth < 0.05
@@ -150,21 +147,27 @@ class TestDischargeRamp:
     def test_charges_are_the_rows_of_the_block(self, knots, fade_b):
         profile = replace(simgen.condition_profile(300.0, seed=5), fade_b=fade_b)
         cell = simgen.simulate_cell(profile, simgen.NCA_PROTOCOL, 200, discharge_knots=knots)
-        capacities = [rec.capacity_ah for rec in cell.cycles]
+        capacities = cell.capacities_ah.tolist()
         block = np.linspace(0.0, capacities, knots, axis=1)
-        for rec, row in zip(cell.cycles, block):
+        for rec, row in zip(records(cell), block):
             assert rec.discharge.charges_ah.tobytes() == row.tobytes()
             assert rec.discharge.capacity_ah == rec.capacity_ah
 
     @pytest.mark.parametrize("capacity", [np.nan, 0.0, np.inf])
     def test_capacity_must_be_finite_and_positive(self, capacity):
+        # A ramp rises to its cycle's capacity, which the cell checks.
         lower, upper = simgen.NCA_PROTOCOL.voltage_window
         template = simgen._pseudo_ocv_template(upper, lower, 50)
-        first = DischargeCurve.ramp(3.5, template, 3600.0)
-        with pytest.raises(ValidationError):
-            DischargeCurve.ramp(capacity, template, 3600.0)
-        with pytest.raises(ValidationError):
-            first.ramp_to(capacity, 3600.0)
+        meta = CellMeta("ramp", simgen.NCA_PROTOCOL.chemistry, "CY25-0.5/1", 3.5, 120.0, 120.0)
+        times, volts = np.array([0.0, 120.0]), np.array([[4.1, 4.11], [4.1, 4.11]])
+
+        def cell(capacities):
+            return build_history(meta, np.array([1, 2]), np.array(capacities), times, volts,
+                                 Discharges(template, np.array([3600.0, 3600.0])))
+
+        assert cell([3.5, 3.4]).record(2).discharge.capacity_ah == 3.4
+        with pytest.raises(ValidationError, match="capacity must be finite and positive"):
+            cell([3.5, capacity])
 
     def test_peak_memory_below_the_charge_block(self):
         # Stored charges would take a (cycles x knots) block per cell.
@@ -258,13 +261,13 @@ class TestWholeCell:
     def test_shared_arrays_are_one_read_only_object(self):
         cell = simgen.simulate_cell(_profile(noise_sigma_v=1e-3), simgen.NCA_PROTOCOL, 5,
                                     discharge_knots=50)
-        first = cell.cycles[0]
-        for record in cell.cycles:
+        first = cell.record(1)
+        for record in records(cell):
             assert record.relaxation.times_s is first.relaxation.times_s
             assert record.discharge.voltages_v is first.discharge.voltages_v
         for array in (first.relaxation.times_s, first.relaxation.voltages_v,
                       first.discharge.charges_ah, first.discharge.voltages_v,
-                      first.relaxation.truncated(6).voltages_v):
+                      cell.relaxation(1, truncate=6).voltages_v):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
@@ -356,7 +359,7 @@ class TestBenchmarkFleet:
         # The static fast branch fingerprints the condition.
         by_condition = {}
         for cell in small_fleet:
-            fitted = ecm.fit(cell.cycles[0].relaxation).params
+            fitted = ecm.fit(cell.relaxation(1)).params
             by_condition.setdefault(cell.condition, []).append(fitted.r_e)
         groups = [np.mean(v) for _, v in sorted(by_condition.items())]
         assert abs(groups[0] - groups[1]) / max(groups) > 0.15

@@ -220,6 +220,12 @@ class TestColumns:
         assert table.values["x"].tolist() == [1.5, -2000.0]
         assert [table.where(row) for row in (0, 1)] == [f"{path} line 3", f"{path} line 5"]
 
+    def test_a_row_after_a_field_spanning_lines_is_named_by_its_first_line(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text('n,name,x\n1,"a\nb",2.0\n2,c,3.0\n')
+        table = read_columns(path, DTYPES)
+        assert [table.where(row) for row in (0, 1)] == [f"{path} line 2", f"{path} line 4"]
+
     def test_header_only_gives_empty_columns(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("n,name,x\n")
