@@ -87,6 +87,10 @@ CUTOFF_C_RATE = 0.05
 
 SECONDS_PER_DAY = 86400.0
 
+# A rest whose every time lies within this of the sampling grid is on it:
+# ingest keeps its times verbatim rather than resampling it.
+ON_GRID_TOLERANCE_S = 1e-9
+
 
 class Chemistry(str, Enum):
     NCA = "NCA"
@@ -674,7 +678,8 @@ def ingest_cell(path, meta: CellMeta | None = None) -> CellHistory:
     # Samples on the grid, grid points the last sample spans, and the points
     # the declared rest spans: a rest is resampled onto exactly those.
     position = np.arange(rest.size) - np.repeat(starts, ends - starts)
-    on_grid = np.logical_and.reduceat(np.abs(rest_t - position * interval) <= 1e-9, starts)
+    near = np.abs(rest_t - position * interval) <= ON_GRID_TOLERANCE_S
+    on_grid = np.logical_and.reduceat(near, starts)
     spans = np.floor(rest_t[ends - 1] / interval + 1e-9) + 1
     on_grid &= ends - starts == spans
     expected = int(np.floor(meta.rest_duration_s / interval + 1e-9)) + 1

@@ -22,6 +22,9 @@ squares, solved exactly inside their box (``_boxed_project``). Every pair
 of a log-spaced grid over the box's time constants is scored in one batch,
 and a damped Gauss-Newton over the two time constants alone descends from
 the best pair, scoring one pair per step (``_project_pair``, ``_fit_box``).
+The batch's voltage-free pieces depend only on the time row, the current and
+the box's time-constant range, so the fits on a shared time row build them
+once (``_start_grid``); each fit solves only its own voltages against them.
 Branch labels are canonical: the 'e' branch carries the smaller time
 constant.
 
@@ -176,9 +179,14 @@ def _solve(columns: np.ndarray, data: np.ndarray):
     det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
     inverse = gram[:, ::-1, ::-1] * _ADJUGATE_SIGNS
     inverse /= det[:, None, None]
+    return (inverse,) + _fit_data(columns, inverse, data)
+
+
+def _fit_data(columns: np.ndarray, inverse: np.ndarray, data: np.ndarray):
+    """``_solve``'s coefficients and residual, given its inverse."""
     r = inverse @ (columns @ data)[:, :, None]
     residual = data - (r.transpose(0, 2, 1) @ columns)[:, 0]
-    return inverse, r[:, :, 0], residual
+    return r[:, :, 0], residual
 
 
 def _project(log_taus: np.ndarray, t: np.ndarray, v_centred: np.ndarray, current: float):
@@ -302,6 +310,33 @@ def _project_pair(pair: np.ndarray, box: tuple):
 _GRID_POINTS = 16
 _GRID_PAIRS = np.transpose(np.triu_indices(_GRID_POINTS, k=1))
 
+# Start grids kept, oldest dropped first. The fits of a benchmark run share
+# one or two time rows, each with a tight and at times a wide box.
+_START_GRIDS_KEPT = 8
+_start_grids: dict = {}
+
+
+def _start_grid(t: np.ndarray, current: float, lo: float, hi: float):
+    """The start grid's pairs over the log time-constant range [lo, hi], and
+    the pieces of ``_project`` there that do not depend on the voltages: the
+    basis, ``t/tau``, the centred basis and the normal matrices' inverse.
+
+    They are memoized by the exact bytes of the time row, current and range,
+    so the fits on a shared time row build them once; the arrays are
+    read-only. A cell whose rests lie off one shared row simply misses.
+    """
+    key = t.tobytes() + np.array([current, lo, hi]).tobytes()
+    pieces = _start_grids.get(key)
+    if pieces is None:
+        log_taus = np.linspace(lo, hi, _GRID_POINTS)[_GRID_PAIRS]
+        pieces = (log_taus,) + _project(log_taus, t, np.zeros_like(t), current)[:4]
+        for piece in pieces:
+            piece.flags.writeable = False
+        if len(_start_grids) >= _START_GRIDS_KEPT:
+            del _start_grids[next(iter(_start_grids))]
+        _start_grids[key] = pieces
+    return pieces
+
 
 def _fit_box(curve: RelaxationCurve, tight: bool):
     """One pass over one box: damped Gauss-Newton on the variable-projection
@@ -309,7 +344,10 @@ def _fit_box(curve: RelaxationCurve, tight: bool):
 
     It starts from the best of every pair tau_e < tau_c of a log-spaced grid
     over the box's time-constant range, scored in one batch at their exact
-    boxed costs, and steps with Kaufman's Jacobian of the projected residual
+    boxed costs on the memoized grid (``_start_grid``). Where the batch
+    scored that pair inside the box, its row of the batch is the start's
+    state, bit for bit what ``_project_pair`` gives; else the pair is scored
+    anew. It steps with Kaufman's Jacobian of the projected residual
     (*BIT* 15, 1975), scoring one candidate pair per step
     (``_project_pair``). A time constant at a bound that the step would push
     out is held there. The loop stops when a step gains no more than
@@ -325,29 +363,33 @@ def _fit_box(curve: RelaxationCurve, tight: bool):
     lower, upper = _fit_bounds(curve, tight)
     r_lo, r_hi = math.exp(lower[1]), math.exp(upper[1])
     lo, hi = lower[2], upper[2]
-    grid = np.linspace(lo, hi, _GRID_POINTS)
-    log_taus = grid[_GRID_PAIRS]
     v_mean = np.add.reduce(v) / v.size
     v_centred = v - v_mean
     ocv_room = float(upper[0] - v_mean)
     box = (t, v_centred, current, r_lo, r_hi, ocv_room)
     converged = False
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_taus, grid_basis, grid_scaled, grid_centred, grid_inverse = _start_grid(
+            t, current, lo, hi)
+        r, residual = _fit_data(grid_centred, grid_inverse, v_centred)
         # A pair whose free resistances or ocv leave the box costs at least its
         # free cost, so only those below the best pair inside need the boxed solve.
-        basis, _, _, _, r, residual = _project(log_taus, t, v_centred, current)
         costs = np.einsum("mn,mn->m", residual, residual)
         outside = ~(((r >= r_lo) & (r <= r_hi)).all(axis=1)
-                    & (np.einsum("mk,mkn->m", r, basis) >= -ocv_room * t.size))
+                    & (np.einsum("mk,mkn->m", r, grid_basis) >= -ocv_room * t.size))
         redo = outside & ~(costs >= costs[~outside].min(initial=np.inf))  # NaN too
         costs[outside] = np.inf
         if redo.any():
-            residual = _boxed_project(log_taus[redo], *box)[5]
-            costs[redo] = np.einsum("mn,mn->m", residual, residual)
+            boxed = _boxed_project(log_taus[redo], *box)[5]
+            costs[redo] = np.einsum("mn,mn->m", boxed, boxed)
         costs[np.isnan(costs)] = np.inf
         best = int(np.argmin(costs))
         a_e, a_c = log_taus[best].tolist()
-        state = _project_pair(log_taus[best], box)
+        if outside[best]:
+            state = _project_pair(log_taus[best], box)
+        else:  # a pair scored inside the box: its grid row is _project_pair's state
+            state = (grid_basis[best], grid_scaled[best], grid_centred[best],
+                     grid_inverse[best], r[best], residual[best], False)
         cost = float(state[5] @ state[5])
         damping = 1e-3
         for iterations in range(1, MAX_ITERATIONS + 1):
@@ -446,8 +488,10 @@ def _cannot_interpolate(t_pos: np.ndarray, v_pos: np.ndarray, exact_cost: float)
     if np.any(steps != steps[0]):
         return False
     # Subtracting a constant keeps the model family and shrinks ||H||, and
-    # with it the SVD's rounding error.
-    hankel = np.lib.stride_tricks.sliding_window_view(v_pos - v_pos[-1], 4)
+    # with it the SVD's rounding error. Row i of the strided view is samples
+    # i..i+3, as sliding_window_view gives without its per-call overhead.
+    shifted = v_pos - v_pos[-1]
+    hankel = np.lib.stride_tricks.as_strided(shifted, (shifted.size - 3, 4), shifted.strides * 2)
     sigma_min = np.linalg.svd(hankel, compute_uv=False)[-1]
     return bool(sigma_min > _CERTIFICATE_SAFETY * 2.0 * math.sqrt(exact_cost))
 

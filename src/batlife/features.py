@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from . import ecm
-from .dataset import CellHistory
+from .dataset import ON_GRID_TOLERANCE_S, CellHistory
 from .errors import (
     MissingDischargeDataError,
     NoVoltageOverlapError,
@@ -160,10 +160,13 @@ class FeatureVector:
 
 def delta_v(rest_m, rest_n) -> np.ndarray:
     """Pointwise voltage difference V_m(t) - V_n(t) of two rests' (times,
-    voltages) on their shared grid (``CellHistory.rest``)."""
+    voltages) on their shared grid (``CellHistory.rest``). Rows that ingest
+    kept verbatim each lie within ``ON_GRID_TOLERANCE_S`` of the grid, so
+    they share it when they agree within twice that."""
     (times_m, volts_m), (times_n, volts_n) = rest_m, rest_n
-    if times_m is not times_n and (times_m.size != times_n.size
-                                   or not np.array_equal(times_m, times_n)):
+    if times_m is not times_n and (
+            times_m.size != times_n.size
+            or not (np.abs(times_m - times_n) <= 2.0 * ON_GRID_TOLERANCE_S).all()):
         raise TimeGridMismatchError("relaxation curves are not on an identical time grid")
     return volts_m - volts_n
 

@@ -582,17 +582,10 @@ class TestPairProjection:
                                                                    st.floats(0.0, 1.0)))
     @pytest.mark.parametrize("case", ["pass", "resistance", "ocv", "singular"])
     def test_is_bitwise_the_one_row_batch(self, small_fleet, data, tight, fractions, case):
-        # Curves of the simulated fleet, cut or not, or drawn ones.
-        if data.draw(st.booleans(), label="simgen"):
-            cell = data.draw(st.sampled_from(small_fleet), label="cell")
-            m = data.draw(st.sampled_from(cell.cycle_indices.tolist()), label="cycle")
-            curve = cell.relaxation(m, data.draw(st.sampled_from([6, 8, cell.times_s.size])))
-        else:
-            curve = data.draw(_curves(), label="curve")
+        curve = _drawn_curve(data, small_fleet)
         t, v, current, lower, upper = _pass_inputs(curve, tight)
-        v_centred = v - np.add.reduce(v) / v.size
-        box = [t, v_centred, current, math.exp(lower[1]), math.exp(upper[1]),
-               float(upper[0] - np.add.reduce(v) / v.size)]
+        box = _pass_box(t, v, current, lower, upper)
+        v_centred = box[1]
         pair = lower[2] + np.array(fractions) * (upper[2] - lower[2])
         if case == "singular":  # tau_e = tau_c: a singular 2 x 2 system
             pair[1] = pair[0]
@@ -616,6 +609,99 @@ class TestPairProjection:
         for piece, expected in zip(got[:6], want[:6]):
             assert piece.shape == expected.shape
             assert piece.tobytes() == expected.tobytes()
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), tight=st.booleans())
+    def test_start_grid_row_is_bitwise_the_pair(self, small_fleet, data, tight):
+        # The pass starts from the grid row of its best pair when the batch
+        # scored that pair inside the box: every such row is the pair's state.
+        curve = _drawn_curve(data, small_fleet)
+        t, v, current, lower, upper = _pass_inputs(curve, tight)
+        box = _pass_box(t, v, current, lower, upper)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            log_taus, basis, scaled, centred, inverse = ecm._start_grid(
+                t, current, lower[2], upper[2])
+            r, residual = ecm._fit_data(centred, inverse, box[1])
+            inside = (((r >= box[3]) & (r <= box[4])).all(axis=1)
+                      & (np.einsum("mk,mkn->m", r, basis) >= -box[5] * t.size))
+            assert log_taus.tobytes() == _grid(lower, upper).tobytes()
+            for k in np.flatnonzero(inside):
+                got = ecm._project_pair(log_taus[k], box)
+                assert not got[6]
+                for piece, row in zip(got[:6], (basis, scaled, centred, inverse, r, residual)):
+                    assert piece.tobytes() == row[k].tobytes()
+
+
+def _drawn_curve(data, fleet) -> RelaxationCurve:
+    """A curve of the simulated fleet, cut to 6 or 8 samples or not, or a
+    drawn one."""
+    if data.draw(st.booleans(), label="simgen"):
+        cell = data.draw(st.sampled_from(fleet), label="cell")
+        m = data.draw(st.sampled_from(cell.cycle_indices.tolist()), label="cycle")
+        return cell.relaxation(m, data.draw(st.sampled_from([6, 8, cell.times_s.size])))
+    return data.draw(_curves(), label="curve")
+
+
+def _pass_box(t, v, current, lower, upper) -> list:
+    """``_fit_box``'s box: centred voltages, current, resistance bounds and
+    ocv room."""
+    v_mean = np.add.reduce(v) / v.size
+    return [t, v - v_mean, current, math.exp(lower[1]), math.exp(upper[1]),
+            float(upper[0] - v_mean)]
+
+
+class TestStartGridMemo:
+    """Fits on a shared time row share one start grid (``_start_grid``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_warm_fit_is_bitwise_the_cold_one(self, small_fleet, data):
+        curve = _drawn_curve(data, small_fleet)
+        ecm._start_grids.clear()
+        cold = _report_bits(ecm.fit(curve))
+        assert 1 <= len(ecm._start_grids) <= ecm._START_GRIDS_KEPT
+        assert _report_bits(ecm.fit(curve)) == cold
+        # The same row among other cached rows, and once more from cold.
+        other = data.draw(_curves(), label="other")
+        ecm.fit(other)
+        assert _report_bits(ecm.fit(curve)) == cold
+        ecm._start_grids.clear()
+        assert _report_bits(ecm.fit(curve)) == cold
+
+    def test_rows_differing_in_the_last_bit_are_separate(self):
+        t = np.arange(1, 16) * 120.0
+        nudged = t.copy()
+        nudged[-1] = np.nextafter(t[-1], np.inf)
+        ecm._start_grids.clear()
+        first = ecm._start_grid(t, CUTOFF_A, 4.0, 8.0)
+        second = ecm._start_grid(nudged, CUTOFF_A, 4.0, 8.0)
+        assert len(ecm._start_grids) == 2 and first is not second
+        assert ecm._start_grid(t.copy(), CUTOFF_A, 4.0, 8.0) is first
+        assert ecm._start_grid(t, np.nextafter(CUTOFF_A, 1.0), 4.0, 8.0) is not first
+        assert ecm._start_grid(t, CUTOFF_A, 4.0, np.nextafter(8.0, 9.0)) is not first
+        assert not np.array_equal(first[2], second[2])
+
+    def test_cached_arrays_are_read_only(self):
+        pieces = ecm._start_grid(np.arange(1, 16) * 120.0, CUTOFF_A, 4.0, 8.0)
+        for piece in pieces:
+            with pytest.raises(ValueError):
+                piece[0] = 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(rows=st.integers(1, 3 * ecm._START_GRIDS_KEPT), seed=st.integers(0, 2**32 - 1))
+    def test_never_holds_more_than_its_bound(self, rows, seed):
+        # One time row per fit, as in a cell whose rests ingest kept off the
+        # grid: every fit misses, and the oldest rows are dropped.
+        rng = np.random.default_rng(seed)
+        ecm._start_grids.clear()
+        for k in range(rows):
+            times = np.arange(8) * 120.0
+            times[1:] += rng.uniform(-1e-9, 1e-9, 7)
+            volts = 4.19 - 0.02 * np.exp(-times / 300.0) + rng.normal(0.0, 1e-4, 8)
+            ecm.fit(RelaxationCurve(times, volts, 120.0, CUTOFF_A))
+            assert len(ecm._start_grids) <= ecm._START_GRIDS_KEPT
+        assert len(ecm._start_grids) >= min(rows, ecm._START_GRIDS_KEPT)
 
 
 class TestBoxedFit:
@@ -658,21 +744,29 @@ class TestBoxedFit:
     def test_exhausted_damping_stops_at_the_start(self, monkeypatch, tight):
         # Every candidate scores four times the start's cost: 25 rejected
         # steps exhaust the damping, and the pass stops, converged, at the
-        # grid pair it started from.
+        # grid pair it started from. The batch scored that pair inside the
+        # box, so the start is its grid row: every _project_pair call is a
+        # candidate.
+        curve = _golden_curves()["noisy_7"]
+        t, v, current, lower, upper = _pass_inputs(curve, tight)
+        box = tuple(_pass_box(t, v, current, lower, upper))
+        grid = _grid(lower, upper)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            states = [ecm._project_pair(pair, box) for pair in grid]
+        best = int(np.argmin([float(state[5] @ state[5]) for state in states]))
+        start_pair, start = grid[best].tolist(), states[best]
+        assert not start[6]
         project_pair = ecm._project_pair
         scored = []
 
         def no_descent(pair, box):
             state = project_pair(pair, box)
-            scored.append((pair.tolist(), state))
-            return state if len(scored) == 1 else state[:5] + (2.0 * scored[0][1][5],) + state[6:]
+            scored.append(pair.tolist())
+            return state[:5] + (2.0 * start[5],) + state[6:]
 
         monkeypatch.setattr(ecm, "_project_pair", no_descent)
-        curve = _golden_curves()["noisy_7"]
         theta, cost, iterations, converged = ecm._fit_box(curve, tight)
-        start_pair, start = scored[0]
-        assert converged and iterations == 1 and len(scored) == 1 + 25
-        assert start_pair in _grid(*_pass_inputs(curve, tight)[3:]).tolist()
+        assert converged and iterations == 1 and len(scored) == 25
         assert cost == float(start[5] @ start[5]) > 0.0
         assert [theta[2], theta[4]] == start_pair
         assert [theta[1], theta[3]] == [math.log(r) for r in start[4]]

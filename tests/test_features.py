@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batlife import features, simgen
-from batlife.dataset import DischargeCurve, Discharges, RelaxationCurve
+from batlife.dataset import (
+    ON_GRID_TOLERANCE_S,
+    DischargeCurve,
+    Discharges,
+    RelaxationCurve,
+    ingest_cell,
+    write_cell,
+)
 from batlife.errors import (
     MissingDischargeDataError,
     NoVoltageOverlapError,
@@ -76,6 +83,52 @@ class TestDeltaV:
     def test_aged_cell_difference_negative(self, drifting_cell):
         dv = delta_v(drifting_cell.rest(50), drifting_cell.rest(1))
         assert np.all(dv[1:] < 0.0)
+
+    @pytest.mark.parametrize("offsets", [{2: 1e-10}, {2: 9e-10, 3: -9e-10}])
+    def test_rests_kept_near_the_grid_share_it(self, drifting_cell, tmp_path, offsets):
+        # Ingest keeps a rest within ON_GRID_TOLERANCE_S of the grid verbatim,
+        # giving the cell one time row per cycle; its voltages, and so every
+        # voltage-difference feature, are those of the unedited cell.
+        path = tmp_path / "cell.csv"
+        write_cell(drifting_cell, path)
+        interval = drifting_cell.sampling_interval_s
+        lines = path.read_text().splitlines()
+        for k, line in enumerate(lines):
+            fields = line.split(",")
+            if (fields[1:2] == ["rest_post_charge"] and int(fields[0]) in offsets
+                    and float(fields[2]) == interval):
+                fields[2] = repr(interval + offsets[int(fields[0])])
+                lines[k] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        edited = ingest_cell(path)
+        assert edited.times_s.ndim == 2
+        for m in offsets:
+            assert edited.rest(m)[0][1] == interval + offsets[m]
+        window = WindowSpec()
+        for m in range(2, 8):
+            for feature_set, names in ((FeatureSet.STATS, features.STATS_NAMES),
+                                       (FeatureSet.NOVEL_PRED, features.RATE_PRED_NAMES)):
+                got = assemble(edited, m, window, feature_set).values
+                want = assemble(drifting_cell, m, window, feature_set).values
+                assert [float(got[n]).hex() for n in names] == [float(want[n]).hex() for n in names]
+        adjacent = WindowSpec(WindowMode.ADJACENT)
+        got = assemble(edited, 3, adjacent, FeatureSet.STATS).values
+        assert got == assemble(drifting_cell, 3, adjacent, FeatureSet.STATS).values
+
+    @pytest.mark.parametrize(("offset", "shared"), [(1.9e-9, True), (-1.9e-9, True),
+                                                     (2.1e-9, False), (-2.1e-9, False)])
+    def test_rows_agree_within_twice_the_tolerance(self, offset, shared):
+        # Two rows each within ON_GRID_TOLERANCE_S of the grid differ by at
+        # most twice it; rows further apart are not on one grid.
+        assert ON_GRID_TOLERANCE_S == 1e-9
+        times = GRID.copy()
+        times[1] += offset
+        volts = np.linspace(4.1, 4.19, 16)
+        if shared:
+            assert not delta_v((times, volts), _rest(_curve(volts))).any()
+        else:
+            with pytest.raises(TimeGridMismatchError):
+                delta_v((times, volts), _rest(_curve(volts)))
 
 
 class TestDeltaVFeatures:
