@@ -61,14 +61,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    EmptyFileError,
-    InsufficientCellsError,
-    NeverReachedError,
-    SchemaError,
-    UnknownCycleError,
-    ValidationError,
-)
+from .errors import DataError, NeverReachedError, SchemaError, ValidationError
 from .textio import read_columns, read_keys, spell, spell_floats, write_keys, write_table
 
 CANONICAL_COLUMNS = ("cycle", "phase", "t_s", "voltage_v", "current_a", "capacity_ah")
@@ -363,11 +356,11 @@ class CellHistory:
         return CUTOFF_C_RATE * self.nominal_capacity_ah
 
     def row(self, cycle_index: int) -> int:
-        """The row of cycle ``cycle_index``; UnknownCycleError if it is not recorded."""
+        """The row of cycle ``cycle_index``; DataError if it is not recorded."""
         indices = self.cycle_indices
         k = int(indices.searchsorted(cycle_index))
         if k == indices.size or indices[k] != cycle_index:
-            raise UnknownCycleError(f"cell {self.cell_id} has no cycle {cycle_index}")
+            raise DataError(f"cell {self.cell_id} has no cycle {cycle_index}")
         return k
 
     def has_cycle(self, cycle_index: int) -> bool:
@@ -631,7 +624,7 @@ def ingest_cell(path, meta: CellMeta | None = None) -> CellHistory:
 
     Raises SchemaError when a column or a metadata key is missing or a
     column duplicated, ValidationError on structural violations or a number
-    that is not finite (naming the file line), EmptyFileError on a file with
+    that is not finite (naming the file line), DataError on a file with
     no data rows.
     """
     path = Path(path)
@@ -640,7 +633,7 @@ def ingest_cell(path, meta: CellMeta | None = None) -> CellHistory:
     table = read_columns(path, _COLUMN_DTYPES)
     cycle, phase, t_s, volts, capacity = (table.values[name] for name in _COLUMN_DTYPES)
     if cycle.size == 0:
-        raise EmptyFileError(f"{path} has no data rows")
+        raise DataError(f"{path} has no data rows")
     if meta is None:
         meta = CellMeta.parse(dict(token.split("=", 1) for comment in table.comments
                                    for token in comment.split() if "=" in token), path)
@@ -873,7 +866,7 @@ def split_dataset(
         n_train, n_test = spec[condition]
         available = sorted(by_condition.get(condition, []))
         if n_train + n_test > len(available):
-            raise InsufficientCellsError(
+            raise DataError(
                 f"condition {condition}: requested {n_train}+{n_test} cells, "
                 f"only {len(available)} available"
             )

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import RelaxationCurve
-from .errors import InsufficientDataError, ValidationError
+from .errors import DataError, ValidationError
 
 MIN_FIT_SAMPLES = 6
 
@@ -508,7 +508,7 @@ def fit(curve: RelaxationCurve) -> FitReport:
     come back with ``converged=False``.
     """
     if curve.n_samples < MIN_FIT_SAMPLES:
-        raise InsufficientDataError(
+        raise DataError(
             f"ECM fit needs at least {MIN_FIT_SAMPLES} relaxation samples, "
             f"got {curve.n_samples}"
         )

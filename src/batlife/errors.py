@@ -1,116 +1,45 @@
-"""Exception hierarchy shared across the package.
+"""Exception classes: one per catch.
 
-Two broad families map onto CLI exit codes: ``DataError`` (malformed or
-insufficient input, exit 3) and ``NumericalError`` (a computation that could
-not be completed soundly, exit 4). Everything derives from ``BatlifeError``
-so callers can catch the whole family at once.
+A class exists only where some code catches it by type. Two families map
+onto the CLI's exit codes (``cli.main``): ``DataError`` (malformed or
+insufficient input, exit 3) and ``NumericalError`` (a computation that
+could not be completed soundly, exit 4). A check nobody catches raises its
+family base with a message that names what failed; the four classes below
+the bases each have a catch site, named in their docstrings. A new class
+needs a new catch.
 """
 
 
-class BatlifeError(Exception):
-    """Base class for all batlife errors."""
+class DataError(Exception):
+    """Input data is malformed, inconsistent, or insufficient (exit 3)."""
 
 
-class DataError(BatlifeError):
-    """Input data is malformed, inconsistent, or insufficient."""
+class NumericalError(Exception):
+    """A numerical procedure failed or produced a degenerate result (exit 4)."""
 
-
-class NumericalError(BatlifeError):
-    """A numerical procedure failed or produced a degenerate result."""
-
-
-# -- dataset ----------------------------------------------------------------
 
 class SchemaError(DataError):
-    """A declared column is missing or duplicated in an input file."""
+    """A declared column or key is missing, or a file is not of its format.
+
+    Caught by ``modelio._Fields``, which reports a v1 model file."""
 
 
 class ValidationError(DataError):
-    """Parsed data violates a structural invariant (monotonicity, range)."""
+    """Parsed data violates a structural invariant (monotonicity, range).
 
-
-class EmptyFileError(DataError):
-    """An input file contains no data rows."""
-
-
-class InsufficientCellsError(DataError):
-    """A split requests more cells than a condition provides."""
+    Caught where the message gains the file or figure it came from:
+    ``dataset.CellMeta.parse``, ``modelio._Fields.make`` and
+    ``plots.emit_plots``."""
 
 
 class NeverReachedError(DataError):
-    """The capacity trace never crosses the end-of-life threshold."""
+    """The capacity trace never crosses the end-of-life threshold.
 
-
-class UnknownCycleError(DataError):
-    """A requested cycle index does not exist in the cell history."""
-
-
-# -- simgen -----------------------------------------------------------------
-
-class DriftUnderflowError(DataError):
-    """A drifted circuit parameter would become non-positive."""
-
-
-# -- ecm --------------------------------------------------------------------
-
-class InsufficientDataError(DataError):
-    """Fewer relaxation samples than the fit requires."""
+    Caught by ``dataset.build_history``: such a cell is kept unlabeled."""
 
 
 class NoConvergenceError(NumericalError):
-    """An iterative solver exhausted its iteration budget."""
+    """The Laplace posterior-mode search exhausted its iteration budget.
 
-
-# -- features ---------------------------------------------------------------
-
-class TimeGridMismatchError(DataError):
-    """Two curves do not share an identical sampling grid."""
-
-
-class NoVoltageOverlapError(DataError):
-    """Two discharge curves share no voltage range."""
-
-
-class MissingDischargeDataError(DataError):
-    """A feature set needs discharge curves the record does not carry."""
-
-
-# -- gpr / gpc --------------------------------------------------------------
-
-class DimensionMismatchError(DataError):
-    """Vector or matrix dimensions are incompatible."""
-
-
-class SingularKernelError(NumericalError):
-    """Kernel matrix failed to factorize even at the maximum jitter, or
-    every optimizer restart of a trainer failed to evaluate its objective."""
-
-
-class DegenerateTargetsError(DataError):
-    """Regression targets carry zero variance."""
-
-
-class OneClassOnlyError(DataError):
-    """Binary classifier training data contains a single class."""
-
-
-class OutOfDomainError(DataError):
-    """An input lies outside the domain a formula is defined on."""
-
-
-# -- metrics / experiments ---------------------------------------------------
-
-class LengthMismatchError(DataError):
-    """Paired sequences differ in length."""
-
-
-class EmptyInputError(DataError):
-    """An operation received an empty sequence."""
-
-
-class ZeroEolError(DataError):
-    """A percentage-error denominator (end-of-life cycle) is not positive."""
-
-
-class EmptyWindowError(DataError):
-    """No training samples fall inside the requested cycle window."""
+    Caught by the ``gpc.train_binary`` objective, which scores that point
+    as failed."""

@@ -26,14 +26,7 @@ import numpy as np
 
 from .dataset import CellHistory, Chemistry, DatasetSplit, SOH_EOL
 from .ecm import MIN_FIT_SAMPLES
-from .errors import (
-    EmptyInputError,
-    EmptyWindowError,
-    LengthMismatchError,
-    SchemaError,
-    ValidationError,
-    ZeroEolError,
-)
+from .errors import DataError, SchemaError, ValidationError
 from .features import (
     FEATURE_NAMES,
     FeatureSet,
@@ -84,9 +77,9 @@ def rmse(y, y_hat) -> float:
     y = np.asarray(y, dtype=float)
     y_hat = np.asarray(y_hat, dtype=float)
     if y.size != y_hat.size:
-        raise LengthMismatchError(f"lengths differ: {y.size} vs {y_hat.size}")
+        raise DataError(f"lengths differ: {y.size} vs {y_hat.size}")
     if y.size == 0:
-        raise EmptyInputError("rmse of an empty sample set")
+        raise DataError("rmse of an empty sample set")
     return float(np.sqrt(np.mean((y - y_hat) ** 2)))
 
 
@@ -101,13 +94,13 @@ def mape(y, y_hat, eol) -> float:
     y_hat = np.asarray(y_hat, dtype=float)
     eol = np.asarray(eol, dtype=float)
     if not (y.size == y_hat.size == eol.size):
-        raise LengthMismatchError(
+        raise DataError(
             f"lengths differ: {y.size}, {y_hat.size}, {eol.size}"
         )
     if y.size == 0:
-        raise EmptyInputError("mape of an empty sample set")
+        raise DataError("mape of an empty sample set")
     if np.any(eol <= 0):
-        raise ZeroEolError("every end-of-life denominator must be positive")
+        raise DataError("every end-of-life denominator must be positive")
     return float(np.mean(np.abs(y - y_hat) / eol) * 100.0)
 
 
@@ -513,7 +506,7 @@ def run_rul_experiment(
                     "weight_by_inverse_length_scale": float(wi),
                 })
     if not predictions:
-        raise EmptyInputError("experiment produced no test predictions")
+        raise DataError("experiment produced no test predictions")
 
     cfg = config.to_dict()
     report = ExperimentReport(
@@ -610,7 +603,7 @@ def run_classification_experiment(
             policy, config.stride, caches,
         )
         if not train_pairs:
-            raise EmptyWindowError(
+            raise DataError(
                 f"no training samples in cycles "
                 f"[{config.test_cycle - config.window_cycles // 2}, "
                 f"{config.test_cycle + config.window_cycles // 2}]"
@@ -638,7 +631,7 @@ def run_classification_experiment(
                 "correct": int(predicted is observed),
             })
     if not predictions:
-        raise EmptyInputError("classification produced no test predictions")
+        raise DataError("classification produced no test predictions")
 
     cfg = config.to_dict()
     report = ExperimentReport(

@@ -25,12 +25,7 @@ import numpy as np
 
 from . import ecm
 from .dataset import ON_GRID_TOLERANCE_S, CellHistory
-from .errors import (
-    MissingDischargeDataError,
-    NoVoltageOverlapError,
-    TimeGridMismatchError,
-    ValidationError,
-)
+from .errors import DataError, ValidationError
 
 DELTA_Q_GRID_POINTS = 1000
 DELTA_Q_VARIANCE_FLOOR = 1e-12  # Ah^2, keeps the log defined for identical curves
@@ -167,7 +162,7 @@ def delta_v(rest_m, rest_n) -> np.ndarray:
     if times_m is not times_n and (
             times_m.size != times_n.size
             or not (np.abs(times_m - times_n) <= 2.0 * ON_GRID_TOLERANCE_S).all()):
-        raise TimeGridMismatchError("relaxation curves are not on an identical time grid")
+        raise DataError("relaxation curves are not on an identical time grid")
     return volts_m - volts_n
 
 
@@ -239,7 +234,7 @@ def delta_q_variance(disc_m, disc_n) -> float:
     lo = max(v_m.min(), v_n.min())
     hi = min(v_m.max(), v_n.max())
     if lo >= hi:
-        raise NoVoltageOverlapError(
+        raise DataError(
             f"discharge curves share no voltage range ([{lo:.3f}, {hi:.3f}])"
         )
     grid = np.linspace(lo, hi, DELTA_Q_GRID_POINTS)
@@ -325,7 +320,7 @@ def assemble(
         disc_m = history.discharge(cycle_index)
         disc_n = history.discharge(reference)
         if disc_m is None or disc_n is None:
-            raise MissingDischargeDataError(
+            raise DataError(
                 f"cell {history.cell_id}: cycles {reference},{cycle_index} lack discharge data"
             )
         values["dq_var_log10"] = delta_q_variance(disc_m, disc_n)

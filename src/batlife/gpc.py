@@ -13,7 +13,9 @@ for narrow latents, a complementary Gauss-Legendre form for wide ones; see
 
 Each training builds the inputs' per-feature squared pair differences once
 (``gpr.squared_differences``), and every evidence evaluation takes its
-distances and length-scale gradient from them (see ``gpr``).
+distances and length-scale gradient from them (see ``gpr``). The evidence is
+maximized by the regressor's restart loop (``gpr.best_of_restarts``) with
+the classifier's own starts, bounds and tolerances.
 
 Each Newton step factorizes B = I + sqrtW K sqrtW by LAPACK potrf and solves
 with it by two trtrs calls, made directly through ``gpr.checked_lapack``;
@@ -38,22 +40,15 @@ from enum import Enum
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import minimize
 from scipy.special import expit, ndtr
 
 from .dataset import SOH_EOL
-from .errors import (
-    DimensionMismatchError,
-    NoConvergenceError,
-    OneClassOnlyError,
-    OutOfDomainError,
-    SingularKernelError,
-    ValidationError,
-)
+from .errors import DataError, NoConvergenceError, ValidationError
 from .gpr import (
     FAILED_OBJECTIVE,
     KernelParams,
     Standardizer,
+    best_of_restarts,
     cholesky_inverse,
     cholesky_lower,
     kernel_matrix,
@@ -65,6 +60,7 @@ from .gpr import (
     solve_lower,
     squared_differences,
     symmetric_matrix,
+    training_inputs,
 )
 
 QUAD_NODES = 32
@@ -107,7 +103,7 @@ NCM_POLICY = ThresholdPolicy(upper_at_soh1=800.0, lower_at_soh1=200.0)
 def threshold(policy: ThresholdPolicy, soh: float) -> tuple[float, float]:
     """Thresholds scaled to the given state of health (defined for soh > SOH_EOL)."""
     if soh <= SOH_EOL:
-        raise OutOfDomainError(
+        raise DataError(
             f"lifetime thresholds are defined for soh > SOH_EOL = {SOH_EOL}, got {soh:.4f}"
         )
     scale = (soh - SOH_EOL) / (1.0 - SOH_EOL)
@@ -266,53 +262,40 @@ def train_binary(
     (``gpr.one_blas_thread``), so its bytes do not depend on the thread count.
     """
     config = config or GpcTrainConfig()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
-        raise DimensionMismatchError(f"X {X.shape} and y {y.shape} are inconsistent")
+    X, y = training_inputs(X, y)
     if not (np.any(y > 0) and np.any(y < 0)):
-        raise OneClassOnlyError("binary training data must contain both classes")
+        raise DataError("binary training data must contain both classes")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValidationError("labels must be -1 or +1")
-    require_finite_features(X)
 
     n, d = X.shape
     D = squared_differences(X)
-    warm: dict[str, np.ndarray | None] = {"f": None}
 
-    def objective(theta):
-        kernel = KernelParams(sigma_f=math.exp(theta[0]), length_scales=np.exp(theta[1:]))
-        try:
-            evidence, f_hat, grad = laplace_evidence(
-                kernel, D, y, f0=warm["f"], with_grad=True
-            )
-        except (np.linalg.LinAlgError, NoConvergenceError):
-            return FAILED_OBJECTIVE, np.zeros_like(theta)
-        warm["f"] = f_hat
-        return -evidence, -grad
+    def new_objective():
+        # Each restart's Newton searches start cold, then from the last mode.
+        warm = None
 
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed & 0xFFFFFFFF, n, d]))
-    starts = [np.concatenate(([math.log(2.0)], np.zeros(d)))]
-    for _ in range(config.restarts - 1):
-        starts.append(np.concatenate((
+        def objective(theta):
+            nonlocal warm
+            kernel = KernelParams(sigma_f=math.exp(theta[0]), length_scales=np.exp(theta[1:]))
+            try:
+                evidence, f_hat, grad = laplace_evidence(kernel, D, y, f0=warm, with_grad=True)
+            except (np.linalg.LinAlgError, NoConvergenceError):
+                return FAILED_OBJECTIVE, np.zeros_like(theta)
+            warm = f_hat
+            return -evidence, -grad
+        return objective
+
+    def draw_start(rng):
+        return np.concatenate((
             [rng.uniform(math.log(0.5), math.log(8.0))],
             rng.uniform(math.log(0.3), math.log(10.0), size=d),
-        )))
+        ))
 
-    bounds = [(math.log(1e-3), math.log(1e3))] * (1 + d)
-    best_theta, best_value = None, FAILED_OBJECTIVE
-    for theta0 in starts:
-        warm["f"] = None
-        result = minimize(
-            objective, theta0, jac=True, method="L-BFGS-B", bounds=bounds,
-            options={"maxiter": config.max_iters, "ftol": 1e-12, "gtol": 1e-8},
-        )
-        if result.fun < best_value:
-            best_value = float(result.fun)
-            best_theta = result.x
-    if best_theta is None:
-        raise SingularKernelError("no restart produced a usable kernel")
-
+    best_theta = best_of_restarts(
+        new_objective, np.concatenate(([math.log(2.0)], np.zeros(d))), draw_start,
+        (math.log(1e-3), math.log(1e3)), config, (n, d), ftol=1e-12, gtol=1e-8,
+    )
     del D  # posterior_binary builds its own cache; never hold two
     kernel = KernelParams(sigma_f=math.exp(best_theta[0]), length_scales=np.exp(best_theta[1:]))
     return posterior_binary(kernel, X, y, positive_label, negative_label)
@@ -378,7 +361,7 @@ def predict_binary(model: BinaryGpc, x_star) -> float | np.ndarray:
     if single:
         x = x[None, :]
     if x.shape[1] != model.n_features:
-        raise DimensionMismatchError(
+        raise DataError(
             f"expected {model.n_features} features, got {x.shape[1]}"
         )
     require_finite_features(x)
@@ -423,7 +406,7 @@ def train_dag(
     X = np.asarray(X, dtype=float)
     labels = list(labels)
     if X.shape[0] != len(labels):
-        raise DimensionMismatchError("one label per feature row required")
+        raise DataError("one label per feature row required")
     require_finite_features(X)
     standardizer = Standardizer.fit(X)
     Xs = standardizer.transform(X)
@@ -432,7 +415,7 @@ def train_dag(
     def subset(pos: LifetimeLabel, neg: LifetimeLabel) -> tuple[np.ndarray, np.ndarray]:
         mask = (lab == pos.value) | (lab == neg.value)
         if not np.any(lab == pos.value) or not np.any(lab == neg.value):
-            raise OneClassOnlyError(
+            raise DataError(
                 f"need both {pos.value} and {neg.value} samples to train that stage"
             )
         y = np.where(lab[mask] == pos.value, 1.0, -1.0)
@@ -463,7 +446,7 @@ def classify(dag: LifeDag, x_star) -> tuple[LifetimeLabel, float]:
     """
     x = np.asarray(x_star, dtype=float)
     if x.ndim != 1 or x.size != dag.n_features:
-        raise DimensionMismatchError(f"expected a vector of length {dag.n_features}")
+        raise DataError(f"expected a vector of length {dag.n_features}")
     xs = dag.standardizer.transform(x[None, :])[0]
     p_long = predict_binary(dag.stage1, xs)
     if p_long > 0.5:

@@ -9,7 +9,9 @@ Observation noise sigma_n^2 and a small fixed jitter (1e-9 * sigma_f^2)
 are added on the training diagonal for factorization stability.
 
 Hyperparameters are fitted by maximizing the log marginal likelihood with
-analytic gradients (L-BFGS with multiple seeded restarts). Features are
+analytic gradients, by L-BFGS-B from several seeded starts
+(``best_of_restarts``, the loop ``gpc`` trains its classifiers with too;
+both trainers check their inputs with ``training_inputs``). Features are
 standardized to zero mean / unit variance with training statistics stored
 on the model; targets are centered so the zero prior mean is exact.
 
@@ -72,12 +74,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri, dtrtrs
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .errors import (
-    DegenerateTargetsError,
-    DimensionMismatchError,
-    SingularKernelError,
-    ValidationError,
-)
+from .errors import DataError, NumericalError, ValidationError
 
 JITTER_FACTOR = 1e-9
 MAX_JITTER_FACTOR = 1e-6
@@ -326,7 +323,7 @@ def factorize_with_jitter(
 ) -> tuple[np.ndarray, float]:
     """Factorize K + sigma_n^2 I + jitter I, escalating jitter up to the cap.
 
-    Returns (lower factor, jitter actually used). Raises SingularKernelError
+    Returns (lower factor, jitter actually used). Raises NumericalError
     once the jitter cap (1e-6 * sigma_f^2) is exhausted.
     """
     n = K.shape[0]
@@ -339,7 +336,7 @@ def factorize_with_jitter(
             return cholesky_lower(K_reg), jitter
         except np.linalg.LinAlgError:
             factor *= 10.0
-    raise SingularKernelError(
+    raise NumericalError(
         f"kernel matrix not factorizable at jitter {MAX_JITTER_FACTOR:g} * sigma_f^2"
     )
 
@@ -390,6 +387,43 @@ def log_marginal_likelihood(
 # Training
 # ---------------------------------------------------------------------------
 
+def training_inputs(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` (n x d) and ``y`` (n) as float arrays; DataError unless one
+    target pairs with each row, and ``require_finite_features``."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
+        raise DataError(f"X {X.shape} and y {y.shape} are inconsistent")
+    require_finite_features(X)
+    return X, y
+
+
+def best_of_restarts(new_objective, first_start: np.ndarray, draw_start,
+                     bounds: tuple[float, float], config, shape: tuple[int, int],
+                     ftol: float, gtol: float) -> np.ndarray:
+    """The best point of ``config.restarts`` L-BFGS-B runs (GPML 5.4, 3.4).
+
+    Run 0 starts at ``first_start``, run k > 0 at ``draw_start(rng)`` with
+    ``rng`` seeded by ``config.seed`` and the training ``shape`` (n, d).
+    Each run minimizes a fresh ``new_objective()`` (value, gradient) with
+    ``bounds`` on every coordinate. The lowest final value wins, ties going
+    to the earlier run; NumericalError when none gets below FAILED_OBJECTIVE.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed & 0xFFFFFFFF, *shape]))
+    best_theta, best_value = None, FAILED_OBJECTIVE
+    for restart in range(config.restarts):
+        theta0 = first_start if restart == 0 else draw_start(rng)
+        result = minimize(
+            new_objective(), theta0, jac=True, method="L-BFGS-B", bounds=[bounds] * theta0.size,
+            options={"maxiter": config.max_iters, "ftol": ftol, "gtol": gtol},
+        )
+        if result.fun < best_value:
+            best_theta, best_value = result.x, result.fun
+    if best_theta is None:
+        raise NumericalError("no restart produced a usable kernel")
+    return best_theta
+
+
 @one_blas_thread()
 def train(
     X: np.ndarray,
@@ -400,26 +434,22 @@ def train(
     """Fit hyperparameters by maximum marginal likelihood and build the model.
 
     L-BFGS-B searches (log l_1 ... log l_d, log(sigma_n / sigma_f)) on the
-    likelihood concentrated over sigma_f (``log_marginal_likelihood``);
-    sigma_f is its closed-form maximizer at the best point. Deterministic
-    given ``config.seed``; restarts are compared by final likelihood with
-    ties broken by restart index. Runs at one BLAS thread
-    (``one_blas_thread``), so its bytes do not depend on the thread count.
+    likelihood concentrated over sigma_f (``log_marginal_likelihood``) from
+    several seeded starts (``best_of_restarts``); sigma_f is its
+    closed-form maximizer at the best point. Deterministic given
+    ``config.seed``. Runs at one BLAS thread (``one_blas_thread``), so its
+    bytes do not depend on the thread count.
     """
     config = config or GprTrainConfig()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
-        raise DimensionMismatchError(f"X {X.shape} and y {y.shape} are inconsistent")
+    X, y = training_inputs(X, y)
     if X.shape[0] < 2:
         raise ValidationError("training needs at least 2 samples")
-    require_finite_features(X)
     if not np.all(np.isfinite(y)):
         raise ValidationError("targets contain non-finite entries")
 
     y_std = float(y.std())
     if y_std == 0.0:
-        raise DegenerateTargetsError("targets carry zero variance")
+        raise DataError("targets carry zero variance")
     y_mean = float(y.mean())
     y_centered = y - y_mean
 
@@ -437,29 +467,17 @@ def train(
             return FAILED_OBJECTIVE, np.zeros_like(theta)
         return -lml, -grad
 
-    # A random start draws offsets of log sigma_f and log sigma_n from
-    # log std(y) around its log length scales; its log noise ratio is their
-    # difference.
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed & 0xFFFFFFFF, n, d]))
-    starts = [np.append(np.zeros(d), math.log(0.1))]
-    for _ in range(config.restarts - 1):
+    def draw_start(rng):
+        # Offsets of log sigma_f and log sigma_n from log std(y) around
+        # drawn log length scales; the log noise ratio is their difference.
         sigma_f_offset = rng.uniform(-2.0, 2.0)
         log_length_scales = rng.uniform(math.log(0.1), math.log(10.0), size=d)
-        starts.append(np.append(log_length_scales, rng.uniform(-6.0, 0.0) - sigma_f_offset))
+        return np.append(log_length_scales, rng.uniform(-6.0, 0.0) - sigma_f_offset)
 
-    bounds = [(-LOG_BOUND, LOG_BOUND)] * (d + 1)
-    best_theta = None
-    best_value = FAILED_OBJECTIVE
-    for theta0 in starts:
-        result = minimize(
-            objective, theta0, jac=True, method="L-BFGS-B", bounds=bounds,
-            options={"maxiter": config.max_iters, "ftol": 1e-10, "gtol": 1e-9},
-        )
-        if result.fun < best_value:
-            best_value = float(result.fun)
-            best_theta = result.x
-    if best_theta is None:
-        raise SingularKernelError("no restart produced a usable kernel")
+    best_theta = best_of_restarts(
+        lambda: objective, np.append(np.zeros(d), math.log(0.1)), draw_start,
+        (-LOG_BOUND, LOG_BOUND), config, (n, d), ftol=1e-10, gtol=1e-9,
+    )
     length_scales, noise_ratio = np.exp(best_theta[:-1]), math.exp(best_theta[-1])
     _, _, sigma_f = log_marginal_likelihood(length_scales, noise_ratio, D, y_centered)
     del D  # posterior builds its own cache; never hold two
@@ -512,7 +530,7 @@ def predict(model: GprModel, X_star: np.ndarray) -> tuple[np.ndarray, np.ndarray
     if X_star.ndim == 1:
         X_star = X_star[None, :]
     if X_star.shape[1] != model.n_features:
-        raise DimensionMismatchError(
+        raise DataError(
             f"expected {model.n_features} features, got {X_star.shape[1]}"
         )
     if X_star.shape[0] == 0:

@@ -56,7 +56,7 @@ from .dataset import (
     relaxation_fault,
 )
 from .ecm import EcmParams, relaxation_model
-from .errors import DriftUnderflowError, ValidationError
+from .errors import DataError, ValidationError
 
 DISCHARGE_KNOTS = 1000
 
@@ -141,7 +141,7 @@ def drifted_params(profile: DriftProfile, cycle: int) -> EcmParams:
     labels = EcmParams.names()
     for name, value in zip(labels, values):
         if name in ("r_e", "c_e", "r_c", "c_c") and value <= 0:
-            raise DriftUnderflowError(f"{name} becomes non-positive at cycle {cycle}")
+            raise DataError(f"{name} becomes non-positive at cycle {cycle}")
     r_o = max(values[1], 0.0)
     return EcmParams(ocv=values[0], r_o=r_o, r_e=values[2], c_e=values[3],
                      r_c=values[4], c_c=values[5])
@@ -150,7 +150,7 @@ def drifted_params(profile: DriftProfile, cycle: int) -> EcmParams:
 def capacity_at(profile: DriftProfile, cycle: int, nominal_capacity_ah: float) -> float:
     q = nominal_capacity_ah * (1.0 - profile.fade_a * (cycle / profile.fade_ref_cycles) ** profile.fade_b)
     if q <= 0:
-        raise DriftUnderflowError(f"capacity becomes non-positive at cycle {cycle}")
+        raise DataError(f"capacity becomes non-positive at cycle {cycle}")
     return q
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import EmptyFileError, SchemaError, ValidationError
+from .errors import DataError, SchemaError, ValidationError
 
 
 def fingerprint(config: dict) -> str:
@@ -150,7 +150,7 @@ def _read_head(fh, path):
     """(comments, header, reader) of an open commented CSV, ``fh`` left at its first data line.
 
     Comments come back as written (without their ``#`` and one space). A
-    file with no header row raises ``EmptyFileError``.
+    file with no header row raises ``DataError``.
     """
     comments: list[str] = []
     line = fh.readline()
@@ -160,7 +160,7 @@ def _read_head(fh, path):
     reader = csv.reader(itertools.chain([line], fh) if line else fh)
     header = next(reader, None)
     if not header:
-        raise EmptyFileError(f"{path} has no header row")
+        raise DataError(f"{path} has no header row")
     return comments, header, reader
 
 

@@ -159,7 +159,7 @@ class TestFitEcm:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "InsufficientData" in err
+        assert "error (DataError): ECM fit needs at least 6 relaxation samples, got 5" in err
         assert "6" in err
 
 
@@ -586,7 +586,7 @@ class TestConfigValues:
                      "--split", "1/1", "--out", str(tmp_path / "r")])
         # Allowed by the config file, then no NCM+NCA cell has a training sample.
         assert code == 3
-        assert "EmptyWindowError" in capsys.readouterr().err
+        assert "error (DataError): no training samples in cycles" in capsys.readouterr().err
 
 
 class TestEvaluateInput:

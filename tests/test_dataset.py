@@ -36,14 +36,7 @@ from batlife.dataset import (
     DischargeCurve,
     Discharges,
 )
-from batlife.errors import (
-    EmptyFileError,
-    InsufficientCellsError,
-    NeverReachedError,
-    SchemaError,
-    UnknownCycleError,
-    ValidationError,
-)
+from batlife.errors import DataError, NeverReachedError, SchemaError, ValidationError
 from batlife.features import WindowMode, WindowSpec, feature_cycles
 
 from conftest import history_bits, history_of_cycles, records, write_cell_per_cycle
@@ -218,7 +211,7 @@ class TestRoundTrip:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("cycle,phase,t_s,voltage_v,current_a,capacity_ah\n")
-        with pytest.raises(EmptyFileError):
+        with pytest.raises(DataError, match="has no data rows"):
             ingest_cell(path)
 
     def test_non_monotone_time_rejected(self, tmp_path):
@@ -998,7 +991,7 @@ class TestSplit:
 
     def test_insufficient(self):
         cells = self._cells(3)
-        with pytest.raises(InsufficientCellsError):
+        with pytest.raises(DataError, match=r"requested 3\+1 cells, only 3 available"):
             split_dataset(cells, {"CY45-0.5/1": (3, 1)}, seed=0)
 
     @settings(max_examples=15, deadline=None)
@@ -1047,5 +1040,5 @@ class TestCycleLookup:
                 assert (rec.cycle_index, rec.cumulative_ah, rec.calendar_days) == \
                     (m, scanned[0], scanned[0])
             else:
-                with pytest.raises(UnknownCycleError):
+                with pytest.raises(DataError, match="has no cycle"):
                     cell.record(m)

@@ -9,7 +9,7 @@ from scipy.optimize import lsq_linear
 
 from batlife import ecm, simgen
 from batlife.dataset import VOLTAGE_MAX_V, VOLTAGE_MIN_V, RelaxationCurve
-from batlife.errors import InsufficientDataError, ValidationError
+from batlife.errors import DataError, ValidationError
 
 from conftest import (
     CUTOFF_A,
@@ -89,7 +89,7 @@ class TestFit:
     def test_insufficient_samples(self):
         truth = ecm.EcmParams(ocv=4.19, r_o=0.135, r_e=0.05, c_e=2400.0,
                               r_c=0.1, c_c=5000.0)
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DataError, match="ECM fit needs at least 6 relaxation samples, got 5"):
             ecm.fit(relaxation_curve(truth, n_samples=5))
 
     def test_six_samples_suffice(self):

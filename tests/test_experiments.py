@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from batlife import simgen
 from batlife.dataset import Chemistry, DatasetSplit, SOH_EOL, split_dataset
-from batlife.errors import (
-    EmptyInputError,
-    EmptyWindowError,
-    LengthMismatchError,
-    ValidationError,
-    ZeroEolError,
-)
+from batlife.errors import DataError, ValidationError
 from batlife.experiments import (
     ClassificationConfig,
     RulExperimentConfig,
@@ -42,11 +36,11 @@ class TestRmse:
         assert rmse([10.0], [13.0]) == 3.0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(DataError, match="lengths differ: 1 vs 2"):
             rmse([1.0], [1.0, 2.0])
 
     def test_empty(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match="rmse of an empty sample set"):
             rmse([], [])
 
     @settings(max_examples=30, deadline=None)
@@ -77,11 +71,11 @@ class TestMape:
         assert mape([100.0], [150.0], [500.0]) == pytest.approx(10.0)
 
     def test_zero_eol(self):
-        with pytest.raises(ZeroEolError):
+        with pytest.raises(DataError, match="every end-of-life denominator must be positive"):
             mape([1.0], [2.0], [0.0])
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(DataError, match="lengths differ: 1, 1, 2"):
             mape([1.0], [1.0], [1.0, 2.0])
 
 
@@ -178,7 +172,7 @@ class TestRulExperiment:
                               seed=0)
         config = RulExperimentConfig(feature_sets=(FeatureSet.ECM,), stride=8,
                                      restarts=2, max_iters=50)
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match="experiment produced no test predictions"):
             run_rul_experiment(small_fleet, split, config)
 
 
@@ -335,7 +329,7 @@ class TestClassificationExperiment:
         config = ClassificationConfig(feature_sets=(FeatureSet.NOVEL_CLASS,),
                                       chemistry=Chemistry.NCA, test_cycle=5000,
                                       window_cycles=10, seed=0)
-        with pytest.raises(EmptyWindowError):
+        with pytest.raises(DataError, match="no training samples in cycles"):
             run_classification_experiment(classification_fleet, split, config)
 
     def test_mixed_chemistry_exclusion(self, classification_fleet):

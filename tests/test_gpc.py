@@ -10,15 +10,7 @@ from scipy.special import expit
 
 from batlife import gpc, gpr
 from batlife.dataset import SOH_EOL
-from batlife.errors import (
-    DataError,
-    DimensionMismatchError,
-    NoConvergenceError,
-    OneClassOnlyError,
-    OutOfDomainError,
-    SingularKernelError,
-    ValidationError,
-)
+from batlife.errors import DataError, NoConvergenceError, NumericalError, ValidationError
 from batlife.gpc import (
     GpcTrainConfig,
     LifetimeLabel,
@@ -48,9 +40,9 @@ class TestThreshold:
         assert lower == pytest.approx(90.0)
 
     def test_out_of_domain(self):
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(DataError, match="lifetime thresholds are defined for soh > SOH_EOL"):
             threshold(NCA_POLICY, 0.8)
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(DataError, match="lifetime thresholds are defined for soh > SOH_EOL"):
             threshold(NCA_POLICY, 0.5)
 
     def test_policy_ordering_enforced(self):
@@ -107,7 +99,7 @@ def _mirror_data(n_side=8, d=1, scale=1.5, spread=0.4, seed=0):
 class TestTrainBinary:
     def test_one_class_only(self):
         X = np.zeros((4, 2))
-        with pytest.raises(OneClassOnlyError):
+        with pytest.raises(DataError, match="binary training data must contain both classes"):
             train_binary(X, np.ones(4))
 
     def test_bad_labels(self):
@@ -196,6 +188,26 @@ class TestTrainBinary:
         assert seen[0]["cache"] == seen[1]["cache"]
         assert seen[1]["evidence"] > 5 * seen[0]["evidence"]
 
+    def test_each_restart_finds_its_first_mode_cold(self, monkeypatch):
+        # The warm-started mode search never carries one restart's mode into the next.
+        real_minimize, real_evidence = gpr.minimize, gpc.laplace_evidence
+        warm_starts = []
+
+        def minimize(*args, **kwargs):
+            warm_starts.append([])
+            return real_minimize(*args, **kwargs)
+
+        def evidence(*args, f0=None, **kwargs):
+            warm_starts[-1].append(f0 is not None)
+            return real_evidence(*args, f0=f0, **kwargs)
+
+        monkeypatch.setattr(gpr, "minimize", minimize)
+        monkeypatch.setattr(gpc, "laplace_evidence", evidence)
+        X, y = _mirror_data(n_side=6, d=2, seed=5)
+        train_binary(X, y, GpcTrainConfig(restarts=3, max_iters=20, seed=0))
+        assert len(warm_starts) == 3
+        assert all(run[0] is False and len(run) > 1 and all(run[1:]) for run in warm_starts)
+
     @pytest.mark.parametrize("failure", [np.linalg.LinAlgError, NoConvergenceError])
     def test_every_restart_failing_raises(self, monkeypatch, failure):
         def failing(*args, **kwargs):
@@ -203,7 +215,7 @@ class TestTrainBinary:
 
         monkeypatch.setattr(gpc, "laplace_evidence", failing)
         X, y = _mirror_data(seed=3)
-        with pytest.raises(SingularKernelError):
+        with pytest.raises(NumericalError, match="no restart produced a usable kernel"):
             train_binary(X, y, GpcTrainConfig(restarts=2, seed=0))
 
     @pytest.mark.parametrize("budget", [{"restarts": 0}, {"restarts": -2}, {"max_iters": 0}])
@@ -244,7 +256,7 @@ class TestPredictBinary:
     def test_dimension_mismatch(self):
         X, y = _mirror_data(seed=2)
         model = train_binary(X, y, GpcTrainConfig(restarts=2, seed=0))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match="expected 1 features, got 3"):
             predict_binary(model, np.zeros(3))
 
     def test_quadrature_matches_monte_carlo(self):
@@ -333,13 +345,13 @@ class TestDag:
         X, labels = _three_cluster_data(seed=1)
         two_class = [l if l is not LifetimeLabel.LONG else LifetimeLabel.MEDIUM
                      for l in labels]
-        with pytest.raises(OneClassOnlyError):
+        with pytest.raises(DataError, match="need both Long and Short samples"):
             train_dag(X, two_class, GpcTrainConfig(restarts=2, seed=0))
 
     def test_dimension_checked(self):
         X, labels = _three_cluster_data(seed=2)
         dag = train_dag(X, labels, GpcTrainConfig(restarts=2, seed=0))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match="expected a vector of length 1"):
             classify(dag, np.zeros(2))
 
 

@@ -13,14 +13,7 @@ from scipy.optimize import minimize
 from scipy.spatial.distance import squareform
 
 from batlife import gpc, gpr, modelio
-from batlife.errors import (
-    DataError,
-    DegenerateTargetsError,
-    DimensionMismatchError,
-    NumericalError,
-    SingularKernelError,
-    ValidationError,
-)
+from batlife.errors import DataError, NumericalError, ValidationError
 
 from conftest import (
     kernel_eval,
@@ -398,7 +391,7 @@ class TestGradientAtScale:
 class TestTrain:
     def test_degenerate_targets(self):
         X = np.random.default_rng(0).normal(size=(10, 2))
-        with pytest.raises(DegenerateTargetsError):
+        with pytest.raises(DataError, match="targets carry zero variance"):
             gpr.train(X, np.full(10, 3.0))
 
     def test_too_few_samples(self):
@@ -442,7 +435,7 @@ class TestTrain:
 
         monkeypatch.setattr(gpr, "log_marginal_likelihood", singular)
         X, y = _toy_problem()
-        with pytest.raises(SingularKernelError):
+        with pytest.raises(NumericalError, match="no restart produced a usable kernel"):
             gpr.train(X, y, gpr.GprTrainConfig(restarts=3, seed=0))
 
     @pytest.mark.parametrize("budget", [{"restarts": 0}, {"restarts": -2}, {"max_iters": 0}])
@@ -488,6 +481,72 @@ class TestTrain:
         assert k.sigma_f == pytest.approx(closed_form, rel=1e-10)
 
 
+def _flat(theta):
+    return 0.0, np.zeros_like(theta)
+
+
+def _failing(theta):
+    return gpr.FAILED_OBJECTIVE, np.zeros_like(theta)
+
+
+def _bowl_at(centre):
+    """Minimum -1 at ``centre``: below the flat objective's 0."""
+    def objective(theta):
+        return float(np.sum((theta - centre) ** 2)) - 1.0, 2.0 * (theta - centre)
+    return objective
+
+
+class TestBestOfRestarts:
+    BOUNDS = (-5.0, 5.0)
+
+    def _best(self, objectives, restarts, seed=0, shape=(7, 1)):
+        """``best_of_restarts`` with one objective per restart, in order, from
+        the start -1 then the seeded draws; returns (theta, drawn starts)."""
+        objectives = iter(objectives)
+        drawn = []
+
+        def draw_start(rng):
+            drawn.append(rng.uniform(-2.0, 2.0, size=shape[1]))
+            return drawn[-1]
+
+        theta = gpr.best_of_restarts(
+            lambda: next(objectives), np.full(shape[1], -1.0), draw_start, self.BOUNDS,
+            gpr.GprTrainConfig(restarts=restarts, max_iters=50, seed=seed), shape,
+            ftol=1e-12, gtol=1e-10,
+        )
+        return theta, drawn
+
+    def test_a_tie_keeps_the_first_restart(self):
+        # A zero gradient stops each run at its start, at the same value 0.0.
+        theta, drawn = self._best([_flat] * 3, restarts=3)
+        assert len(drawn) == 2 and not np.array_equal(drawn[0], [-1.0])
+        assert theta.tolist() == [-1.0]
+
+    def test_a_lower_later_restart_wins(self):
+        theta, _ = self._best([_flat, _bowl_at(-3.0), _flat], restarts=3)
+        assert theta == pytest.approx([-3.0], abs=1e-6)
+
+    @pytest.mark.parametrize("order", ["failing first", "failing last"])
+    def test_a_restart_failing_everywhere_is_skipped(self, order):
+        objectives = [_failing, _bowl_at(2.5)]
+        if order == "failing last":
+            objectives.reverse()
+        theta, _ = self._best(objectives, restarts=2)
+        assert theta == pytest.approx([2.5], abs=1e-6)
+
+    def test_every_restart_failing_raises(self):
+        with pytest.raises(NumericalError, match="^no restart produced a usable kernel$"):
+            self._best([_failing] * 3, restarts=3)
+
+    def test_draws_are_seeded_by_the_seed_and_the_shape(self):
+        _, drawn = self._best([_flat] * 3, restarts=3, seed=2**32 + 5, shape=(11, 2))
+        rng = np.random.default_rng(np.random.SeedSequence([5, 11, 2]))
+        assert [d.tolist() for d in drawn] == [rng.uniform(-2.0, 2.0, size=2).tolist()
+                                               for _ in range(2)]
+        _, other_shape = self._best([_flat] * 3, restarts=3, seed=5, shape=(12, 2))
+        assert [d.tolist() for d in other_shape] != [d.tolist() for d in drawn]
+
+
 @pytest.mark.skipif(len(gpr._blas_pools()) < 2,
                     reason="numpy's or scipy's OpenBLAS thread-count symbols are absent")
 class TestOneBlasThread:
@@ -501,10 +560,10 @@ class TestOneBlasThread:
     @pytest.mark.parametrize("trainer", ["gpr", "gpc"])
     def test_one_thread_inside_the_objective_then_restored(self, monkeypatch, trainer):
         X, y = _toy_problem()
-        module, train = {
-            "gpr": (gpr, lambda: gpr.train(X, y, gpr.GprTrainConfig(restarts=2, max_iters=20))),
-            "gpc": (gpc, lambda: gpc.train_binary(X, np.where(y > np.median(y), 1.0, -1.0),
-                                                  gpc.GpcTrainConfig(restarts=2, max_iters=20))),
+        train = {
+            "gpr": lambda: gpr.train(X, y, gpr.GprTrainConfig(restarts=2, max_iters=20)),
+            "gpc": lambda: gpc.train_binary(X, np.where(y > np.median(y), 1.0, -1.0),
+                                            gpc.GpcTrainConfig(restarts=2, max_iters=20)),
         }[trainer]
         seen = []
 
@@ -514,7 +573,7 @@ class TestOneBlasThread:
                 return objective(theta)
             return minimize(recorded, *args, **kwargs)
 
-        monkeypatch.setattr(module, "minimize", recording_minimize)
+        monkeypatch.setattr(gpr, "minimize", recording_minimize)  # both trainers minimize here
         previous = self._counts()
         self._set([2, 3])
         try:
@@ -605,7 +664,7 @@ class TestPredict:
     def test_dimension_mismatch(self):
         X, y = _toy_problem()
         model = gpr.train(X, y, gpr.GprTrainConfig(restarts=2, seed=0))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match="expected 3 features, got 4"):
             gpr.predict(model, np.zeros((2, X.shape[1] + 1)))
 
 
@@ -784,7 +843,7 @@ class TestLapackFailure:
     def test_every_factorization_failing_is_a_singular_kernel(self, monkeypatch):
         X, y = _toy_problem()
         calls = _failing_potrf(monkeypatch, 0)
-        with pytest.raises(SingularKernelError) as caught:
+        with pytest.raises(NumericalError, match="no restart produced a usable kernel") as caught:
             gpr.train(X, y, gpr.GprTrainConfig(restarts=3, seed=0))
         assert isinstance(caught.value, NumericalError)  # exit 4
         assert len(calls) >= 3 and all(calls)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from batlife import ecm, simgen
 from batlife.dataset import CellMeta, Discharges, build_history
-from batlife.errors import DriftUnderflowError, ValidationError
+from batlife.errors import DataError, ValidationError
 
 from conftest import history_bits, make_discharge, records, simulate_cell_per_cycle
 
@@ -38,7 +38,7 @@ class TestDrift:
     def test_drift_underflow(self):
         rates = simgen.DriftRates(c_e=-0.01)
         profile = _profile(rates=rates)
-        with pytest.raises(DriftUnderflowError):
+        with pytest.raises(DataError, match="c_e becomes non-positive at cycle"):
             simgen.simulate_cell(profile, simgen.NCA_PROTOCOL, 150, discharge_knots=50)
 
     def test_capacity_strictly_decreasing(self):
@@ -188,7 +188,7 @@ def _outcome(simulate, *args, **kwargs):
     """What a simulator gives: the history's bits, or the error it raises."""
     try:
         return history_bits(simulate(*args, **kwargs))
-    except (ValidationError, DriftUnderflowError) as exc:
+    except DataError as exc:
         return type(exc), str(exc)
 
 
@@ -274,10 +274,10 @@ class TestWholeCell:
 
     def test_underflow_at_the_horizon(self):
         profile = _profile(rates=simgen.DriftRates(c_e=-0.01))
-        with pytest.raises(DriftUnderflowError, match="c_e becomes non-positive at cycle 150"):
+        with pytest.raises(DataError, match="c_e becomes non-positive at cycle 150"):
             simgen.drifted_params(profile, 150)
         got = _quiet_outcome(profile, simgen.NCA_PROTOCOL, 150, discharge_knots=50)
-        assert got == (DriftUnderflowError, "c_e becomes non-positive at cycle 150")
+        assert got == (DataError, "c_e becomes non-positive at cycle 150")
         assert got == _outcome(simulate_cell_per_cycle, profile, simgen.NCA_PROTOCOL, 150,
                                discharge_knots=50)
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batlife import textio
-from batlife.errors import EmptyFileError, SchemaError, ValidationError
+from batlife.errors import DataError, SchemaError, ValidationError
 from batlife.textio import (
     parse_floats,
     parse_value,
@@ -129,7 +129,7 @@ class TestTable:
     def test_no_header_row(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# only a comment\n")
-        with pytest.raises(EmptyFileError):
+        with pytest.raises(DataError, match="has no header row"):
             read_table(path)
 
 
